@@ -3,9 +3,7 @@
 The geodesic defect of a unit vector x is ``max_i |x^T M_i x|`` where the
 three symmetric matrices M_i encode ``g([x, e_i], x)``.  Scanning and
 refining hundreds of thousands of sphere points dominates the runtime of
-the oracle, so both kernels ship in two variants: numba ``@njit`` and a
-vectorized pure-numpy fallback.  Set ``CONTACT3_DISABLE_NUMBA=1`` to force
-the numpy path.
+the oracle, so both kernels are vectorized over the points with numpy.
 
 Refinement alternates 1D Newton projections onto the residual surfaces
 {x^T M_i x = 0}, always targeting the currently-largest residual along its
@@ -17,27 +15,24 @@ second order) still converge at rate 1/2.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
+
+BACKEND = "numpy"
 
 _STALL2 = 1e-30  # squared-gradient floor, relative to scale^2
 
 
-# -- pure-numpy variants ------------------------------------------------
-
-
-def residual_batch_numpy(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+def residual_batch(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Residual vectors v_i = x^T M_i x, shape (n, 3); M has shape (3, 3, 3)."""
     return np.einsum("ni,kij,nj->nk", X, M, X)
 
 
-def defect_max_batch_numpy(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+def defect_max_batch(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Defect max_i |x^T M_i x| for each row of X."""
-    return np.abs(residual_batch_numpy(M, X)).max(axis=1)
+    return np.abs(residual_batch(M, X)).max(axis=1)
 
 
-def refine_batch_numpy(
+def refine_batch(
     M: np.ndarray,
     X0: np.ndarray,
     step_cap: float,
@@ -46,7 +41,7 @@ def refine_batch_numpy(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Drive the defect below ``target`` by alternating Newton projections."""
     X = X0.copy()
-    V = residual_batch_numpy(M, X)
+    V = residual_batch(M, X)
     F = np.abs(V).max(axis=1)
     scale = max(float(np.abs(M).max()), 1e-300)
     active = F > target
@@ -74,7 +69,7 @@ def refine_batch_numpy(
                 break
             Y = Xa[pending] + damp * step[pending]
             Y /= np.linalg.norm(Y, axis=1, keepdims=True)
-            VY = residual_batch_numpy(M, Y)
+            VY = residual_batch(M, Y)
             w = worst[pending]
             better = np.abs(VY[np.arange(len(w)), w]) < 0.9 * np.abs(
                 Va[pending][np.arange(len(w)), w]
@@ -89,115 +84,3 @@ def refine_batch_numpy(
         F[idx] = newF
         active[idx] = (newF > target) & ~pending & ok  # stalled points stop
     return X, F
-
-
-# -- numba variants -----------------------------------------------------
-
-_ENV_DISABLED = os.environ.get("CONTACT3_DISABLE_NUMBA", "") not in ("", "0")
-
-if not _ENV_DISABLED:
-    try:
-        import warnings
-
-        from numba import njit, prange
-        from numba.core.errors import NumbaWarning
-
-        # stale-TBB detection emits a harmless threading-layer notice
-        warnings.filterwarnings("ignore", category=NumbaWarning, message=".*TBB.*")
-
-        @njit(cache=True)
-        def _residual_one(M, x, out):
-            for k in range(3):
-                acc = 0.0
-                for i in range(3):
-                    for j in range(3):
-                        acc += x[i] * M[k, i, j] * x[j]
-                out[k] = acc
-
-        @njit(cache=True)
-        def _defect_one(M, x):
-            v = np.empty(3)
-            _residual_one(M, x, v)
-            return max(abs(v[0]), abs(v[1]), abs(v[2]))
-
-        @njit(cache=True, parallel=True)
-        def defect_max_batch_numba(M, X):
-            n = X.shape[0]
-            out = np.empty(n)
-            for p in prange(n):
-                out[p] = _defect_one(M, X[p])
-            return out
-
-        @njit(cache=True, parallel=True)
-        def refine_batch_numba(M, X0, step_cap, target, max_iter=80):
-            n = X0.shape[0]
-            X = X0.copy()
-            F = np.empty(n)
-            scale = max(np.abs(M).max(), 1e-300)
-            for p in prange(n):
-                x = X[p].copy()
-                v = np.empty(3)
-                vy = np.empty(3)
-                y = np.empty(3)
-                _residual_one(M, x, v)
-                f = max(abs(v[0]), abs(v[1]), abs(v[2]))
-                for _ in range(max_iter):
-                    if f <= target:
-                        break
-                    w = 0
-                    if abs(v[1]) > abs(v[w]):
-                        w = 1
-                    if abs(v[2]) > abs(v[w]):
-                        w = 2
-                    g0 = 2.0 * (M[w, 0, 0] * x[0] + M[w, 0, 1] * x[1] + M[w, 0, 2] * x[2])
-                    g1 = 2.0 * (M[w, 1, 0] * x[0] + M[w, 1, 1] * x[1] + M[w, 1, 2] * x[2])
-                    g2 = 2.0 * (M[w, 2, 0] * x[0] + M[w, 2, 1] * x[1] + M[w, 2, 2] * x[2])
-                    dot = g0 * x[0] + g1 * x[1] + g2 * x[2]
-                    g0 -= dot * x[0]
-                    g1 -= dot * x[1]
-                    g2 -= dot * x[2]
-                    gn2 = g0 * g0 + g1 * g1 + g2 * g2
-                    if gn2 <= _STALL2 * scale * scale:
-                        break
-                    coef = -v[w] / gn2
-                    s0, s1, s2 = coef * g0, coef * g1, coef * g2
-                    slen = np.sqrt(s0 * s0 + s1 * s1 + s2 * s2)
-                    if slen > step_cap:
-                        s0 *= step_cap / slen
-                        s1 *= step_cap / slen
-                        s2 *= step_cap / slen
-                    improved = False
-                    damp = 1.0
-                    for _try in range(4):
-                        y[0] = x[0] + damp * s0
-                        y[1] = x[1] + damp * s1
-                        y[2] = x[2] + damp * s2
-                        nrm = np.sqrt(y[0] ** 2 + y[1] ** 2 + y[2] ** 2)
-                        y[0] /= nrm
-                        y[1] /= nrm
-                        y[2] /= nrm
-                        _residual_one(M, y, vy)
-                        if abs(vy[w]) < 0.9 * abs(v[w]):
-                            x[0], x[1], x[2] = y[0], y[1], y[2]
-                            v[0], v[1], v[2] = vy[0], vy[1], vy[2]
-                            f = max(abs(v[0]), abs(v[1]), abs(v[2]))
-                            improved = True
-                            break
-                        damp *= 0.5
-                    if not improved:
-                        break
-                X[p] = x
-                F[p] = f
-            return X, F
-
-        defect_max_batch = defect_max_batch_numba
-        refine_batch = refine_batch_numba
-        BACKEND = "numba"
-    except ImportError:  # pragma: no cover - exercised only without numba
-        defect_max_batch = defect_max_batch_numpy
-        refine_batch = refine_batch_numpy
-        BACKEND = "numpy"
-else:
-    defect_max_batch = defect_max_batch_numpy
-    refine_batch = refine_batch_numpy
-    BACKEND = "numpy"

@@ -21,6 +21,11 @@ Construction branches (this module's case analysis):
     5  p = 0 (only +-e1 is geodesic)                 -> A, diagonal-plus-shear
     6  rank-one functional algebra, xi dual to l     -> A, alpha = delta = l(xi)
 
+The regime is the geodesic enumeration's case tag, decided once by one
+relative rule: p = 0 and p = +-r hold to IDENTITY_RTOL (1e-12) times the
+largest structure constant, q = 0 to IDENTITY_RTOL itself (q is
+dimensionless), and p = 0 wins a tie.
+
 Geodesic vectors in the interior of the p = +-r, q != 0 circles carry
 structures matching none of the three families; ``classify`` reports those
 with ``family=None`` and the reduced bracket data.
@@ -63,10 +68,12 @@ from .lie_core import (
     milnor_invariant_D,
 )
 from .metric_geometry import (
+    GeodesicEnumeration,
     Metric3,
+    _regime,
+    _shear_directions,
     enumerate_unit_geodesics,
     geodesic_defect,
-    inplane_geodesic_angles,
     is_geodesic_vector,
 )
 from .tolerances import IDENTITY_RTOL, default_tol
@@ -243,23 +250,18 @@ def construct_case3(params) -> PhiBasisStructure:
     (delta, 0, -gamma).  B = 0, so these are never contact.
     """
     params = _as_params(params)
-    p, q, r = params.p, params.q, params.r
-    tol = default_tol() * max(1.0, abs(p), abs(q), abs(r))
-    if abs(q) <= tol:
-        raise AdmissibilityError("branch 3 needs q != 0")
-    s = math.sqrt(1.0 + q * q)
-    u = np.array([0.0, q, -1.0]) / s
-    w = np.array([0.0, 1.0, q]) / s
-    if abs(p - r) <= tol:
+    tag = _regime(params)
+    if tag not in ("B1", "C1"):
+        raise AdmissibilityError(f"branch 3 needs p = +-r and q != 0, not regime {tag}")
+    u, w = _shear_directions(params.q)
+    if tag == "B1":
         basis = PhiBasis(u, E1, w)
         abc = (params.alpha, 0.0, -params.beta)
         notes = ("left-handed adapted frame (conjugate orientation)",)
-    elif abs(p + r) <= tol:
+    else:
         basis = PhiBasis(w, E1, u)
         abc = (params.delta, 0.0, -params.gamma)
         notes = ("mirror of the p = r branch",)
-    else:
-        raise AdmissibilityError("branch 3 needs p = r or p = -r")
     return PhiBasisStructure("B", abc, basis, 3, from_milnor(params), notes)
 
 
@@ -273,22 +275,19 @@ def construct_case4(params, theta: float) -> PhiBasisStructure:
     never a contact form here.
     """
     params = _as_params(params)
-    p, q, r = params.p, params.q, params.r
-    tol = default_tol() * max(1.0, abs(p), abs(q), abs(r))
-    if abs(q) > tol:
-        raise AdmissibilityError("branch 4 needs q = 0")
+    tag = _regime(params)
+    if tag not in ("B2", "C2"):
+        raise AdmissibilityError(f"branch 4 needs p = +-r and q = 0, not regime {tag}")
     theta = theta % math.pi
     ct, st = math.cos(theta), math.sin(theta)
-    if abs(p - r) <= tol:
+    if tag == "B2":
         xi = np.array([ct, 0.0, st])
         basis = PhiBasis(xi, E2, np.array([-st, 0.0, ct]))
         ab = (params.alpha * ct, params.alpha * st)
-    elif abs(p + r) <= tol:
+    else:
         xi = np.array([ct, st, 0.0])
         basis = PhiBasis(xi, E3, np.array([st, -ct, 0.0]))
         ab = (params.delta * ct, -params.delta * st)
-    else:
-        raise AdmissibilityError("branch 4 needs p = r or p = -r")
     notes = []
     if abs(st) <= 1e-12:
         notes.append("t = 0 point: coincides with the diagonal family A normal form")
@@ -303,8 +302,7 @@ def construct_case5(params, xi) -> PhiBasisStructure:
     the rejection message reports that obstruction.
     """
     params = _as_params(params)
-    tol = default_tol() * max(1.0, params.scale)
-    if abs(params.p) > tol:
+    if _regime(params) != "D":
         raise AdmissibilityError("branch 5 needs p = 0")
     x = _as_vector(xi)
     x = x / np.linalg.norm(x)
@@ -435,6 +433,21 @@ def _report(source_tag: str, ps: PhiBasisStructure, extra_notes: tuple[str, ...]
     )
 
 
+def resolve_source(source) -> tuple[MilnorParameters | LinearFunctional, LieAlgebra3, GeodesicEnumeration]:
+    """(functional or parameters, algebra, geodesic enumeration) for a classification source.
+
+    A LinearFunctional or a plain 3-vector is a functional; anything else
+    must give adapted-form parameters (AdmissibilityError otherwise).
+    """
+    if isinstance(source, LinearFunctional) or (
+        not isinstance(source, MilnorParameters) and np.ndim(source) == 1 and len(np.asarray(source)) == 3
+    ):
+        l = source if isinstance(source, LinearFunctional) else LinearFunctional(np.asarray(source, float))
+        return l, from_functional(l), enumerate_unit_geodesics(functional=l)
+    params = _as_params(source)
+    return params, from_milnor(params), enumerate_unit_geodesics(params)
+
+
 def classify(source, xi, *, tol: float | None = None) -> ClassificationReport:
     """Classify the structure with Reeb vector xi on the given algebra.
 
@@ -444,39 +457,29 @@ def classify(source, xi, *, tol: float | None = None) -> ClassificationReport:
     closed-form geodesic enumeration and routed to the branch that covers
     it, folding xi to the canonical sign representative.
     """
-    if tol is None:
-        tol = default_tol()
     x = _as_vector(xi)
     nx = np.linalg.norm(x)
     if nx == 0.0:
         raise NotGeodesicError("xi must be nonzero")
-    x = x / nx
+    return _classify(*resolve_source(source), x / nx, tol)
 
-    if isinstance(source, LinearFunctional) or (
-        not isinstance(source, MilnorParameters) and np.ndim(source) == 1 and len(np.asarray(source)) == 3
-    ):
-        l = source if isinstance(source, LinearFunctional) else LinearFunctional(np.asarray(source, float))
-        L = from_functional(l)
-        enum = enumerate_unit_geodesics(functional=l)
-        if not is_geodesic_vector(L, _I3, x, tol):
-            raise NotGeodesicError(
-                f"xi is not a geodesic vector (defect {float(geodesic_defect(L, _I3, x))!r}); "
-                "only the dual direction of l is geodesic"
-            )
-        return _report(enum.case_tag, construct_case6(l, x))
 
-    params = _as_params(source)
-    L = from_milnor(params)
-    enum = enumerate_unit_geodesics(params)
+def _classify(source, L: LieAlgebra3, enum: GeodesicEnumeration, x: Vector, tol: float | None) -> ClassificationReport:
+    functional = isinstance(source, LinearFunctional)
     if not is_geodesic_vector(L, _I3, x, tol):
         raise NotGeodesicError(
-            f"xi is not a geodesic vector (defect {float(geodesic_defect(L, _I3, x))!r}): "
-            "g([xi, y], xi) must vanish for every y; equivalently xi fails the "
-            "ker d_eta condition (eta([xi, X]) != 0 for some X in ker eta)"
+            f"xi is not a geodesic vector (defect {float(geodesic_defect(L, _I3, x))!r})"
+            + (
+                "; only the dual direction of l is geodesic"
+                if functional
+                else ": g([xi, y], xi) must vanish for every y; equivalently xi fails the "
+                "ker d_eta condition (eta([xi, X]) != 0 for some X in ker eta)"
+            )
         )
-    p, q, r = params.p, params.q, params.r
-    ctol = default_tol() * max(1.0, abs(p), abs(q), abs(r))
-    on_line = abs(p - r) <= ctol or abs(p + r) <= ctol
+    if functional:
+        return _report(enum.case_tag, construct_case6(source, x))
+
+    params, tag = source, enum.case_tag
 
     # candidates in priority order: axis, distinguished in-plane direction,
     # in-plane roots, geodesic circle; xi snaps to the nearest feature
@@ -484,16 +487,13 @@ def classify(source, xi, *, tol: float | None = None) -> ClassificationReport:
         return min(np.linalg.norm(x - v), np.linalg.norm(x + v))
 
     candidates: list[tuple[float, str, object]] = [(pair_dist(E1), "axis", None)]
-    if on_line and abs(q) > ctol:
-        s = math.sqrt(1.0 + q * q)
-        special = np.array([0.0, q, -1.0]) / s if abs(p - r) <= ctol else np.array([0.0, 1.0, q]) / s
+    if tag in ("B1", "C1"):
+        special = enum.families[0].v
         candidates.append((pair_dist(special), "special", special))
-    for root in inplane_geodesic_angles(params):
+    for root in enum.inplane_angles():
         rep = np.array([0.0, math.cos(root), math.sin(root)])
         candidates.append((pair_dist(rep), "root", root))
-    if on_line:
-        fam = enum.families[0]
-        candidates.append((fam.distance(x), "circle", fam))
+    candidates.extend((fam.distance(x), "circle", fam) for fam in enum.families if fam.angles is None)
 
     best = None
     for dist, kind, payload in candidates:
@@ -509,34 +509,33 @@ def classify(source, xi, *, tol: float | None = None) -> ClassificationReport:
     extra = (f"xi snapped to the nearest geodesic (moved {float(dist)!r})",) if snapped else ()
 
     if kind == "axis":
-        if abs(p) <= ctol:
+        if tag == "D":
             xi_exact = x if not snapped else (E1 if x[0] > 0 else -E1)
-            return _report(enum.case_tag, construct_case5(params, xi_exact), extra)
+            return _report(tag, construct_case5(params, xi_exact), extra)
         if x[0] < 0:
             extra = extra + ("xi folded to the +e1 representative",)
-        return _report(enum.case_tag, construct_case1(params), extra)
+        return _report(tag, construct_case1(params), extra)
     if kind == "special":
         if np.linalg.norm(x - payload) > np.linalg.norm(x + payload):
             extra = extra + ("xi folded to the canonical sign representative",)
-        return _report(enum.case_tag, construct_case3(params), extra)
+        return _report(tag, construct_case3(params), extra)
     if kind == "root":
         rep = np.array([0.0, math.cos(payload), math.sin(payload)])
         if np.linalg.norm(x - rep) > 1e-3:
             extra = extra + ("xi folded to the angle representative in [0, pi)",)
-        return _report(enum.case_tag, construct_case2(params, payload), extra)
+        return _report(tag, construct_case2(params, payload), extra)
 
     # on the geodesic circle: project, then fold the angle to [0, pi)
     fam = payload
     n = fam.normal
     proj = x - (x @ n) * n
     proj = proj / np.linalg.norm(proj)
-    if abs(q) <= ctol:
-        axis = 2 if abs(p - r) <= ctol else 1  # circle through e1 and e3 resp. e2
-        theta = math.atan2(proj[axis], proj[0])
+    if tag in ("B2", "C2"):
+        theta = math.atan2(proj @ fam.v, proj @ fam.u)
         if theta < 0:
             extra = extra + ("xi folded to the angle representative in [0, pi)",)
-        return _report(enum.case_tag, construct_case4(params, theta % math.pi), extra)
-    return _report(enum.case_tag, _reduce_outside(L, _canonical_sign(proj)), extra)
+        return _report(tag, construct_case4(params, theta % math.pi), extra)
+    return _report(tag, _reduce_outside(L, _canonical_sign(proj)), extra)
 
 
 def classify_representatives(source, *, tol: float | None = None) -> list[ClassificationReport]:
@@ -547,29 +546,15 @@ def classify_representatives(source, *, tol: float | None = None) -> list[Classi
     distinguished direction (branch 3) and one interior sample at a
     deterministic angle.
     """
-    reports = []
-    if isinstance(source, LinearFunctional) or (
-        not isinstance(source, MilnorParameters) and np.ndim(source) == 1 and len(np.asarray(source)) == 3
-    ):
-        l = source if isinstance(source, LinearFunctional) else LinearFunctional(np.asarray(source, float))
-        return [classify(l, l.dual, tol=tol)]
-    params = _as_params(source)
-    reports.append(classify(params, E1, tol=tol))
-    for root in inplane_geodesic_angles(params):
+    source, L, enum = resolve_source(source)
+    if isinstance(source, LinearFunctional):
+        xis = [source.dual]
+    else:
         # when q != 0 the distinguished branch-3 direction is one of the roots
-        reports.append(classify(params, np.array([0.0, math.cos(root), math.sin(root)]), tol=tol))
-    p, q, r = params.p, params.q, params.r
-    ctol = default_tol() * max(1.0, abs(p), abs(q), abs(r))
-    if abs(p - r) <= ctol or abs(p + r) <= ctol:
-        if abs(q) > ctol:
-            s = math.sqrt(1.0 + q * q)
-            special = np.array([0.0, q, -1.0]) / s if abs(p - r) <= ctol else np.array([0.0, 1.0, q]) / s
-            interior = (E1 + special) / math.sqrt(2.0)
-        else:
-            axis = E3 if abs(p - r) <= ctol else E2
-            interior = (E1 + axis) / math.sqrt(2.0)
-        reports.append(classify(params, interior, tol=tol))
-    return reports
+        xis = [E1]
+        xis.extend(np.array([0.0, math.cos(t), math.sin(t)]) for t in enum.inplane_angles())
+        xis.extend((E1 + fam.v) / math.sqrt(2.0) for fam in enum.families if fam.angles is None)
+    return [_classify(source, L, enum, x / np.linalg.norm(x), tol) for x in xis]
 
 
 # -- isomorphism ----------------------------------------------------------

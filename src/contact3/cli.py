@@ -23,8 +23,9 @@ from .classification import (
     NotGeodesicError,
     classify,
     classify_representatives,
+    resolve_source,
 )
-from .lie_core import LinearFunctional, MilnorParameters, from_functional, from_milnor
+from .lie_core import LinearFunctional, MilnorParameters, milnor_invariant_D
 from .metric_geometry import enumerate_unit_geodesics, geodesic_brute_force, oracle_match
 from .tolerances import default_tol
 from .verify import GROUPS, run_groups
@@ -102,13 +103,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_geodesics(args) -> int:
-    source = _parse_source(args)
-    if isinstance(source, LinearFunctional):
-        enum = enumerate_unit_geodesics(functional=source)
-        L = from_functional(source)
-    else:
-        enum = enumerate_unit_geodesics(source)
-        L = from_milnor(source)
+    _, L, enum = resolve_source(_parse_source(args))
     agreement = None
     if args.oracle:
         pts = geodesic_brute_force(L, grid=args.oracle)
@@ -149,16 +144,13 @@ def atlas_rows(p_values, q_values, r_value):
             enum = enumerate_unit_geodesics(params)
             reps = classify_representatives(params)
             delta_disc = (params.beta + params.gamma) ** 2 - 4.0 * params.alpha * params.delta
-            D = 4.0 * (params.alpha * params.delta - params.beta * params.gamma) / (
-                params.alpha + params.delta
-            ) ** 2
             yield {
                 "p": float(p),
                 "q": float(q),
                 "r": float(r_value),
                 "geodesic_case": enum.case_tag,
                 "Delta": delta_disc,
-                "D": D,
+                "D": milnor_invariant_D(params),
                 "n_discrete_geodesics": len(enum.isolated_points()),
                 "has_contact_structure": any(rep.contact_form for rep in reps),
                 "min_normality_residual": min(rep.normality_residual for rep in reps),

@@ -101,43 +101,39 @@ def is_geodesic_vector(L: LieAlgebra3, g: Metric3, x, tol: float | None = None) 
     return geodesic_defect(L, g, x) <= tol * nx2
 
 
-def inplane_geodesic_angles(params: MilnorParameters | tuple, *, residual_tol: float | None = None) -> list[float]:
+def _fold(t: float) -> float:
+    # angle modulo pi; tiny negative angles round to pi under the modulo,
+    # which is the same line as 0
+    t = t % math.pi
+    return 0.0 if t >= math.pi else t
+
+
+def inplane_geodesic_angles(params: MilnorParameters | tuple) -> list[float]:
     """Angles t in [0, pi) with alpha cos^2 t + (beta+gamma) sin t cos t + delta sin^2 t = 0.
 
-    Solved through the tan t quadratic ``delta u^2 + (beta+gamma) u + alpha``;
-    when delta = 0 the cos t = 0 root is handled explicitly since the tan
-    substitution loses it.  Empty when the discriminant is negative.
+    The roots are the null directions of S = [[alpha, h], [h, delta]],
+    h = (beta+gamma)/2: phi +- atan2(sqrt(lam_plus), sqrt(-lam_minus)), with
+    phi the angle of the lam_plus eigenvector.  The eigenvalue of smaller
+    magnitude is det S / (the larger one), which avoids the cancellation
+    of the quadratic formula.  Empty when det S > 0.
     """
     if not isinstance(params, MilnorParameters):
         params = MilnorParameters(*params)
-    a, bg, d = params.alpha, params.beta + params.gamma, params.delta
-    scale = params.scale
-    if residual_tol is None:
-        residual_tol = IDENTITY_RTOL * scale
-    def fold(angle: float) -> float:
-        # atan output折 into [0, pi); tiny negative angles round to pi under
-        # the modulo, which is the same direction as 0
-        t = angle % math.pi
-        return 0.0 if t >= math.pi else t
-
-    raw: list[float] = []
-    if abs(d) > IDENTITY_RTOL * scale:
-        disc = bg * bg - 4.0 * a * d
-        if disc >= 0.0:
-            sq = math.sqrt(disc)
-            raw = [fold(math.atan((-bg + sq) / (2.0 * d))), fold(math.atan((-bg - sq) / (2.0 * d)))]
-    else:
-        raw = [math.pi / 2.0]
-        if abs(bg) > IDENTITY_RTOL * scale:
-            raw.append(fold(math.atan(-a / bg)))
-    roots: list[float] = []
-    for t in sorted(raw):
-        gap = min((abs(t - u) % math.pi, math.pi - abs(t - u) % math.pi) for u in roots) if roots else None
-        if gap is None or min(gap) > 1e-12:
-            roots.append(t)
+    a, h, d = params.alpha, 0.5 * (params.beta + params.gamma), params.delta
+    det = a * d - h * h
+    if det > 0.0:
+        return []
+    mean = 0.5 * (a + d)  # nonzero: alpha + delta != 0
+    big = mean + math.copysign(math.hypot(0.5 * (a - d), h), mean)
+    lam_plus, lam_minus = (big, det / big) if big > 0.0 else (det / big, big)
+    phi = 0.5 * math.atan2(2.0 * h, a - d)
+    psi = math.atan2(math.sqrt(lam_plus), math.sqrt(-lam_minus))
+    roots = sorted({_fold(phi + psi), _fold(phi - psi)})
+    if len(roots) == 2 and min(roots[1] - roots[0], math.pi - roots[1] + roots[0]) <= 1e-12:
+        del roots[1]
     for t in roots:
-        res = abs(a * math.cos(t) ** 2 + bg * math.sin(t) * math.cos(t) + d * math.sin(t) ** 2)
-        if res > max(residual_tol, 64.0 * np.finfo(float).eps * scale):
+        res = abs(a * math.cos(t) ** 2 + 2.0 * h * math.sin(t) * math.cos(t) + d * math.sin(t) ** 2)
+        if res > IDENTITY_RTOL * params.scale:
             raise ArithmeticError(f"root t={t!r} has residual {res!r}")
     return roots
 
@@ -207,6 +203,21 @@ class GeodesicEnumeration:
                         pts.append(x)
         return pts
 
+    def inplane_angles(self) -> list[float]:
+        """Angles t in [0, pi) of the enumerated lines cos(t) e2 + sin(t) e3.
+
+        These are the in-plane roots: the A2 family angles, or on p = +-r
+        the circle's crossing of the e2-e3 plane and the transverse pair.
+        """
+        if self.case_tag == "A2":
+            return list(self.families[0].angles)
+        if self.case_tag[0] not in "BC":
+            return []
+        # flipping the sign into the upper half plane, unlike adding pi
+        # after atan2, loses no bits of the angle
+        lines = [x if x[2] >= 0.0 else -x for x in (self.families[0].v, *self.discrete[:1])]
+        return sorted(_fold(math.atan2(x[2], x[1])) for x in lines)
+
     def distance_to_set(self, x) -> float:
         """Euclidean distance from unit x to the enumerated geodesic set."""
         x = _as_vector(x)
@@ -239,20 +250,38 @@ def _check_enumeration(L: LieAlgebra3, enum: GeodesicEnumeration) -> None:
             raise AssertionError("enumerated vector fails the geodesic predicate")
 
 
+def _regime(params: MilnorParameters) -> str:
+    """Case tag D, B1, B2, C1 or C2, or "generic" for A1/A2 (rule: ``enumerate_unit_geodesics``)."""
+    tol = IDENTITY_RTOL * params.scale
+    p, r = params.p, params.r
+    if abs(p) <= tol:
+        return "D"
+    if min(abs(p - r), abs(p + r)) > tol:
+        return "generic"
+    return ("B" if abs(p - r) <= tol else "C") + ("2" if abs(params.q) <= IDENTITY_RTOL else "1")
+
+
+def _shear_directions(q: float) -> tuple[Vector, Vector]:
+    """(q e2 - e3)/s, (e2 + q e3)/s: the B1 circle direction and its normal, C1 the reverse."""
+    s = math.sqrt(1.0 + q * q)
+    return np.array([0.0, q, -1.0]) / s, np.array([0.0, 1.0, q]) / s
+
+
 def enumerate_unit_geodesics(
     params: MilnorParameters | tuple | None = None,
     functional: LinearFunctional | np.ndarray | None = None,
-    *,
-    case_tol: float | None = None,
 ) -> GeodesicEnumeration:
     """All unit geodesic vectors of the algebra, in closed form.
 
-    Dispatch on (p, q, r): generic p gives the isolated +-e1 plus the
-    in-plane solutions of the quadratic angle equation (tags A1/A2 by its
-    discriminant); p = +-r gives a full great circle through e1, plus an
-    isolated antipodal pair transverse to it when q != 0 (B1/C1) and
-    nothing else when q = 0 (B2/C2); p = 0 leaves only +-e1 (tag D); the
-    rank-one functional algebra leaves only the dual direction (tag E).
+    Dispatch on (p, q, r), by one relative rule: p = 0 and p = +-r hold to
+    IDENTITY_RTOL * max(|alpha|, |beta|, |gamma|, |delta|), q = 0 to
+    IDENTITY_RTOL (q is dimensionless), and p = 0 wins a tie.  Generic p
+    gives the isolated +-e1 plus the in-plane solutions of the quadratic
+    angle equation (tags A1/A2 by whether it has any); p = +-r gives a
+    full great circle through e1, plus an isolated antipodal pair
+    transverse to it when q != 0 (B1/C1) and nothing else when q = 0
+    (B2/C2); p = 0 leaves only +-e1 (tag D); the rank-one functional
+    algebra leaves only the dual direction (tag E).
 
     Every returned vector satisfies the geodesic predicate; the published
     case lists for B1/C1/D/E disagree with that predicate and are not
@@ -264,41 +293,26 @@ def enumerate_unit_geodesics(
     if functional is not None:
         if not isinstance(functional, LinearFunctional):
             functional = LinearFunctional(np.asarray(functional, dtype=float))
-        L = from_functional(functional)
         enum = GeodesicEnumeration("E", (functional.dual, -functional.dual), ())
-        _check_enumeration(L, enum)
+        _check_enumeration(from_functional(functional), enum)
         return enum
 
     if not isinstance(params, MilnorParameters):
         params = MilnorParameters(*params)
-    p, q, r = params.p, params.q, params.r
-    if case_tol is None:
-        case_tol = default_tol() * max(1.0, abs(p), abs(q), abs(r))
-    L = from_milnor(params)
-
-    if abs(p) <= case_tol:
+    tag = _regime(params)
+    if tag == "D":
         enum = GeodesicEnumeration("D", (E1, -E1), ())
-    elif abs(p - r) <= case_tol or abs(p + r) <= case_tol:
-        mirror = abs(p + r) <= case_tol  # p = -r
-        if abs(q) <= case_tol:
-            tag = "C2" if mirror else "B2"
-            circle = CircleFamily(E1, E2 if mirror else E3)
-            enum = GeodesicEnumeration(tag, (), (circle,))
-        else:
-            s = math.sqrt(1.0 + q * q)
-            if mirror:
-                tag, iso, v = "C1", E2, np.array([0.0, 1.0, q]) / s
-            else:
-                tag, iso, v = "B1", E3, np.array([0.0, q, -1.0]) / s
-            enum = GeodesicEnumeration(tag, (iso, -iso), (CircleFamily(E1, v),))
-    else:
+    elif tag == "generic":
         roots = inplane_geodesic_angles(params)
-        if not roots:
-            enum = GeodesicEnumeration("A1", (E1, -E1), ())
-        else:
-            fam = CircleFamily(E2, E3, tuple(roots))
-            enum = GeodesicEnumeration("A2", (E1, -E1), (fam,))
-    _check_enumeration(L, enum)
+        families = (CircleFamily(E2, E3, tuple(roots)),) if roots else ()
+        enum = GeodesicEnumeration("A2" if roots else "A1", (E1, -E1), families)
+    elif tag in ("B2", "C2"):
+        enum = GeodesicEnumeration(tag, (), (CircleFamily(E1, E3 if tag == "B2" else E2),))
+    else:
+        u, w = _shear_directions(params.q)
+        iso, v = (E3, u) if tag == "B1" else (E2, w)
+        enum = GeodesicEnumeration(tag, (iso, -iso), (CircleFamily(E1, v),))
+    _check_enumeration(from_milnor(params), enum)
     return enum
 
 

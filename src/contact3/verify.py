@@ -2,8 +2,9 @@
 
 Each group draws its own reproducible sample, checks one family of
 identities or predicates, and reports a pass/fail with a short detail
-line.  The CLI ``verify`` subcommand runs these; the acceptance tests run
-the same groups at full sample sizes.
+line.  The CLI ``verify`` subcommand runs these; ``tests/test_verify.py``
+runs every group at its full sample size except ``geodesic-oracle``, which
+it runs at the ``--quick`` size (n=8, grid=200).
 """
 
 from __future__ import annotations

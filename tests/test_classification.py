@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contact3 import (
     AdmissibilityError,
@@ -18,6 +20,7 @@ from contact3 import (
     construct_case4,
     construct_case5,
     construct_case6,
+    enumerate_unit_geodesics,
     from_milnor,
     is_isomorphic,
     normal_scan,
@@ -251,6 +254,53 @@ def test_classify_representatives_counts():
     assert len(classify_representatives((2, 0, 0, 0))) == 3  # B2
     assert len(classify_representatives((1, 0, 0, 1))) == 1  # D
     assert len(classify_representatives(LinearFunctional(np.array([0.3, 0.4, 0.0])))) == 1
+
+
+def classify_everywhere(params, angle=0.3):
+    """classify_representatives, then classify(+-xi) at every enumerated feature."""
+    reports = classify_representatives(params)
+    enum = enumerate_unit_geodesics(params)
+    feats = [np.array(v) for v in enum.discrete]
+    for fam in enum.families:
+        feats.extend(fam.point(t) for t in (fam.angles if fam.angles is not None else (angle,)))
+    for xi in feats:
+        classify(params, xi)
+        classify(params, -xi)
+    return enum.case_tag, reports
+
+
+@pytest.mark.parametrize(
+    "pqr,tag",
+    [
+        ((1 + 1e-11, 0.7, 1.0), "A2"),  # roots of a nearly degenerate in-plane quadratic
+        ((1.1099985181206046e-09, -1.337693643521134, 0.39149467007159666), "A1"),  # classify and branch 5 agree on p != 0
+        ((-2.110685920521111, 0.4615404459250154, 2.110685919672802), "A2"),  # 4e-10 off p = -r: normal forms hold
+        ((2.486219097204745, -0.8463151422751581, -2.4862190949644996), "A2"),  # 9e-10 off p = -r: enumeration holds
+    ],
+)
+def test_near_boundary_inputs_classify(pqr, tag):
+    assert classify_everywhere(MilnorParameters.from_pqr(*pqr))[0] == tag
+
+
+_sign = st.sampled_from([-1.0, 1.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.floats(0.3, 3.0),
+    _sign,
+    st.floats(-2.0, 2.0),
+    st.floats(-14.0, -2.0),
+    _sign,
+    st.sampled_from(["p=r", "p=-r", "p=0"]),
+    st.floats(0.0, 2.0 * math.pi),
+)
+def test_boundary_fuzz_raises_nothing(r, r_sign, q, log_eps, eps_sign, line, angle):
+    # p = +-r(1+eps) or p = eps|r|, with |eps| log-uniform in [1e-14, 1e-2]
+    r *= r_sign
+    eps = eps_sign * 10.0**log_eps
+    p = {"p=r": r * (1.0 + eps), "p=-r": -r * (1.0 + eps), "p=0": eps * abs(r)}[line]
+    classify_everywhere(MilnorParameters.from_pqr(p, q, r), angle)
 
 
 # -- isomorphism ----------------------------------------------------------

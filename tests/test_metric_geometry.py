@@ -21,7 +21,7 @@ from contact3 import (
     sectional_curvature,
 )
 from contact3.lie_core import bracket
-from contact3.metric_geometry import oracle_match
+from contact3.metric_geometry import _regime, oracle_match
 
 E = np.eye(3)
 I3 = Metric3.identity()
@@ -131,6 +131,30 @@ def test_enumeration_dispatch(params, tag, n_discrete, n_families):
     assert enum.case_tag == tag
     assert len(enum.discrete) == n_discrete
     assert len(enum.families) == n_families
+
+
+def test_regime_tie_goes_to_p_zero():
+    # |p| and |p - r| are both within 1e-12 * scale = 1.5 of zero
+    params = MilnorParameters.from_pqr(0.5, 1e12, 1.0)
+    assert _regime(params) == "D"
+    assert enumerate_unit_geodesics(params).case_tag == "D"
+
+
+@pytest.mark.parametrize("r", [1e-6, 1.0, 1e6])
+def test_regime_q_is_dimensionless(r):
+    # p = +-r is decided relative to the scale, q = 0 at a bare 1e-12
+    for sign, line in ((1.0, "B"), (-1.0, "C")):
+        assert _regime(MilnorParameters.from_pqr(sign * r, 5e-13, r)) == line + "2"
+        assert _regime(MilnorParameters.from_pqr(sign * r, 2e-12, r)) == line + "1"
+        assert _regime(MilnorParameters.from_pqr(sign * r * (1 + 1e-13), 0.7, r)) == line + "1"
+        assert _regime(MilnorParameters.from_pqr(sign * r * (1 + 1e-10), 0.7, r)) == "generic"
+    assert _regime(MilnorParameters.from_pqr(1e-13 * r, 0.7, r)) == "D"
+    assert _regime(MilnorParameters.from_pqr(1e-10 * r, 0.7, r)) == "generic"
+
+
+def test_regime_near_line_is_generic():
+    # 3e-10 from p = -r is far outside the 1e-12 * scale band
+    assert enumerate_unit_geodesics(MilnorParameters.from_pqr(-(1 + 3e-10), 1.9, 1.0)).case_tag == "A2"
 
 
 def test_enumeration_vectors_are_geodesic():
