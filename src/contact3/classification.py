@@ -546,7 +546,10 @@ def classify_representatives(source, *, tol: float | None = None) -> list[Classi
     distinguished direction (branch 3) and one interior sample at a
     deterministic angle.
     """
-    source, L, enum = resolve_source(source)
+    return _representatives(*resolve_source(source), tol)
+
+
+def _representatives(source, L: LieAlgebra3, enum: GeodesicEnumeration, tol: float | None) -> list[ClassificationReport]:
     if isinstance(source, LinearFunctional):
         xis = [source.dual]
     else:

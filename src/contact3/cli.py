@@ -21,12 +21,13 @@ from .classification import (
     AdmissibilityError,
     ClassificationReport,
     NotGeodesicError,
+    _representatives,
     classify,
     classify_representatives,
     resolve_source,
 )
 from .lie_core import LinearFunctional, MilnorParameters, milnor_invariant_D
-from .metric_geometry import enumerate_unit_geodesics, geodesic_brute_force, oracle_match
+from .metric_geometry import geodesic_brute_force, oracle_match
 from .tolerances import default_tol
 from .verify import GROUPS, run_groups
 
@@ -140,9 +141,8 @@ def atlas_rows(p_values, q_values, r_value):
     """One row per (p, q) grid point, in row-major order."""
     for p in p_values:
         for q in q_values:
-            params = MilnorParameters.from_pqr(float(p), float(q), float(r_value))
-            enum = enumerate_unit_geodesics(params)
-            reps = classify_representatives(params)
+            params, L, enum = resolve_source(MilnorParameters.from_pqr(float(p), float(q), float(r_value)))
+            reps = _representatives(params, L, enum, None)
             delta_disc = (params.beta + params.gamma) ** 2 - 4.0 * params.alpha * params.delta
             yield {
                 "p": float(p),

@@ -13,6 +13,7 @@ brute-force sphere scan is provided as an independent oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +35,31 @@ from .lie_core import (
 from .tolerances import IDENTITY_RTOL, default_tol
 
 Vector = np.ndarray
+
+
+def _points(x) -> np.ndarray:
+    """x as a float array of one 3-vector, shape (3,), or of rows, shape (n, 3)."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim not in (1, 2) or v.shape[-1] != 3:
+        raise ValueError(f"expected a 3-vector or an (n, 3) array, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("vector components must be finite")
+    return v
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # row-wise a . b as a stack of vector-vector products: per row the same
+    # arithmetic as ``a @ b`` on 3-vectors, so a batch and a loop agree bitwise
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norm(a: np.ndarray) -> np.ndarray:
+    # per row the same arithmetic as ``np.linalg.norm`` of a 3-vector
+    return np.sqrt(_dot(a, a))
+
+
+def _scalar_or_array(d: np.ndarray) -> float | np.ndarray:
+    return float(d) if d.ndim == 0 else d
 
 
 @dataclass(frozen=True)
@@ -165,15 +191,19 @@ class CircleFamily:
     def normal(self) -> Vector:
         return np.cross(self.u, self.v)
 
-    def distance(self, x) -> float:
-        """Euclidean distance from unit x to the circle (full-circle case)."""
-        x = _as_vector(x)
+    def distance(self, x) -> float | np.ndarray:
+        """Euclidean distance from unit x to the circle (full-circle case).
+
+        x is one vector (the result is a float) or an (n, 3) array of them
+        (the result is an array); a point on the normal is sqrt(2) away.
+        """
+        x = _points(x)
         n = self.normal
-        y = x - (x @ n) * n
-        ny = np.linalg.norm(y)
-        if ny < 1e-15:
-            return math.sqrt(2.0)
-        return float(np.linalg.norm(x - y / ny))
+        y = x - _dot(x, n)[..., None] * n
+        ny = _norm(y)[..., None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = _norm(x - y / ny)
+        return _scalar_or_array(np.where(ny[..., 0] < 1e-15, math.sqrt(2.0), d))
 
 
 @dataclass(frozen=True)
@@ -218,23 +248,24 @@ class GeodesicEnumeration:
         lines = [x if x[2] >= 0.0 else -x for x in (self.families[0].v, *self.discrete[:1])]
         return sorted(_fold(math.atan2(x[2], x[1])) for x in lines)
 
-    def distance_to_set(self, x) -> float:
-        """Euclidean distance from unit x to the enumerated geodesic set."""
-        x = _as_vector(x)
-        best = math.inf
+    def distance_to_set(self, x) -> float | np.ndarray:
+        """Euclidean distance from unit x to the enumerated geodesic set.
+
+        x is one vector (the result is a float) or an (n, 3) array of them
+        (the result is an array).
+        """
+        x = _points(x)
+        best = np.full(x.shape[:-1], math.inf)
         for p in self.discrete:
-            best = min(best, float(np.linalg.norm(x - p)))
+            best = np.minimum(best, _norm(x - p))
         for fam in self.families:
             if fam.angles is None:
-                best = min(best, fam.distance(x))
+                best = np.minimum(best, fam.distance(x))
             else:
                 for t in fam.angles:
-                    best = min(
-                        best,
-                        float(np.linalg.norm(x - fam.point(t))),
-                        float(np.linalg.norm(x + fam.point(t))),
-                    )
-        return best
+                    pt = fam.point(t)
+                    best = np.minimum(best, np.minimum(_norm(x - pt), _norm(x + pt)))
+        return _scalar_or_array(best)
 
 
 def _check_enumeration(L: LieAlgebra3, enum: GeodesicEnumeration) -> None:
@@ -325,43 +356,86 @@ def _defect_matrices(L: LieAlgebra3, g: Metric3) -> np.ndarray:
     return 0.5 * (Q + np.transpose(Q, (0, 2, 1)))
 
 
+@functools.lru_cache(maxsize=4)
 def _sphere_grid(grid: int) -> np.ndarray:
+    # built once per size and shared, hence read-only
     th = math.pi * (np.arange(grid) + 0.5) / grid
     ph = 2.0 * math.pi * np.arange(grid) / grid
     TH, PH = np.meshgrid(th, ph, indexing="ij")
     st = np.sin(TH)
-    return np.stack([st * np.cos(PH), st * np.sin(PH), np.cos(TH)], axis=-1).reshape(-1, 3)
+    X = np.stack([st * np.cos(PH), st * np.sin(PH), np.cos(TH)], axis=-1).reshape(-1, 3)
+    X.setflags(write=False)
+    return X
+
+
+# the offsets of a cell and its 26 neighbours
+_NEIGHBOURS = np.array([(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)])
+
+
+def _cell_ids(keys: np.ndarray, w: int) -> np.ndarray:
+    # one integer per integer cell key with components in (-w, w): balanced
+    # digits in base 2w, so ids are unique and the id of key + offset is the
+    # key's id plus the offset's
+    return (keys[..., 0] * (2 * w) + keys[..., 1]) * (2 * w) + keys[..., 2]
+
+
+def _angular_order(x: np.ndarray) -> np.ndarray:
+    return np.lexsort((np.arctan2(x[:, 1], x[:, 0]), np.arccos(np.clip(x[:, 2], -1, 1))))
 
 
 def _merge_clusters(points: np.ndarray, defects: np.ndarray, radius: float) -> np.ndarray:
-    # cell dedup first (keep the best defect per cell), then greedy merge
+    """One representative per cluster of refined points, sorted by spherical angle.
+
+    Cell dedup first (cells of side ``radius``, keeping the best defect per
+    cell), then a greedy pass in angular order: the nearest representative
+    within ``radius`` (the lowest index on a tie) absorbs a candidate and
+    takes its place if the candidate's defect is lower; otherwise the
+    candidate starts a new representative.  Representatives within
+    ``radius`` lie in the 27 cells around the candidate's own, and every
+    cell holds at most one (each holds at most one candidate), so a dict
+    from cell to representative finds them.
+    """
     keys = np.floor(points / radius).astype(np.int64)
     order = np.lexsort((defects, keys[:, 2], keys[:, 1], keys[:, 0]))
     keys_sorted = keys[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = np.any(keys_sorted[1:] != keys_sorted[:-1], axis=1)
     cand = points[order[first]]
-    cd = defects[order[first]]
-    ang = np.lexsort((np.arctan2(cand[:, 1], cand[:, 0]), np.arccos(np.clip(cand[:, 2], -1, 1))))
-    cand, cd = cand[ang], cd[ang]
-    reps = np.empty_like(cand)
-    reps_d = np.empty(len(cand))
+    ang = _angular_order(cand)
+    cand, cd, ck = cand[ang], defects[order[first]][ang], keys_sorted[first][ang]
+    w = int(np.abs(ck).max()) + 2
+    cells = _cell_ids(ck.astype(object), w).tolist()  # Python ints: no overflow
+    offsets = _cell_ids(_NEIGHBOURS, w).tolist()
+    cell_rep: dict[int, int] = {}
+    reps: list[list[float]] = []
+    reps_d: list[float] = []
+    reps_cell: list[int] = []
     r2 = radius * radius
-    n = 0
-    for x, d in zip(cand, cd):
-        if n:
-            d2 = ((reps[:n] - x) ** 2).sum(axis=1)
-            j = int(np.argmin(d2))
-            if d2[j] <= r2:
-                if d < reps_d[j]:
-                    reps[j], reps_d[j] = x, d
+    for x, d, cell in zip(cand.tolist(), cd.tolist(), cells):
+        x0, x1, x2 = x
+        best, j = math.inf, -1
+        for off in offsets:
+            i = cell_rep.get(cell + off)
+            if i is None:
                 continue
-        reps[n] = x
-        reps_d[n] = d
-        n += 1
-    out = reps[:n]
-    srt = np.lexsort((np.arctan2(out[:, 1], out[:, 0]), np.arccos(np.clip(out[:, 2], -1, 1))))
-    return out[srt]
+            y0, y1, y2 = reps[i]
+            e0, e1, e2 = y0 - x0, y1 - x1, y2 - x2
+            # the same sum, in the same order, as ((reps - x) ** 2).sum(axis=1)
+            d2 = (e0 * e0 + e1 * e1) + e2 * e2
+            if d2 < best or (d2 == best and i < j):
+                best, j = d2, i
+        if best <= r2:
+            if d < reps_d[j]:
+                del cell_rep[reps_cell[j]]
+                cell_rep[cell] = j
+                reps[j], reps_d[j], reps_cell[j] = x, d, cell
+            continue
+        cell_rep[cell] = len(reps)
+        reps.append(x)
+        reps_d.append(d)
+        reps_cell.append(cell)
+    out = np.array(reps).reshape(-1, 3)
+    return out[_angular_order(out)]
 
 
 def geodesic_brute_force(
@@ -391,13 +465,13 @@ def geodesic_brute_force(
     scale = float(np.abs(M).max())
     X = _sphere_grid(grid)
     if scale == 0.0:
-        return list(X[:: max(1, len(X) // 512)])
+        return list(X[:: max(1, len(X) // 512)].copy())
     F = _kernels.defect_max_batch(M, X)
     h = 2.0 * math.pi / grid
     tau = 3.0 * scale * h
     mask = F <= tau
     if mask.mean() > 0.5 and F.max() <= keep_rtol * scale:
-        return list(X[:: max(1, len(X) // 512)])
+        return list(X[:: max(1, len(X) // 512)].copy())
     seeds = X[mask]
     if len(seeds) == 0:
         return []
@@ -428,37 +502,76 @@ class OracleAgreement:
         return self.n_isolated_oracle == self.n_isolated_enum
 
 
+# pairs per block of the exhaustive scan in ``_nearest_distance``
+_BLOCK_PAIRS = 1 << 18
+
+
+def _nearest_distance(a: np.ndarray, b: np.ndarray, radius: float, *, exclude_self: bool = False) -> np.ndarray:
+    """Distance from each row of a to the nearest row of b.
+
+    With ``exclude_self`` (a is b) a row is not its own neighbour, and a
+    row with no other is at infinity.  Rows of b within ``radius`` of a row
+    lie in the 27 cells of side ``radius`` around the row's own cell, so a
+    cell index over b finds the nearest one; rows with none there are
+    scanned against all of b in blocks of about ``_BLOCK_PAIRS`` pairs.
+    Memory is thus linear in the rows and the pairs examined, never
+    len(a) x len(b).  Each distance is sqrt(sum((a_i - b_j)^2)), the
+    arithmetic of ``np.linalg.norm(a - b, axis=-1)``, for the nearest j.
+    """
+    ka = np.floor(a / radius).astype(np.int64)
+    kb = np.floor(b / radius).astype(np.int64)
+    w = int(max(np.abs(ka).max(initial=0), np.abs(kb).max(initial=0))) + 2
+    ids = _cell_ids(kb, w)
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    queries = (_cell_ids(ka, w)[:, None] + _cell_ids(_NEIGHBOURS, w)).ravel()
+    lo = np.searchsorted(ids, queries, "left")
+    count = np.searchsorted(ids, queries, "right") - lo
+    rows = np.repeat(np.arange(len(queries)) // len(_NEIGHBOURS), count)
+    cols = order[np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)]
+    d2 = ((a[rows] - b[cols]) ** 2).sum(axis=-1)
+    if exclude_self:
+        d2[rows == cols] = math.inf
+    best = np.full(len(a), math.inf)
+    np.minimum.at(best, rows, d2)
+    far = np.flatnonzero(best > radius * radius)
+    step = max(1, _BLOCK_PAIRS // max(len(b), 1))
+    for s in range(0, len(far), step):
+        i = far[s : s + step]
+        d2 = ((a[i, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
+        if exclude_self:
+            d2[np.arange(len(i)), i] = math.inf
+        best[i] = d2.min(axis=1, initial=math.inf)
+    return np.sqrt(best)
+
+
 def oracle_match(enum: GeodesicEnumeration, points: list[Vector], grid: int) -> OracleAgreement:
     """Score oracle output against the enumeration.
 
-    Isolated oracle representatives are those with no neighbour within a
-    few lattice spacings; along full circles the representatives chain at
-    lattice density, so the two populations separate cleanly.
+    An oracle point counts as isolated when no other oracle point lies
+    within 3.5 lattice spacings h = 2 pi / grid (a lone point is
+    isolated); along full circles the representatives chain at lattice
+    density, so the two populations separate cleanly.  The family coverage
+    gap is the worst distance from 720 samples of each full circle to the
+    nearest oracle point.  Nearest points come from a cell index
+    (``_nearest_distance``), so memory grows linearly with the number of
+    points: no pairwise matrix is built.
     """
-    pts = np.array([np.asarray(p, float) for p in points])
+    pts = np.asarray(points, dtype=float)
     if len(pts) == 0:
         raise ValueError("oracle returned no points")
-    d_o2s = max(enum.distance_to_set(x) for x in pts)
-    iso = enum.isolated_points()
-    d_i2o = 0.0
-    for p in iso:
-        d_i2o = max(d_i2o, float(np.linalg.norm(pts - p, axis=1).min()))
-    h = 2.0 * math.pi / grid
-    if len(pts) == 1:
-        n_iso = 1
-    else:
-        dm = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-        np.fill_diagonal(dm, np.inf)
-        n_iso = int((dm.min(axis=1) > 3.5 * h).sum())
+    radius = 3.5 * (2.0 * math.pi / grid)
+    d_o2s = float(enum.distance_to_set(pts).max())
+    iso = np.array(enum.isolated_points()).reshape(-1, 3)
+    d_i2o = float(_nearest_distance(iso, pts, radius).max(initial=0.0))
+    n_iso = int((_nearest_distance(pts, pts, radius, exclude_self=True) > radius).sum())
+    ts = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
     gap = 0.0
     for fam in enum.families:
-        if fam.angles is not None:
-            continue
-        ts = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
-        samples = np.cos(ts)[:, None] * fam.u + np.sin(ts)[:, None] * fam.v
-        dists = np.linalg.norm(samples[:, None, :] - pts[None, :, :], axis=-1).min(axis=1)
-        gap = max(gap, float(dists.max()))
-    return OracleAgreement(float(d_o2s), float(d_i2o), gap, n_iso, len(iso))
+        if fam.angles is None:
+            samples = np.cos(ts)[:, None] * fam.u + np.sin(ts)[:, None] * fam.v
+            gap = max(gap, float(_nearest_distance(samples, pts, radius).max()))
+    return OracleAgreement(d_o2s, d_i2o, gap, n_iso, len(iso))
 
 
 def sectional_curvature(L: LieAlgebra3, g: Metric3, x, y) -> float:

@@ -1,0 +1,218 @@
+"""The oracle's merge and scoring layers against their dense reference forms.
+
+The references below are the O(n^2) greedy merge and the pairwise-matrix
+scoring that the cell-indexed versions replaced, kept here as independent
+oracles: the merge must match bit for bit, the scoring to 1e-15.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from contact3 import from_functional, from_milnor
+from contact3.metric_geometry import (
+    _merge_clusters,
+    _nearest_distance,
+    enumerate_unit_geodesics,
+    geodesic_brute_force,
+    oracle_match,
+)
+from contact3.verify import CASE_TAGS, sample_functional, sample_params
+
+
+def _reference_merge(points, defects, radius):
+    keys = np.floor(points / radius).astype(np.int64)
+    order = np.lexsort((defects, keys[:, 2], keys[:, 1], keys[:, 0]))
+    keys_sorted = keys[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(keys_sorted[1:] != keys_sorted[:-1], axis=1)
+    cand = points[order[first]]
+    cd = defects[order[first]]
+    ang = np.lexsort((np.arctan2(cand[:, 1], cand[:, 0]), np.arccos(np.clip(cand[:, 2], -1, 1))))
+    cand, cd = cand[ang], cd[ang]
+    reps = np.empty_like(cand)
+    reps_d = np.empty(len(cand))
+    r2 = radius * radius
+    n = 0
+    for x, d in zip(cand, cd):
+        if n:
+            d2 = ((reps[:n] - x) ** 2).sum(axis=1)
+            j = int(np.argmin(d2))
+            if d2[j] <= r2:
+                if d < reps_d[j]:
+                    reps[j], reps_d[j] = x, d
+                continue
+        reps[n] = x
+        reps_d[n] = d
+        n += 1
+    out = reps[:n]
+    srt = np.lexsort((np.arctan2(out[:, 1], out[:, 0]), np.arccos(np.clip(out[:, 2], -1, 1))))
+    return out[srt]
+
+
+def _reference_circle_distance(fam, x):
+    n = fam.normal
+    y = x - (x @ n) * n
+    ny = np.linalg.norm(y)
+    if ny < 1e-15:
+        return math.sqrt(2.0)
+    return float(np.linalg.norm(x - y / ny))
+
+
+def _reference_distance_to_set(enum, x):
+    best = math.inf
+    for p in enum.discrete:
+        best = min(best, float(np.linalg.norm(x - p)))
+    for fam in enum.families:
+        if fam.angles is None:
+            best = min(best, _reference_circle_distance(fam, x))
+        else:
+            for t in fam.angles:
+                best = min(best, float(np.linalg.norm(x - fam.point(t))), float(np.linalg.norm(x + fam.point(t))))
+    return best
+
+
+def _reference_oracle_match(enum, points, grid):
+    pts = np.array([np.asarray(p, float) for p in points])
+    d_o2s = max(_reference_distance_to_set(enum, x) for x in pts)
+    iso = enum.isolated_points()
+    d_i2o = 0.0
+    for p in iso:
+        d_i2o = max(d_i2o, float(np.linalg.norm(pts - p, axis=1).min()))
+    h = 2.0 * math.pi / grid
+    if len(pts) == 1:
+        n_iso = 1
+    else:
+        dm = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+        np.fill_diagonal(dm, np.inf)
+        n_iso = int((dm.min(axis=1) > 3.5 * h).sum())
+    gap = 0.0
+    for fam in enum.families:
+        if fam.angles is not None:
+            continue
+        ts = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
+        samples = np.cos(ts)[:, None] * fam.u + np.sin(ts)[:, None] * fam.v
+        dists = np.linalg.norm(samples[:, None, :] - pts[None, :, :], axis=-1).min(axis=1)
+        gap = max(gap, float(dists.max()))
+    return d_o2s, d_i2o, gap, n_iso, len(iso)
+
+
+def _unit_rows(v):
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _chain(rng, n, spacing):
+    # a great-circle arc in a random plane, points `spacing` apart in angle
+    u, w = np.linalg.qr(rng.standard_normal((3, 2)))[0].T
+    t = spacing * np.arange(n) + rng.uniform(0, 2 * math.pi)
+    return np.cos(t)[:, None] * u + np.sin(t)[:, None] * w
+
+
+RADIUS = 1e-3
+
+
+def _clouds():
+    rng = np.random.default_rng(7)
+    centres = _unit_rows(rng.standard_normal((40, 3)))
+    tight = _unit_rows(np.repeat(centres, 30, axis=0) + 3e-4 * rng.standard_normal((1200, 3)))
+    chains = np.concatenate(
+        [
+            _chain(rng, 400, RADIUS * f) + 1e-6 * rng.standard_normal((400, 3))
+            for f in (0.5, 0.999, 1.0, 1.001, 1.5)
+        ]
+    )
+    base = _unit_rows(rng.standard_normal((50, 3)))
+    duplicates = np.concatenate([base, base, base[::2]])
+    # two representatives mirrored in x, 1.2 radius apart, then a candidate
+    # (lower z, so visited later) exactly equidistant from both: a tie
+    y, z = rng.uniform(0.1, 0.6, 20), rng.uniform(0.1, 0.7, 20)
+    a = np.stack([np.full(20, 0.6 * RADIUS), y, z], axis=1)
+    ties = np.concatenate([a, a * [-1.0, 1.0, 1.0], a * [0.0, 1.0, 1.0] - [0.0, 0.0, 0.5 * RADIUS]])
+    # clusters straddling cell corners, so neighbours sit in diagonal cells
+    corners = RADIUS * (
+        np.repeat(rng.integers(-900, 900, (30, 3)), 8, axis=0) + rng.uniform(-0.4, 0.4, (240, 3))
+    )
+    return {
+        "tight": tight,
+        "corners": corners,
+        "chains": chains,
+        "duplicates": duplicates,
+        "ties": ties,
+        "single": base[:1],
+    }
+
+
+@pytest.mark.parametrize("name", ["tight", "corners", "chains", "duplicates", "ties", "single"])
+@pytest.mark.parametrize("defect_kind", ["random", "equal"])
+def test_merge_matches_dense_reference(name, defect_kind):
+    points = _clouds()[name]
+    rng = np.random.default_rng(len(points))
+    defects = rng.random(len(points)) if defect_kind == "random" else np.full(len(points), 1e-12)
+    got = _merge_clusters(points, defects, RADIUS)
+    assert np.array_equal(got, _reference_merge(points, defects, RADIUS))
+
+
+@pytest.mark.parametrize("exclude_self", [False, True])
+def test_nearest_distance_matches_dense_minimum(exclude_self):
+    rng = np.random.default_rng(5)
+    b = _unit_rows(rng.standard_normal((600, 3)))
+    a = b if exclude_self else _unit_rows(rng.standard_normal((400, 3)))
+    dense = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
+    if exclude_self:
+        np.fill_diagonal(dense, np.inf)
+    # nearest distances here spread across 0.5 to 3 radii: both the cell
+    # index and the exhaustive scan answer some rows
+    radius = float(np.median(dense.min(axis=1)))
+    assert np.array_equal(_nearest_distance(a, b, radius, exclude_self=exclude_self), dense.min(axis=1))
+    assert _nearest_distance(b[:1], b[:1], radius, exclude_self=True)[0] == math.inf
+
+
+def _sources():
+    rng = np.random.default_rng(11)
+    for tag in CASE_TAGS:
+        for _ in range(2):
+            if tag == "E":
+                l = sample_functional(rng)
+                yield tag, from_functional(l), enumerate_unit_geodesics(functional=l)
+            else:
+                params = sample_params(rng, tag)
+                yield tag, from_milnor(params), enumerate_unit_geodesics(params)
+
+
+@pytest.mark.parametrize("tag, L, enum", list(_sources()))
+def test_oracle_match_matches_dense_reference(tag, L, enum):
+    pts = geodesic_brute_force(L, grid=200)
+    agr = oracle_match(enum, pts, 200)
+    d_o2s, d_i2o, gap, n_iso, n_enum = _reference_oracle_match(enum, pts, 200)
+    assert (agr.n_isolated_oracle, agr.n_isolated_enum) == (n_iso, n_enum)
+    assert agr.max_oracle_to_set == pytest.approx(d_o2s, rel=0, abs=1e-15)
+    assert agr.max_isolated_to_oracle == pytest.approx(d_i2o, rel=0, abs=1e-15)
+    assert agr.family_coverage_gap == pytest.approx(gap, rel=0, abs=1e-15)
+
+
+def test_oracle_match_lone_point_is_isolated():
+    enum = enumerate_unit_geodesics(functional=np.array([1.0, 0.0, 0.0]))
+    agr = oracle_match(enum, [np.array([-1.0, 0.0, 0.0])], 200)
+    assert agr.n_isolated_oracle == 1
+    assert agr.max_oracle_to_set == 0.0
+
+
+@pytest.mark.parametrize("tag, L, enum", list(_sources())[::2])
+def test_batched_distance_matches_per_row(tag, L, enum):
+    rng = np.random.default_rng(3)
+    probes = [_unit_rows(rng.standard_normal((50, 3))), np.array(enum.isolated_points()).reshape(-1, 3)]
+    for fam in enum.families:
+        probes.append(np.array([fam.point(0.3), fam.normal, -fam.normal]))
+    x = np.concatenate(probes)
+    batched = enum.distance_to_set(x)
+    per_row = np.array([enum.distance_to_set(row) for row in x])
+    assert isinstance(enum.distance_to_set(x[0]), float)
+    assert np.array_equal(batched, per_row)
+    reference = [_reference_distance_to_set(enum, row) for row in x]
+    np.testing.assert_allclose(batched, reference, rtol=0, atol=1e-15)
+    for fam in enum.families:
+        if fam.angles is None:
+            d = fam.distance(x)
+            assert np.array_equal(d, [fam.distance(row) for row in x])
+            assert fam.distance(fam.normal) == math.sqrt(2.0)
