@@ -175,14 +175,13 @@ class PhiBasisStructure:
         return _normal_form_constants(self.family, self.params)
 
     def raw_basis_constants(self) -> np.ndarray:
-        """Ambient structure constants re-expressed in the adapted basis."""
+        """Ambient structure constants re-expressed in the adapted basis.
+
+        c'[a, b] = B^T [B_a, B_b] with B_a the columns of the orthonormal
+        frame matrix B, as one contraction of the ambient constants.
+        """
         B = self.basis.matrix
-        cols = [B[:, 0], B[:, 1], B[:, 2]]
-        c = np.zeros((3, 3, 3))
-        for a in range(3):
-            for b in range(3):
-                c[a, b] = B.T @ bracket(self.algebra, cols[a], cols[b])
-        return c
+        return np.einsum("ia,jb,ijk,kc->abc", B, B, self.algebra.c, B)
 
     def normal_form_residual(self) -> float:
         return float(np.abs(self.raw_basis_constants() - self.normal_form_constants()).max())
@@ -563,25 +562,80 @@ def _representatives(source, L: LieAlgebra3, enum: GeodesicEnumeration, tol: flo
 # -- isomorphism ----------------------------------------------------------
 
 
-def _map_residual(c1: np.ndarray, c2: np.ndarray, rho: float, conj: bool) -> float:
-    F = np.eye(3)
-    cr, sr = math.cos(rho), math.sin(rho)
+# samples at rho_k = 2 pi k / 5 and the DFT recovering the coefficients of
+# e^{i n rho}, n = -2..2, of a trigonometric polynomial of degree <= 2
+_SAMPLE_ANGLES = 2.0 * math.pi * np.arange(5) / 5
+_DFT = np.exp(-1j * np.outer(np.arange(-2, 3), _SAMPLE_ANGLES)) / 5
+_FREQS = np.arange(-4, 5)
+
+
+def _frames(rhos: np.ndarray, conj: bool) -> np.ndarray:
+    """Candidate maps in adapted coordinates: xi fixed, ker eta rotated by rho (then conjugated)."""
     sig = -1.0 if conj else 1.0
-    F[1:, 1] = (cr, sr)
-    F[1:, 2] = (-sr * sig, cr * sig)
-    lhs = np.einsum("abk,mk->abm", c1, F)  # f([x, y]_1)
-    rhs = np.einsum("ia,jb,ijm->abm", F, F, c2)  # [f x, f y]_2
-    return float(np.abs(lhs - rhs).max())
+    cr, sr = np.cos(rhos), np.sin(rhos)
+    F = np.zeros((len(rhos), 3, 3))
+    F[:, 0, 0] = 1.0
+    F[:, 1, 1], F[:, 2, 1] = cr, sr
+    F[:, 1, 2], F[:, 2, 2] = -sr * sig, cr * sig
+    return F
+
+
+def _residuals(c1: np.ndarray, c2: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """R[n] = f([x, y]_1) - [f x, f y]_2 for each candidate map F[n]."""
+    lhs = np.einsum("abk,nmk->nabm", c1, F)
+    rhs = np.einsum("nia,njb,ijm->nabm", F, F, c2)
+    return lhs - rhs
+
+
+def _stationary_angles(c1: np.ndarray, c2: np.ndarray, conj: bool) -> np.ndarray:
+    """Every stationary point of |R(rho)|^2 for one orientation.
+
+    Each entry of R is a trigonometric polynomial of degree <= 2 in rho,
+    so five samples give its Fourier coefficients and |R|^2 is one of
+    degree 4.  Its derivative times z^4 is a degree-8 polynomial in
+    z = e^{i rho}; the arguments of its roots, polished by Newton's method
+    on the derivative, are the candidate angles.
+    """
+    r = _DFT @ _residuals(c1, c2, _frames(_SAMPLE_ANGLES, conj)).reshape(5, -1)
+    M = r @ r.T
+    p = np.zeros(9, dtype=complex)  # coefficients of e^{i k rho}, k = -4..4
+    for n in range(5):
+        p[n : n + 5] += M[n]
+    d1 = 1j * _FREQS * p  # derivative
+    d2 = -(_FREQS**2) * p  # second derivative
+    # trim coefficient pairs at the noise level, which np.roots would
+    # otherwise turn into spurious huge roots at the cost of the real ones
+    big = np.flatnonzero(np.abs(d1) > IDENTITY_RTOL * np.abs(d1).max(initial=0.0))
+    if not big.size:
+        return np.zeros(0)
+    K = max(abs(int(_FREQS[big[0]])), int(_FREQS[big[-1]]))
+    rhos = np.angle(np.roots(d1[4 - K : 5 + K][::-1]))
+    for _ in range(30):
+        E = np.exp(1j * np.outer(rhos, _FREQS))
+        f1, f2 = (E @ d1).real, (E @ d2).real
+        # a start whose Newton step exceeds one radian is outside every
+        # root's basin (a complex root's argument): it stays where it is
+        step = np.divide(f1, f2, out=np.zeros_like(f1), where=np.abs(f1) < np.abs(f2))
+        rhos = rhos - step
+        if np.abs(step).max(initial=0.0) <= 1e-15:
+            break
+    return rhos
 
 
 def is_isomorphic(s1: PhiBasisStructure, s2: PhiBasisStructure, tol: float | None = None):
     """Search for a structure-preserving isometry intertwining the brackets.
 
-    Candidate maps send xi to xi and rotate the ker-eta plane, optionally
-    composed with the conjugation (xi, phi) -> (xi, -phi); the rotation
-    angle is seeded on a 720-point grid and locally refined.  Equality of
+    Candidate maps send xi to xi and rotate the ker-eta plane by an angle
+    rho, optionally composed with the conjugation (xi, phi) -> (xi, -phi).
+    The intertwining residual R(rho) = f([x, y]_1) - [f x, f y]_2 has
+    entries that are trigonometric polynomials of degree <= 2 in rho, so
+    the candidate angles are solved exactly: the stationary points of
+    |R|^2 for each orientation.  rho = 0 without conjugation is scored
+    first and a candidate replaces the best one only on a strictly smaller
+    max-abs residual, so a self pair maps by the identity.  Equality of
     the algebra invariant D is necessary and checked first.  Returns the
-    map in ambient coordinates, or None.
+    map in ambient coordinates when the best residual is within
+    ``tol`` times the largest structure constant, or None.
     """
     if tol is None:
         tol = default_tol()
@@ -591,32 +645,17 @@ def is_isomorphic(s1: PhiBasisStructure, s2: PhiBasisStructure, tol: float | Non
     c1 = s1.raw_basis_constants()
     c2 = s2.raw_basis_constants()
     scale = max(1.0, float(np.abs(c1).max()), float(np.abs(c2).max()))
-    best = (math.inf, 0.0, False)
-    seeds = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
+    best = (math.inf, None)
     for conj in (False, True):
-        for rho in seeds:
-            res = _map_residual(c1, c2, rho, conj)
-            if res < best[0]:
-                best = (res, rho, conj)
-    res, rho, conj = best
-    # local refinement: shrinking three-point search around the best seed
-    h = 2.0 * math.pi / 720
-    while h > 1e-12:
-        moved = False
-        for cand in (rho - h, rho + h):
-            r2 = _map_residual(c1, c2, cand, conj)
-            if r2 < res:
-                res, rho, moved = r2, cand, True
-        if not moved:
-            h *= 0.5
-    if res > tol * scale:
+        rhos = np.concatenate(([0.0], _stationary_angles(c1, c2, conj)))
+        F = _frames(rhos, conj)
+        res = np.abs(_residuals(c1, c2, F)).reshape(len(rhos), -1).max(axis=1)
+        i = int(np.argmin(res))  # first of equal minima
+        if res[i] < best[0]:
+            best = (res[i], F[i])
+    if best[0] > tol * scale:
         return None
-    F = np.eye(3)
-    cr, sr = math.cos(rho), math.sin(rho)
-    sig = -1.0 if conj else 1.0
-    F[1:, 1] = (cr, sr)
-    F[1:, 2] = (-sr * sig, cr * sig)
-    return s2.basis.matrix @ F @ s1.basis.matrix.T
+    return s2.basis.matrix @ best[1] @ s1.basis.matrix.T
 
 
 # -- normality scan -------------------------------------------------------

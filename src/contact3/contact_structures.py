@@ -19,16 +19,20 @@ d_eta = Phi with Phi(X, Y) = g(X, phi Y).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lie_core import LieAlgebra3, _as_vector, bracket
+from .lie_core import LieAlgebra3, _as_vector, ad_matrix, bracket
 from .metric_geometry import Metric3
 from .tolerances import IDENTITY_RTOL, default_tol
 
 Vector = np.ndarray
+
+# Levi-Civita symbol eps_ijk, the k-th component of e_i x e_j
+_LEVI_CIVITA = np.cross(np.eye(3)[:, None, :], np.eye(3)[None, :, :])
+# index arrays of the basis pairs (i, j) with i < j
+_UPPER = np.triu_indices(3, 1)
 
 
 class KerConditionViolation(ValueError):
@@ -155,20 +159,29 @@ def lie_derivative_eta(L: LieAlgebra3, s: AlmostContactStructure, X) -> float:
     return float(-s.eta @ bracket(L, s.xi, X))
 
 
+def _deta_matrix(L: LieAlgebra3, s: AlmostContactStructure) -> np.ndarray:
+    """d_eta(e_i, e_j) = -eta([e_i, e_j]) for every basis pair: the matrix -c . eta."""
+    return -(L.c @ s.eta)
+
+
 def xi_in_ker_deta(L: LieAlgebra3, s: AlmostContactStructure, tol: float | None = None) -> bool:
     """True iff d_eta(xi, e_i) vanishes for all i.
 
-    Computed both through d_eta and through the Lie derivative of eta;
-    the two routes must agree bit-for-bit on the boolean.
+    Computed both as xi contracted into the d_eta matrix and as the Lie
+    derivative L_xi eta = -eta o ad(xi).  The two routes contract in
+    different orders, so they are held to agree to rounding
+    (IDENTITY_RTOL relative to the data) rather than on the boolean, which
+    can differ when a value sits within rounding of ``tol``; the decision
+    is the d_eta route's.
     """
     if tol is None:
         tol = default_tol()
-    eye = np.eye(3)
-    via_deta = all(abs(d_eta(L, s, s.xi, eye[i])) <= tol for i in range(3))
-    via_lie = all(abs(lie_derivative_eta(L, s, eye[i])) <= tol for i in range(3))
-    if via_deta != via_lie:
+    via_deta = s.xi @ _deta_matrix(L, s)
+    via_lie = -(s.eta @ ad_matrix(L, s.xi))
+    scale = max(1.0, L.scale) * max(1.0, np.abs(s.xi).max()) * max(1.0, np.abs(s.eta).max())
+    if np.abs(via_deta - via_lie).max() > IDENTITY_RTOL * scale:
         raise AssertionError("d_eta and Lie-derivative predicates disagree")
-    return via_deta
+    return bool(np.all(np.abs(via_deta) <= tol))
 
 
 def _ker_eta_basis(s: AlmostContactStructure) -> tuple[Vector, Vector]:
@@ -197,23 +210,16 @@ def check_ker_condition(L: LieAlgebra3, s: AlmostContactStructure, tol: float | 
 def is_contact_metric(
     L: LieAlgebra3, s: AlmostContactStructure, g: Metric3, tol: float | None = None
 ) -> bool:
-    """True iff d_eta(X, Y) = Phi(X, Y) on all basis pairs."""
+    """True iff d_eta(X, Y) = Phi(X, Y) on all basis pairs, i.e. the d_eta matrix equals g phi."""
     if tol is None:
         tol = default_tol()
-    eye = np.eye(3)
-    return all(
-        abs(d_eta(L, s, eye[i], eye[j]) - fundamental_two_form(s, g, eye[i], eye[j])) <= tol
-        for i, j in itertools.combinations(range(3), 2)
-    )
+    gap = _deta_matrix(L, s) - g.g @ s.phi
+    return bool(np.abs(gap[_UPPER]).max() <= tol)
 
 
 def eta_wedge_deta(L: LieAlgebra3, s: AlmostContactStructure) -> float:
-    """(eta ^ d_eta)(e1, e2, e3) via the alternating sum."""
-    eye = np.eye(3)
-    total = 0.0
-    for i, j, k, sign in ((0, 1, 2, 1.0), (1, 0, 2, -1.0), (2, 0, 1, 1.0)):
-        total += sign * float(s.eta @ eye[i]) * d_eta(L, s, eye[j], eye[k])
-    return total
+    """(eta ^ d_eta)(e1, e2, e3) = (1/2) eps^{ijk} eta_i d_eta_jk."""
+    return float(0.5 * np.einsum("ijk,i,jk->", _LEVI_CIVITA, s.eta, _deta_matrix(L, s)))
 
 
 def is_contact_form(L: LieAlgebra3, s: AlmostContactStructure, tol: float | None = None) -> bool:
@@ -228,25 +234,18 @@ def nijenhuis_normality_residual(L: LieAlgebra3, s: AlmostContactStructure) -> f
 
     N(X, Y) = phi^2 [X,Y] + [phi X, phi Y] - phi [phi X, Y] - phi [X, phi Y]
               + 2 d_eta(X, Y) xi;
-    the structure is normal when the residual vanishes.  Antisymmetry of N
-    is asserted as an internal consistency check.
+    the structure is normal when the residual vanishes.  N is evaluated on
+    every basis pair at once as contractions of the structure constants,
+    N[i, j] = N(e_i, e_j); its antisymmetry is asserted as an internal
+    consistency check.
     """
-    phi, xi = s.phi, s.xi
-    eye = np.eye(3)
-
-    def N(X, Y):
-        t = phi @ phi @ bracket(L, X, Y)
-        t = t + bracket(L, phi @ X, phi @ Y)
-        t = t - phi @ bracket(L, phi @ X, Y)
-        t = t - phi @ bracket(L, X, phi @ Y)
-        return t + 2.0 * d_eta(L, s, X, Y) * xi
-
-    worst = 0.0
+    phi, c = s.phi, L.c
+    phi_x = np.einsum("ai,ajk->ijk", phi, c)  # [phi e_i, e_j]
+    phi_y = np.einsum("bj,ibk->ijk", phi, c)  # [e_i, phi e_j]
+    phi_xy = np.einsum("ai,bj,abk->ijk", phi, phi, c)  # [phi e_i, phi e_j]
+    N = c @ (phi @ phi).T + phi_xy - (phi_x + phi_y) @ phi.T
+    N = N + 2.0 * _deta_matrix(L, s)[:, :, None] * s.xi
     sym_scale = max(1.0, L.scale) * max(1.0, np.abs(phi).max()) ** 2
-    for i in range(3):
-        for j in range(i + 1, 3):
-            nij = N(eye[i], eye[j])
-            if np.abs(nij + N(eye[j], eye[i])).max() > IDENTITY_RTOL * sym_scale:
-                raise AssertionError("normality tensor is not antisymmetric")
-            worst = max(worst, float(np.abs(nij).max()))
-    return worst
+    if np.abs(N[_UPPER] + N[_UPPER[::-1]]).max() > IDENTITY_RTOL * sym_scale:
+        raise AssertionError("normality tensor is not antisymmetric")
+    return float(np.abs(N[_UPPER]).max())

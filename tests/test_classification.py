@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from contact3 import (
     is_isomorphic,
     normal_scan,
 )
+from contact3.verify import CASE_TAGS, sample_functional, sample_params
 
 E = np.eye(3)
 I3 = Metric3.identity()
@@ -316,8 +318,40 @@ def test_isomorphic_self_and_cross():
     assert is_isomorphic(construct_case1((1, 0, 0, 1)), s6) is not None
 
 
+def _self_map_structures():
+    rng = np.random.default_rng(5)
+    out = [("rotation-A", construct_case1((1, 0, 0, 1))), ("case6", construct_case6(np.array([1.0, 0, 0]), E[0]))]
+    for tag in CASE_TAGS:
+        src = sample_functional(rng) if tag == "E" else sample_params(rng, tag)
+        out.extend((tag, rep.structure) for rep in classify_representatives(src))
+    return out
+
+
+@pytest.mark.parametrize("name, s", _self_map_structures())
+def test_isomorphic_self_map_is_identity(name, s):
+    # rho = 0 is scored first and only a strictly smaller residual replaces
+    # it, so even where every rotation intertwines the identity is returned
+    np.testing.assert_allclose(is_isomorphic(s, s), np.eye(3), rtol=0, atol=1e-12)
+
+
 def test_isomorphic_rejects_unequal_D():
     assert is_isomorphic(construct_case1((3, 0, 0, -1)), construct_case1((1, 0, 0, 1))) is None
+
+
+def test_isomorphic_rejects_equal_D_across_families():
+    # equal D passes the pre-check, so the angle search itself must reject
+    params = MilnorParameters(3, 0, 0, -1)
+    s1 = construct_case1(params)
+    for t in enumerate_unit_geodesics(params).inplane_angles():
+        s2 = construct_case2(params, t)
+        assert s1.invariant_D() == pytest.approx(s2.invariant_D(), abs=1e-12)
+        assert is_isomorphic(s1, s2) is None and is_isomorphic(s2, s1) is None
+
+    reps = classify_representatives(MilnorParameters.from_pqr(1, 0.7, 1))
+    assert [r.family for r in reps] == ["A", "B", "B", None]
+    for a, b in itertools.permutations(reps, 2):
+        assert a.D == pytest.approx(b.D, abs=1e-12)
+        assert is_isomorphic(a.structure, b.structure) is None
 
 
 def test_isomorphic_conjugate_pair():
