@@ -46,6 +46,7 @@ import numpy as np
 from .contact_structures import (
     AlmostContactStructure,
     PhiBasis,
+    _adapted_frame,
     eta_wedge_deta,
     is_contact_form,
     is_contact_metric,
@@ -125,6 +126,11 @@ def _normal_form_constants(family: str | None, params: tuple[float, ...]) -> np.
     return c
 
 
+def _basis_constants(L: LieAlgebra3, B: np.ndarray) -> np.ndarray:
+    """c'[a, b] = B^T [B_a, B_b] for the orthonormal frame with columns B_a."""
+    return np.einsum("ia,jb,ijk,kc->abc", B, B, L.c, B)
+
+
 @dataclass(frozen=True)
 class PhiBasisStructure:
     """A structure presented in an adapted basis with its normal form.
@@ -180,8 +186,7 @@ class PhiBasisStructure:
         c'[a, b] = B^T [B_a, B_b] with B_a the columns of the orthonormal
         frame matrix B, as one contraction of the ambient constants.
         """
-        B = self.basis.matrix
-        return np.einsum("ia,jb,ijk,kc->abc", B, B, self.algebra.c, B)
+        return _basis_constants(self.algebra, self.basis.matrix)
 
     def normal_form_residual(self) -> float:
         return float(np.abs(self.raw_basis_constants() - self.normal_form_constants()).max())
@@ -293,6 +298,14 @@ def construct_case4(params, theta: float) -> PhiBasisStructure:
     return PhiBasisStructure("C", ab, basis, 4, from_milnor(params), tuple(notes))
 
 
+def _unit_xi(xi) -> Vector:
+    x = _as_vector(xi)
+    nx = np.linalg.norm(x)
+    if nx == 0.0:
+        raise NotGeodesicError("xi must be nonzero")
+    return x / nx
+
+
 def construct_case5(params, xi) -> PhiBasisStructure:
     """Branch 5: p = 0.  Only +-e1 is geodesic; anything else is rejected.
 
@@ -303,8 +316,7 @@ def construct_case5(params, xi) -> PhiBasisStructure:
     params = _as_params(params)
     if _regime(params) != "D":
         raise AdmissibilityError("branch 5 needs p = 0")
-    x = _as_vector(xi)
-    x = x / np.linalg.norm(x)
+    x = _unit_xi(xi)
     if abs(abs(x[0]) - 1.0) > 1e-9:
         # obstruction: eta([xi, E]) for the in-plane companion E of xi
         L = from_milnor(params)
@@ -332,8 +344,7 @@ def construct_case6(l, xi) -> PhiBasisStructure:
     """
     if not isinstance(l, LinearFunctional):
         l = LinearFunctional(np.asarray(l, dtype=float))
-    x = _as_vector(xi)
-    x = x / np.linalg.norm(x)
+    x = _unit_xi(xi)
     dual = l.dual
     if min(np.linalg.norm(x - dual), np.linalg.norm(x + dual)) > 1e-9:
         raise NotGeodesicError(
@@ -345,10 +356,7 @@ def construct_case6(l, xi) -> PhiBasisStructure:
     if np.linalg.norm(x + dual) <= 1e-9:
         notes = ("xi folded to the +dual representative",)
     alpha = l(dual)
-    order = np.argsort(np.abs(dual), kind="stable")
-    e = np.eye(3)[order[0]] - float(dual @ np.eye(3)[order[0]]) * dual
-    e = e / np.linalg.norm(e)
-    phi_e = np.cross(dual, e)
+    e, phi_e = _adapted_frame(_I3, dual)
     return PhiBasisStructure(
         "A", (alpha, 0.0, 0.0, alpha), PhiBasis(dual, e, phi_e), 6, from_functional(l), notes
     )
@@ -361,13 +369,8 @@ def _reduce_outside(L: LieAlgebra3, xi: Vector) -> PhiBasisStructure:
     along phi_e (the image of ad is one-dimensional on these algebras), so
     [xi, phi_e] = 0 and the remaining five coefficients are reported.
     """
-    order = np.argsort(np.abs(xi), kind="stable")
-    u = np.eye(3)[order[0]] - (xi @ np.eye(3)[order[0]]) * xi
-    u = u / np.linalg.norm(u)
-    v = np.cross(xi, u)
-    M = np.array(
-        [[w @ bracket(L, xi, z) for z in (u, v)] for w in (u, v)]
-    )
+    u, v = _adapted_frame(_I3, xi)
+    M = _basis_constants(L, np.column_stack([xi, u, v]))[0, 1:, 1:].T  # M[w, z] = w . [xi, z]
     if np.abs(M).max() <= 1e-12 * max(1.0, L.scale):
         rho = 0.0
     else:
@@ -377,14 +380,10 @@ def _reduce_outside(L: LieAlgebra3, xi: Vector) -> PhiBasisStructure:
         rho = math.atan2(-k1, k2) % math.pi
     e = math.cos(rho) * u + math.sin(rho) * v
     fe = -math.sin(rho) * u + math.cos(rho) * v
-    a = float(e @ bracket(L, xi, e))
-    b = float(fe @ bracket(L, xi, e))
-    ue = float(e @ bracket(L, e, fe))
-    ve = float(fe @ bracket(L, e, fe))
-    we = float(xi @ bracket(L, e, fe))
+    c = _basis_constants(L, np.column_stack([xi, e, fe]))
     return PhiBasisStructure(
         None,
-        (a, b, ue, ve, we),
+        (c[0, 1, 1], c[0, 1, 2], c[1, 2, 1], c[1, 2, 2], c[1, 2, 0]),
         PhiBasis(xi, e, fe),
         None,
         L,
@@ -456,11 +455,8 @@ def classify(source, xi, *, tol: float | None = None) -> ClassificationReport:
     closed-form geodesic enumeration and routed to the branch that covers
     it, folding xi to the canonical sign representative.
     """
-    x = _as_vector(xi)
-    nx = np.linalg.norm(x)
-    if nx == 0.0:
-        raise NotGeodesicError("xi must be nonzero")
-    return _classify(*resolve_source(source), x / nx, tol)
+    x = _unit_xi(xi)
+    return _classify(*resolve_source(source), x, tol)
 
 
 def _classify(source, L: LieAlgebra3, enum: GeodesicEnumeration, x: Vector, tol: float | None) -> ClassificationReport:

@@ -28,7 +28,6 @@ from .classification import (
 )
 from .lie_core import LinearFunctional, MilnorParameters, milnor_invariant_D
 from .metric_geometry import geodesic_brute_force, oracle_match
-from .tolerances import default_tol
 from .verify import GROUPS, run_groups
 
 EXIT_VERIFY_FAILED = 1
@@ -95,11 +94,11 @@ def _report_json(rep: ClassificationReport) -> str:
 def cmd_classify(args) -> int:
     source = _parse_source(args)
     if args.xi == "auto":
-        for rep in classify_representatives(source, tol=default_tol()):
+        for rep in classify_representatives(source):
             print(_report_json(rep))
     else:
         xi = _parse_vector(args.xi)
-        print(_report_json(classify(source, xi, tol=default_tol())))
+        print(_report_json(classify(source, xi)))
     return 0
 
 

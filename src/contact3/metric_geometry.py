@@ -93,26 +93,38 @@ class Metric3:
 
 
 def levi_civita(L: LieAlgebra3, g: Metric3, x, y) -> Vector:
-    """nabla_x y for constant-coefficient fields (Koszul formula)."""
-    x = _as_vector(x)
-    y = _as_vector(y)
-    gm = g.g
-    bxy = bracket(L, x, y)
-    rhs = np.empty(3)
-    for k in range(3):
-        ek = np.eye(3)[k]
-        rhs[k] = bxy @ gm @ ek - bracket(L, y, ek) @ gm @ x + bracket(L, ek, x) @ gm @ y
-    return 0.5 * np.linalg.solve(gm, rhs)
+    """nabla_x y for constant-coefficient fields (Koszul formula).
+
+    With C[i, j, k] = g([e_i, e_j], e_k), the Koszul tensor is
+    K[i, j, k] = C[i, j, k] - C[j, k, i] + C[k, i, j], and
+    nabla_x y = (1/2) g^-1 (x_i y_j K[i, j, :]).
+    """
+    C = L.c @ g.g
+    K = C - np.einsum("jki->ijk", C) + np.einsum("kij->ijk", C)
+    rhs = np.einsum("i,j,ijk->k", _as_vector(x), _as_vector(y), K)
+    return 0.5 * np.linalg.solve(g.g, rhs)
 
 
-def geodesic_defect(L: LieAlgebra3, g: Metric3, x) -> float:
-    """max_i |g([x, e_i], x)|; zero exactly on geodesic vectors."""
-    x = _as_vector(x)
-    return max(abs(bracket(L, x, np.eye(3)[i]) @ g.g @ x) for i in range(3))
+def _defect_matrices(L: LieAlgebra3, g: Metric3) -> np.ndarray:
+    # M_i symmetric with x^T M_i x = g([x, e_i], x)
+    Q = np.einsum("jik,km->ijm", L.c, g.g)
+    return 0.5 * (Q + np.transpose(Q, (0, 2, 1)))
+
+
+def geodesic_defect(L: LieAlgebra3, g: Metric3, x) -> float | np.ndarray:
+    """max_i |g([x, e_i], x)| = max_i |x^T M_i x|; zero exactly on geodesic vectors.
+
+    The matrices M_i are the ones the sphere-scan oracle scans with.  x is
+    one vector (the result is a float) or an (n, 3) array of them (the
+    result is an array).
+    """
+    x = _points(x)
+    d = np.abs(_kernels.residual_batch(_defect_matrices(L, g), x.reshape(-1, 3))).max(axis=1)
+    return _scalar_or_array(d.reshape(x.shape[:-1]))
 
 
 def is_geodesic_vector(L: LieAlgebra3, g: Metric3, x, tol: float | None = None) -> bool:
-    """True iff g([x, e_i], x) <= tol * |x|^2 for every basis vector.
+    """True iff |g([x, e_i], x)| <= tol * |x|^2 for every basis vector.
 
     Equivalent to nabla_x x = 0; the connection-based restatement is kept
     as a separate code path (``levi_civita``) so the two can be checked
@@ -269,16 +281,15 @@ class GeodesicEnumeration:
 
 
 def _check_enumeration(L: LieAlgebra3, enum: GeodesicEnumeration) -> None:
-    g = Metric3.identity()
     probes = list(enum.discrete)
     for fam in enum.families:
         ts = fam.angles if fam.angles is not None else np.linspace(0.0, 2.0 * math.pi, 13)
         probes.extend(fam.point(t) for t in ts)
-    for x in probes:
-        if abs(np.linalg.norm(x) - 1.0) > IDENTITY_RTOL:
-            raise AssertionError("enumerated vector is not unit")
-        if not is_geodesic_vector(L, g, x, tol=1e-9):
-            raise AssertionError("enumerated vector fails the geodesic predicate")
+    probes = np.array(probes)
+    if np.any(np.abs(_norm(probes) - 1.0) > IDENTITY_RTOL):
+        raise AssertionError("enumerated vector is not unit")
+    if np.any(geodesic_defect(L, Metric3.identity(), probes) > 1e-9):
+        raise AssertionError("enumerated vector fails the geodesic predicate")
 
 
 def _regime(params: MilnorParameters) -> str:
@@ -348,12 +359,6 @@ def enumerate_unit_geodesics(
 
 
 # -- brute-force oracle ---------------------------------------------------
-
-
-def _defect_matrices(L: LieAlgebra3, g: Metric3) -> np.ndarray:
-    # M_i symmetric with x^T M_i x = g([x, e_i], x)
-    Q = np.einsum("jik,km->ijm", L.c, g.g)
-    return 0.5 * (Q + np.transpose(Q, (0, 2, 1)))
 
 
 @functools.lru_cache(maxsize=4)
@@ -438,14 +443,13 @@ def _merge_clusters(points: np.ndarray, defects: np.ndarray, radius: float) -> n
     return out[_angular_order(out)]
 
 
-def geodesic_brute_force(
-    L: LieAlgebra3,
-    g: Metric3 | None = None,
-    grid: int = 400,
-    *,
-    merge_radius: float = 1e-3,
-    keep_rtol: float = 1e-10,
-) -> list[Vector]:
+# oracle cluster radius, and the defect (relative to the scale of the M_i)
+# below which a refined point is kept
+_MERGE_RADIUS = 1e-3
+_KEEP_RTOL = 1e-10
+
+
+def geodesic_brute_force(L: LieAlgebra3, g: Metric3 | None = None, grid: int = 400) -> list[Vector]:
     """Sphere-scan oracle for the unit geodesic set, independent of the closed forms.
 
     Lattice points whose defect clears a coarse, grid-spacing-aware
@@ -470,17 +474,17 @@ def geodesic_brute_force(
     h = 2.0 * math.pi / grid
     tau = 3.0 * scale * h
     mask = F <= tau
-    if mask.mean() > 0.5 and F.max() <= keep_rtol * scale:
+    if mask.mean() > 0.5 and F.max() <= _KEEP_RTOL * scale:
         return list(X[:: max(1, len(X) // 512)].copy())
     seeds = X[mask]
     if len(seeds) == 0:
         return []
     target = 1e-13 * scale
     refined, fr = _kernels.refine_batch(M, np.ascontiguousarray(seeds), 3.0 * h, target, 80)
-    ok = fr <= keep_rtol * scale
+    ok = fr <= _KEEP_RTOL * scale
     if not ok.any():
         return []
-    return list(_merge_clusters(refined[ok], fr[ok], merge_radius))
+    return list(_merge_clusters(refined[ok], fr[ok], _MERGE_RADIUS))
 
 
 @dataclass(frozen=True)

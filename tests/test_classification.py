@@ -184,6 +184,21 @@ def test_case6_values():
         construct_case6(np.array([1.0, 0, 0]), E[1])
 
 
+@pytest.mark.parametrize(
+    "construct, source",
+    [
+        (construct_case5, MilnorParameters.from_pqr(0.0, 0.5, 1.0)),
+        (construct_case5, (1, 1, -1, 1)),
+        (construct_case6, np.array([0.0, 2.0, 0.0])),
+    ],
+)
+def test_constructors_reject_zero_xi(construct, source):
+    # 0 / |0| is NaN, and NaN fails every rejection test
+    for xi in (np.zeros(3), -np.zeros(3)):
+        with pytest.raises(NotGeodesicError, match="nonzero"):
+            construct(source, xi)
+
+
 # -- classify dispatch ----------------------------------------------------
 
 

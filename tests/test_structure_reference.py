@@ -1,12 +1,16 @@
-"""The isomorphism search and the report predicates against their loop forms.
+"""The isomorphism search, the report predicates and the frame code against their loop forms.
 
 The references below are the 720-seed grid search with its shrinking
-three-point refinement, and the basis-pair loops for d_eta, Phi,
-eta ^ d_eta and the Nijenhuis tensor, which the exact angle solve and the
-single contractions replaced.  They are kept here as independent oracles:
-``is_isomorphic`` must decide None / not None as the grid does on every
-pair, every map it returns must intertwine the brackets, the predicate
-flags must be equal, and the predicate values must agree to
+three-point refinement; the basis-pair loops for d_eta, Phi,
+eta ^ d_eta and the Nijenhuis tensor; the bracket loops for the geodesic
+defect, the three-term Koszul connection and the coefficients of
+``_reduce_outside``; the Gram-Schmidt frame with its sign flip that
+``build_structure`` used; and the ker-eta basis form of
+``check_ker_condition``.  The exact angle solve, the single contractions
+and the one adapted frame replaced them.  They are kept here as
+independent oracles: ``is_isomorphic`` must decide None / not None as the
+grid does on every pair, every map it returns must intertwine the
+brackets, flags must be equal, and values must agree to
 1e-14 max(1, scale).
 """
 
@@ -23,21 +27,27 @@ from contact3 import (
     MilnorParameters,
     bracket,
     build_structure,
+    check_ker_condition,
     classify,
     classify_representatives,
     construct_case1,
     construct_case6,
+    enumerate_unit_geodesics,
     from_functional,
     from_milnor,
+    geodesic_brute_force,
+    geodesic_defect,
     is_contact_form,
     is_contact_metric,
+    is_geodesic_vector,
     is_isomorphic,
+    levi_civita,
     nijenhuis_normality_residual,
     structure_from_basis,
     xi_in_ker_deta,
 )
-from contact3.classification import _normal_form_constants
-from contact3.contact_structures import eta_wedge_deta
+from contact3.classification import _canonical_sign, _normal_form_constants, _reduce_outside
+from contact3.contact_structures import KerConditionViolation, compatibility_residual, eta_wedge_deta
 from contact3.verify import CASE_TAGS, _geodesic_xi, _unit, sample_functional, sample_params
 
 I3 = Metric3.identity()
@@ -257,3 +267,188 @@ def test_ker_deta_routes_agree_on_a_scaled_algebra():
     L = from_functional(l)
     assert xi_in_ker_deta(L, s) == _reference_xi_in_ker_deta(L, s)
     assert classify(l, -l.dual).family == "A"
+
+
+# -- reference geometry and frames ----------------------------------------
+
+
+def _reference_geodesic_defect(L, g, x):
+    return max(abs(bracket(L, x, np.eye(3)[i]) @ g.g @ x) for i in range(3))
+
+
+def _reference_levi_civita(L, g, x, y):
+    # 2 g(nabla_x y, e_k) = g([x,y], e_k) - g([y,e_k], x) + g([e_k,x], y)
+    gm = g.g
+    bxy = bracket(L, x, y)
+    rhs = np.empty(3)
+    for k in range(3):
+        ek = np.eye(3)[k]
+        rhs[k] = bxy @ gm @ ek - bracket(L, y, ek) @ gm @ x + bracket(L, ek, x) @ gm @ y
+    return 0.5 * np.linalg.solve(gm, rhs)
+
+
+def _reference_complement_basis(g, xi):
+    # Gram-Schmidt on the two axes least aligned with xi, then a sign flip
+    # so that det[xi, u, v] > 0
+    order = np.argsort(np.abs(xi), kind="stable")
+    u = np.eye(3)[order[0]]
+    u = u - g.inner(xi, u) * xi
+    u = u / g.norm(u)
+    v = np.eye(3)[order[1]]
+    v = v - g.inner(xi, v) * xi - g.inner(u, v) * u
+    v = v / g.norm(v)
+    if np.linalg.det(np.column_stack([xi, u, v])) < 0.0:
+        v = -v
+    return u, v
+
+
+def _reference_phi(g, xi, orientation):
+    u, v = _reference_complement_basis(g, xi)
+    return orientation * (np.outer(v, g.g @ u) - np.outer(u, g.g @ v))
+
+
+def _reference_check_ker_condition(L, s, tol=TOL):
+    if not _reference_xi_in_ker_deta(L, s, tol):
+        raise KerConditionViolation("precondition failed")
+    order = np.argsort(np.abs(s.xi), kind="stable")
+    e = np.eye(3)[order[0]] - float(s.eta @ np.eye(3)[order[0]]) * s.xi
+    e = e / np.linalg.norm(e)
+    return all(abs(float(s.eta @ bracket(L, s.xi, X))) <= tol for X in (e, s.phi @ e))
+
+
+def _reference_reduce_outside(L, xi):
+    """(coefficients, frame matrix) of the bracket-loop reduction."""
+    order = np.argsort(np.abs(xi), kind="stable")
+    u = np.eye(3)[order[0]] - (xi @ np.eye(3)[order[0]]) * xi
+    u = u / np.linalg.norm(u)
+    v = np.cross(xi, u)
+    M = np.array([[w @ bracket(L, xi, z) for z in (u, v)] for w in (u, v)])
+    if np.abs(M).max() <= 1e-12 * max(1.0, L.scale):
+        rho = 0.0
+    else:
+        _, _, Vt = np.linalg.svd(M)
+        k1, k2 = Vt[-1]
+        rho = math.atan2(-k1, k2) % math.pi
+    e = math.cos(rho) * u + math.sin(rho) * v
+    fe = -math.sin(rho) * u + math.cos(rho) * v
+    coeffs = (
+        e @ bracket(L, xi, e),
+        fe @ bracket(L, xi, e),
+        e @ bracket(L, e, fe),
+        fe @ bracket(L, e, fe),
+        xi @ bracket(L, e, fe),
+    )
+    return np.array(coeffs), np.column_stack([xi, e, fe])
+
+
+def _random_metric(rng):
+    # random orthonormal eigenbasis, eigenvalues in [0.5, 2]: never diagonal
+    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    g = Q @ np.diag(rng.uniform(0.5, 2.0, 3)) @ Q.T
+    return Metric3(0.5 * (g + g.T))
+
+
+def _geometry_cases():
+    """(tag, algebra, enumeration) of seeded algebras, two per tag."""
+    out = []
+    for tag, _, src in _sources(29, 2):
+        if tag == "E":
+            out.append((tag, from_functional(src), enumerate_unit_geodesics(functional=src)))
+        else:
+            out.append((tag, from_milnor(src), enumerate_unit_geodesics(src)))
+    return out
+
+
+GEOMETRY = _geometry_cases()
+
+
+def _probes(enum, rng, n=24):
+    """Enumerated geodesic vectors followed by random unit vectors."""
+    pts = [np.array(p) for p in enum.discrete]
+    for fam in enum.families:
+        ts = fam.angles if fam.angles is not None else rng.uniform(0.0, 2.0 * math.pi, 4)
+        pts.extend(fam.point(t) for t in ts)
+    pts.extend(_unit(rng) for _ in range(n))
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("tag, L, enum", GEOMETRY, ids=[c[0] for c in GEOMETRY])
+def test_geodesic_defect_matches_bracket_loop(tag, L, enum):
+    rng = np.random.default_rng(31)
+    X = _probes(enum, rng)
+    atol = 1e-14 * max(1.0, L.scale)
+    for g in (I3, _random_metric(rng)):
+        batch = geodesic_defect(L, g, X)
+        assert batch.shape == (len(X),)
+        rows = [geodesic_defect(L, g, x) for x in X]
+        assert all(type(d) is float for d in rows)
+        np.testing.assert_array_equal(batch, rows)
+        ref = [_reference_geodesic_defect(L, g, x) for x in X]
+        np.testing.assert_allclose(batch, ref, rtol=0, atol=atol)
+        for x, d in zip(X, ref):
+            assert is_geodesic_vector(L, g, x) == (d <= TOL * g.inner(x, x))
+    # the enumerated vectors are geodesic, the random ones (almost surely) not
+    flags = [is_geodesic_vector(L, I3, x) for x in X]
+    assert all(flags[: len(X) - 24]) and not all(flags)
+
+
+@pytest.mark.parametrize("tag, L, enum", GEOMETRY, ids=[c[0] for c in GEOMETRY])
+def test_levi_civita_matches_koszul_loop(tag, L, enum):
+    rng = np.random.default_rng(37)
+    atol = 1e-14 * max(1.0, L.scale)
+    for g in (I3, _random_metric(rng), _random_metric(rng)):
+        for _ in range(8):
+            x, y = _unit(rng), _unit(rng)
+            np.testing.assert_allclose(
+                levi_civita(L, g, x, y), _reference_levi_civita(L, g, x, y), rtol=0, atol=atol
+            )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_build_structure_matches_gram_schmidt_frame(seed):
+    rng = np.random.default_rng([41, seed])
+    for g in (I3, _random_metric(rng)):
+        for _ in range(8):
+            xi = _unit(rng)
+            xi = xi / g.norm(xi)
+            for orientation in (+1, -1):
+                s = build_structure(g, xi, orientation)
+                np.testing.assert_allclose(s.phi, _reference_phi(g, xi, orientation), rtol=0, atol=1e-14)
+                assert compatibility_residual(s, g) <= 1e-12
+                np.testing.assert_allclose(s.eta, g.g @ xi, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("tag, L, enum", GEOMETRY, ids=[c[0] for c in GEOMETRY])
+def test_check_ker_condition_matches_ker_eta_basis(tag, L, enum):
+    rng = np.random.default_rng(43)
+    # unit vectors for the identity metric, then geodesic vectors of a
+    # random metric, where eta = g xi differs from xi
+    g = _random_metric(rng)
+    cases = [(I3, xi) for xi in _probes(enum, rng, n=8)]
+    cases.extend((g, x / g.norm(x)) for x in geodesic_brute_force(L, g, grid=100)[:4])
+    raised = set()
+    for g, xi in cases:
+        for orientation in (+1, -1):
+            s = build_structure(g, xi, orientation)
+            try:
+                want = _reference_check_ker_condition(L, s)
+            except KerConditionViolation:
+                with pytest.raises(KerConditionViolation):
+                    check_ker_condition(L, s)
+                raised.add(True)
+                continue
+            assert check_ker_condition(L, s) == want
+            raised.add(False)
+    assert raised == {True, False}
+
+
+@pytest.mark.parametrize("tag, L, enum", [c for c in GEOMETRY if c[0] in ("B1", "C1")])
+def test_reduce_outside_matches_bracket_loop(tag, L, enum):
+    fam = next(f for f in enum.families if f.angles is None)
+    atol = 1e-14 * max(1.0, L.scale)
+    for t in np.linspace(0.1, math.pi - 0.1, 9):
+        xi = _canonical_sign(fam.point(t))
+        ps = _reduce_outside(L, xi)
+        coeffs, frame = _reference_reduce_outside(L, xi)
+        np.testing.assert_allclose(ps.params, coeffs, rtol=0, atol=atol)
+        np.testing.assert_allclose(ps.basis.matrix, frame, rtol=0, atol=1e-14)
