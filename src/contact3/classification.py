@@ -30,6 +30,13 @@ Geodesic vectors in the interior of the p = +-r, q != 0 circles carry
 structures matching none of the three families; ``classify`` reports those
 with ``family=None`` and the reduced bracket data.
 
+Normality and contact read off the normal form (``_structure_flags``):
+
+    family A:  normal <=> alpha = delta and beta = -gamma;  never contact
+    family B:  normal <=> B = C = 0;   contact <=> B != 0;  contact metric <=> B = 1
+    family C:  normal <=> Abar = 0;                         never contact
+    None:      normal <=> xi_e_e = xi_e_phie = e_phie_xi = 0;  contact <=> e_phie_xi != 0
+
 The +-xi ambiguity folds to a canonical representative (angles to [0, pi)).
 The two signs are metrically conjugate, but no bracket-preserving isometry
 links them when trace ad(xi)|ker eta != 0, so folding is what makes
@@ -47,9 +54,6 @@ from .contact_structures import (
     AlmostContactStructure,
     PhiBasis,
     _adapted_frame,
-    eta_wedge_deta,
-    is_contact_form,
-    is_contact_metric,
     nijenhuis_normality_residual,
     structure_from_basis,
     xi_in_ker_deta,
@@ -66,7 +70,6 @@ from .lie_core import (
     from_functional,
     from_milnor,
     invariant_D,
-    milnor_invariant_D,
 )
 from .metric_geometry import (
     GeodesicEnumeration,
@@ -124,6 +127,28 @@ def _normal_form_constants(family: str | None, params: tuple[float, ...]) -> np.
         setb(0, 1, (0.0, a, b))
         setb(1, 2, (w, u, v))
     return c
+
+
+def _structure_flags(ps: PhiBasisStructure) -> tuple[bool, bool, bool]:
+    """(normal, contact_form, contact_metric), read off the normal form.
+
+    For [xi, e] = a e + b phi_e, [xi, phi_e] = g e + d phi_e and
+    w = eta([e, phi_e]), the frame (xi, e, phi_e) gives N(xi, e) =
+    (0, d - a, -b - g), N(xi, phi_e) = (0, -b - g, a - d), N(e, phi_e) =
+    (-w, 0, 0), (eta ^ d_eta)(xi, e, phi_e) = d_eta(e, phi_e) = -w and
+    Phi(e, phi_e) = -1.  The first two flags are held to tol times the
+    algebra's scale; contact metric is the normalisation w = 1, held to tol
+    itself, so it is not invariant under c -> lambda c.
+    """
+    c = ps.normal_form_constants()
+    tol = default_tol()
+    a, b, g, d, w = c[0, 1, 1], c[0, 1, 2], c[0, 2, 1], c[0, 2, 2], c[1, 2, 0]
+    bound = tol * ps.algebra.scale
+    return (
+        bool(max(abs(a - d), abs(b + g), abs(w)) <= bound),
+        bool(abs(w) > bound),
+        bool(abs(1.0 - w) <= tol),
+    )
 
 
 def _basis_constants(L: LieAlgebra3, B: np.ndarray) -> np.ndarray:
@@ -401,6 +426,7 @@ class ClassificationReport:
     geodesic_case: str
     contact_form: bool
     contact_metric: bool
+    normal: bool
     normality_residual: float
     errata_notes: tuple[str, ...]
     structure: PhiBasisStructure = field(repr=False)
@@ -413,18 +439,20 @@ def _canonical_sign(x: Vector) -> Vector:
     raise ValueError("zero vector")
 
 
-def _report(source_tag: str, ps: PhiBasisStructure, extra_notes: tuple[str, ...] = ()) -> ClassificationReport:
+def _report(source_tag: str, ps: PhiBasisStructure, extra_notes: tuple[str, ...], D: float) -> ClassificationReport:
     L = ps.algebra
     s = ps.structure()
     if not xi_in_ker_deta(L, s):
         raise AssertionError("constructed structure lost the ker d_eta condition")
+    normal, contact_form, contact_metric = _structure_flags(ps)
     return ClassificationReport(
         family=ps.family,
         params=ps.params_dict,
-        D=invariant_D(L),
+        D=D,
         geodesic_case=source_tag,
-        contact_form=is_contact_form(L, s),
-        contact_metric=is_contact_metric(L, s, _I3),
+        contact_form=contact_form,
+        contact_metric=contact_metric,
+        normal=normal,
         normality_residual=nijenhuis_normality_residual(L, s),
         errata_notes=ps.notes + extra_notes,
         structure=ps,
@@ -456,10 +484,14 @@ def classify(source, xi, *, tol: float | None = None) -> ClassificationReport:
     it, folding xi to the canonical sign representative.
     """
     x = _unit_xi(xi)
-    return _classify(*resolve_source(source), x, tol)
+    source, L, enum = resolve_source(source)
+    return _report(*_route(source, L, enum, x, tol), invariant_D(L))
 
 
-def _classify(source, L: LieAlgebra3, enum: GeodesicEnumeration, x: Vector, tol: float | None) -> ClassificationReport:
+def _route(
+    source, L: LieAlgebra3, enum: GeodesicEnumeration, x: Vector, tol: float | None
+) -> tuple[str, PhiBasisStructure, tuple[str, ...]]:
+    """(case tag, normal-form structure, notes) of the branch that covers xi."""
     functional = isinstance(source, LinearFunctional)
     if not is_geodesic_vector(L, _I3, x, tol):
         raise NotGeodesicError(
@@ -472,7 +504,7 @@ def _classify(source, L: LieAlgebra3, enum: GeodesicEnumeration, x: Vector, tol:
             )
         )
     if functional:
-        return _report(enum.case_tag, construct_case6(source, x))
+        return enum.case_tag, construct_case6(source, x), ()
 
     params, tag = source, enum.case_tag
 
@@ -506,19 +538,19 @@ def _classify(source, L: LieAlgebra3, enum: GeodesicEnumeration, x: Vector, tol:
     if kind == "axis":
         if tag == "D":
             xi_exact = x if not snapped else (E1 if x[0] > 0 else -E1)
-            return _report(tag, construct_case5(params, xi_exact), extra)
+            return tag, construct_case5(params, xi_exact), extra
         if x[0] < 0:
             extra = extra + ("xi folded to the +e1 representative",)
-        return _report(tag, construct_case1(params), extra)
+        return tag, construct_case1(params), extra
     if kind == "special":
         if np.linalg.norm(x - payload) > np.linalg.norm(x + payload):
             extra = extra + ("xi folded to the canonical sign representative",)
-        return _report(tag, construct_case3(params), extra)
+        return tag, construct_case3(params), extra
     if kind == "root":
         rep = np.array([0.0, math.cos(payload), math.sin(payload)])
         if np.linalg.norm(x - rep) > 1e-3:
             extra = extra + ("xi folded to the angle representative in [0, pi)",)
-        return _report(tag, construct_case2(params, payload), extra)
+        return tag, construct_case2(params, payload), extra
 
     # on the geodesic circle: project, then fold the angle to [0, pi)
     fam = payload
@@ -529,8 +561,8 @@ def _classify(source, L: LieAlgebra3, enum: GeodesicEnumeration, x: Vector, tol:
         theta = math.atan2(proj @ fam.v, proj @ fam.u)
         if theta < 0:
             extra = extra + ("xi folded to the angle representative in [0, pi)",)
-        return _report(tag, construct_case4(params, theta % math.pi), extra)
-    return _report(tag, _reduce_outside(L, _canonical_sign(proj)), extra)
+        return tag, construct_case4(params, theta % math.pi), extra
+    return tag, _reduce_outside(L, _canonical_sign(proj)), extra
 
 
 def classify_representatives(source, *, tol: float | None = None) -> list[ClassificationReport]:
@@ -552,7 +584,9 @@ def _representatives(source, L: LieAlgebra3, enum: GeodesicEnumeration, tol: flo
         xis = [E1]
         xis.extend(np.array([0.0, math.cos(t), math.sin(t)]) for t in enum.inplane_angles())
         xis.extend((E1 + fam.v) / math.sqrt(2.0) for fam in enum.families if fam.angles is None)
-    return [_classify(source, L, enum, x / np.linalg.norm(x), tol) for x in xis]
+    routes = [_route(source, L, enum, x / np.linalg.norm(x), tol) for x in xis]
+    D = invariant_D(L)
+    return [_report(*route, D) for route in routes]
 
 
 # -- isomorphism ----------------------------------------------------------
@@ -652,101 +686,3 @@ def is_isomorphic(s1: PhiBasisStructure, s2: PhiBasisStructure, tol: float | Non
     if best[0] > tol * scale:
         return None
     return s2.basis.matrix @ best[1] @ s1.basis.matrix.T
-
-
-# -- normality scan -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NormalScanResult:
-    """Empirical zero set of the normality residual over a parameter grid."""
-
-    family: str
-    names: tuple[str, ...]
-    points: np.ndarray
-    residuals: np.ndarray
-    normal_mask: np.ndarray
-    matched_relation: str | None
-    skipped: int
-
-    def summary(self) -> str:
-        n = int(self.normal_mask.sum())
-        rel = self.matched_relation or "no candidate relation matches"
-        return (
-            f"family {self.family}: {n}/{len(self.points)} grid points normal "
-            f"(residual < 1e-9); zero set matches: {rel}; skipped {self.skipped}"
-        )
-
-
-_DEFAULT_GRIDS = {
-    "A": {"p": np.linspace(-2.0, 2.0, 9), "q": np.linspace(-2.0, 2.0, 7), "r": np.linspace(0.5, 2.0, 4)},
-    "B": {"A": np.linspace(-2.0, 2.0, 9), "B": np.linspace(-2.0, 2.0, 9), "C": np.linspace(-2.0, 2.0, 9)},
-    "C": {"A_bar": np.linspace(-2.0, 2.0, 11), "B_bar": np.linspace(-2.0, 2.0, 11)},
-}
-
-_CANDIDATE_RELATIONS = {
-    "A": ("alpha = delta and beta = -gamma (p = 0)", lambda t: max(abs(t[0] - t[3]), abs(t[1] + t[2]))),
-    "B": ("B = 0 and C = 0", lambda t: max(abs(t[1]), abs(t[2]))),
-    "C": ("Abar = 0", lambda t: abs(t[0])),
-}
-
-
-def _family_structure(family: str, values: tuple[float, ...]):
-    if family == "A":
-        p_, q_, r_ = values
-        params = MilnorParameters.from_pqr(p_, q_, r_)
-        ps = construct_case1(params)
-        return ps.algebra, ps.structure(), (params.alpha, params.beta, params.gamma, params.delta)
-    if family == "B" and abs(values[0]) <= 1e-12:
-        raise ValueError("family B invariant A != 0 violated")
-    if family == "C" and values[0] ** 2 + values[1] ** 2 <= 1e-24:
-        raise ValueError("family C invariant Abar^2 + Bbar^2 != 0 violated")
-    c = _normal_form_constants(family, values)
-    L = LieAlgebra3(c)
-    return L, structure_from_basis(_I3, E1, E2, E3), values
-
-
-def normal_scan(
-    family: str,
-    grid: dict[str, np.ndarray] | None = None,
-    *,
-    tol: float = 1e-9,
-) -> NormalScanResult:
-    """Evaluate the normality residual over a grid of family parameters.
-
-    Grid points violating the family invariant (A = 0, Abar = Bbar = 0, or
-    r = 0 for family A's (p, q, r) chart) are skipped.  The observed zero
-    set is compared against a candidate closed-form relation; agreement is
-    reported only as an empirical statement about the evaluated grid.
-    """
-    if family not in _DEFAULT_GRIDS:
-        raise ValueError("family must be one of 'A', 'B', 'C'")
-    axes = grid or _DEFAULT_GRIDS[family]
-    names = tuple(axes.keys())
-    mesh = np.meshgrid(*axes.values(), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    residuals = []
-    kept = []
-    skipped = 0
-    for row in pts:
-        values = tuple(float(v) for v in row)
-        try:
-            L, s, nf = _family_structure(family, values)
-        except ValueError:
-            skipped += 1
-            continue
-        residuals.append(nijenhuis_normality_residual(L, s))
-        kept.append(values)
-    points = np.array(kept)
-    residuals = np.array(residuals)
-    mask = residuals <= tol
-    rel_name, rel_fn = _CANDIDATE_RELATIONS[family]
-    if family == "A":
-        # the relation reads off the bracket coefficients, not the chart
-        rel_vals = np.array(
-            [rel_fn(_family_structure("A", tuple(v))[2]) for v in points]
-        )
-    else:
-        rel_vals = np.array([rel_fn(v) for v in points])
-    matched = rel_name if bool(np.all((rel_vals <= 1e-9) == mask)) else None
-    return NormalScanResult(family, names, points, residuals, mask, matched, skipped)

@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Subcommands: ``classify`` (one JSON report per structure), ``geodesics``
+Subcommands: ``classify`` (one JSON report per structure: family, params,
+D, geodesic_case, the contact_form / contact_metric / normal flags,
+normality_residual and errata_notes), ``geodesics``
 (closed-form enumeration, optionally scored against the sphere-scan
 oracle), ``atlas`` (CSV sweep over the (p, q) parameter plane) and
 ``verify`` (seeded invariant suite).  Exit codes: 0 success, 1 verify
@@ -85,6 +87,7 @@ def _report_json(rep: ClassificationReport) -> str:
         "geodesic_case": rep.geodesic_case,
         "contact_form": rep.contact_form,
         "contact_metric": rep.contact_metric,
+        "normal": rep.normal,
         "normality_residual": rep.normality_residual,
         "errata_notes": list(rep.errata_notes),
     }

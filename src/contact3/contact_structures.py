@@ -15,6 +15,11 @@ derivative of eta on constant-coefficient fields is d_eta(X, Y) =
 an exact identity.  Both contact predicates are exposed: eta a contact
 form (eta ^ d_eta != 0) and the stricter contact metric condition
 d_eta = Phi with Phi(X, Y) = g(X, phi Y).
+
+Classification reports take their contact, contact-metric and normality
+flags from the normal form (``classification._structure_flags``); the
+predicates here and ``nijenhuis_normality_residual`` evaluate the same
+conditions on the ambient tensors and serve as the cross-checks.
 """
 
 from __future__ import annotations

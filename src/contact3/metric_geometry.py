@@ -92,8 +92,8 @@ class Metric3:
         return math.sqrt(max(self.inner(x, x), 0.0))
 
 
-def levi_civita(L: LieAlgebra3, g: Metric3, x, y) -> Vector:
-    """nabla_x y for constant-coefficient fields (Koszul formula).
+def _connection(L: LieAlgebra3, g: Metric3):
+    """(x, y) -> nabla_x y on vectors, from one Koszul tensor.
 
     With C[i, j, k] = g([e_i, e_j], e_k), the Koszul tensor is
     K[i, j, k] = C[i, j, k] - C[j, k, i] + C[k, i, j], and
@@ -101,8 +101,12 @@ def levi_civita(L: LieAlgebra3, g: Metric3, x, y) -> Vector:
     """
     C = L.c @ g.g
     K = C - np.einsum("jki->ijk", C) + np.einsum("kij->ijk", C)
-    rhs = np.einsum("i,j,ijk->k", _as_vector(x), _as_vector(y), K)
-    return 0.5 * np.linalg.solve(g.g, rhs)
+    return lambda x, y: 0.5 * np.linalg.solve(g.g, np.einsum("i,j,ijk->k", x, y, K))
+
+
+def levi_civita(L: LieAlgebra3, g: Metric3, x, y) -> Vector:
+    """nabla_x y for constant-coefficient fields (Koszul formula)."""
+    return _connection(L, g)(_as_vector(x), _as_vector(y))
 
 
 def _defect_matrices(L: LieAlgebra3, g: Metric3) -> np.ndarray:
@@ -585,6 +589,6 @@ def sectional_curvature(L: LieAlgebra3, g: Metric3, x, y) -> float:
     den = g.inner(x, x) * g.inner(y, y) - g.inner(x, y) ** 2
     if den <= 1e-12 * max(g.inner(x, x) * g.inner(y, y), 1e-300):
         raise ValueError("x and y are linearly dependent")
-    nab = lambda u, v: levi_civita(L, g, u, v)
+    nab = _connection(L, g)
     R = nab(x, nab(y, y)) - nab(y, nab(x, y)) - nab(bracket(L, x, y), y)
     return float(R @ g.g @ x) / den

@@ -16,6 +16,10 @@ from typing import Callable
 import numpy as np
 
 from .classification import (
+    FAMILY_PARAM_NAMES,
+    PhiBasisStructure,
+    _normal_form_constants,
+    _structure_flags,
     classify,
     classify_representatives,
     construct_case1,
@@ -23,17 +27,26 @@ from .classification import (
     construct_case3,
     construct_case6,
     is_isomorphic,
+    resolve_source,
 )
 from .contact_structures import (
+    PhiBasis,
     build_structure,
     check_ker_condition,
     compatibility_residual,
     d_eta,
+    eta_wedge_deta,
+    is_contact_metric,
     lie_derivative_eta,
+    nijenhuis_normality_residual,
     structure_from_basis,
     xi_in_ker_deta,
 )
 from .lie_core import (
+    E1,
+    E2,
+    E3,
+    LieAlgebra3,
     LinearFunctional,
     MilnorParameters,
     from_functional,
@@ -48,6 +61,7 @@ from .metric_geometry import (
     oracle_match,
     sectional_curvature,
 )
+from .tolerances import IDENTITY_RTOL, default_tol
 
 _I3 = Metric3.identity()
 
@@ -125,6 +139,12 @@ def sample_algebra(rng: np.random.Generator):
     if rng.random() < 0.8:
         return from_milnor(sample_params(rng))
     return from_functional(sample_functional(rng))
+
+
+def _tag_source(rng: np.random.Generator, i: int):
+    """The i-th source of a cycle through every case tag (E: a rank-one functional)."""
+    tag = CASE_TAGS[i % len(CASE_TAGS)]
+    return sample_functional(rng) if tag == "E" else sample_params(rng, tag)
 
 
 def _geodesic_xi(rng: np.random.Generator, params: MilnorParameters) -> np.ndarray:
@@ -215,15 +235,7 @@ def check_geodesic_oracle(seed: int = 42, n: int = 200, grid: int = 400) -> Grou
     mismatches = 0
     per_tag = {t: 0 for t in CASE_TAGS}
     for i in range(n):
-        tag = CASE_TAGS[i % len(CASE_TAGS)]
-        if tag == "E":
-            l = sample_functional(rng)
-            enum = enumerate_unit_geodesics(functional=l)
-            L = from_functional(l)
-        else:
-            params = sample_params(rng, tag)
-            enum = enumerate_unit_geodesics(params)
-            L = from_milnor(params)
+        _, L, enum = resolve_source(_tag_source(rng, i))
         pts = geodesic_brute_force(L, grid=grid)
         agr = oracle_match(enum, pts, grid)
         worst = max(worst, agr.agreement)
@@ -295,12 +307,7 @@ def check_normal_forms(seed: int = 42, n: int = 60) -> GroupResult:
     worst = 0.0
     branches = set()
     for i in range(n):
-        tag = CASE_TAGS[i % len(CASE_TAGS)]
-        if tag == "E":
-            src = sample_functional(rng)
-        else:
-            src = sample_params(rng, tag)
-        for rep in classify_representatives(src):
+        for rep in classify_representatives(_tag_source(rng, i)):
             ps = rep.structure
             worst = max(worst, ps.normal_form_residual() / max(1.0, ps.algebra.scale))
             if ps.source_construction is not None:
@@ -315,18 +322,22 @@ def check_normal_forms(seed: int = 42, n: int = 60) -> GroupResult:
 
 @_group("contact-criterion")
 def check_contact_criterion(seed: int = 42, n: int = 150) -> GroupResult:
-    """eta is contact exactly on family B with B != 0; family C never is."""
+    """The report's contact flags against eta ^ d_eta and d_eta = Phi on the ambient structure.
+
+    eta is a contact form when |eta ^ d_eta| exceeds tol times the algebra's
+    scale; family C never is.
+    """
     rng = np.random.default_rng(seed)
+    tol = default_tol()
     exceptions = 0
     n_contact = 0
     checked = 0
     for i in range(n):
-        tag = CASE_TAGS[i % len(CASE_TAGS)]
-        src = sample_functional(rng) if tag == "E" else sample_params(rng, tag)
-        for rep in classify_representatives(src):
+        for rep in classify_representatives(_tag_source(rng, i)):
             checked += 1
-            expect = rep.family == "B" and abs(rep.params.get("B", 0.0)) > 1e-9
-            exceptions += rep.contact_form != expect
+            L, s = rep.structure.algebra, rep.structure.structure()
+            exceptions += rep.contact_form != (abs(eta_wedge_deta(L, s)) > tol * L.scale)
+            exceptions += rep.contact_metric != is_contact_metric(L, s, _I3)
             if rep.family == "C" and rep.contact_form:
                 exceptions += 1
             n_contact += rep.contact_form
@@ -334,6 +345,50 @@ def check_contact_criterion(seed: int = 42, n: int = 150) -> GroupResult:
         "contact-criterion",
         exceptions == 0,
         f"{checked} classifications, {n_contact} contact, {exceptions} exceptions",
+    )
+
+
+@_group("normality")
+def check_normality(seed: int = 42, n: int = 150) -> GroupResult:
+    """The normal flag against the Nijenhuis tensor N, in the adapted frame and ambient.
+
+    Structures: the representatives of every case tag, plus B, C and None
+    normal forms on their own brackets, scaled by 10^U(-3, 3), with each
+    coefficient zeroed with probability 1/2 (one kept nonzero for
+    admissibility).  In the frame (xi, e, phi_e), max |N| must equal
+    max(|a - d|, |b + g|, |w|) for [xi, e] = a e + b phi_e, [xi, phi_e] =
+    g e + d phi_e and w = eta([e, phi_e]), to IDENTITY_RTOL times the scale;
+    the flag must equal max |N| <= tol * scale on the ambient structure, and
+    both outcomes must occur.
+    """
+    rng = np.random.default_rng(seed)
+    tol = default_tol()
+    frame = structure_from_basis(_I3, E1, E2, E3)
+    worst, mismatches, outcomes, families = 0.0, 0, {True: 0, False: 0}, set()
+    for i in range(n):
+        structures = [(rep.structure, rep.normal) for rep in classify_representatives(_tag_source(rng, i))]
+        for family, keep in (("B", 0), ("C", 1), (None, 2)):
+            k = len(FAMILY_PARAM_NAMES[family])
+            params = rng.uniform(-2.0, 2.0, k) * (rng.random(k) < 0.5)
+            params[keep] = _nonzero(rng)
+            params = tuple(10.0 ** rng.uniform(-3.0, 3.0) * params)
+            c = _normal_form_constants(family, params)
+            ps = PhiBasisStructure(family, params, PhiBasis(E1, E2, E3), None, LieAlgebra3(c))
+            structures.append((ps, _structure_flags(ps)[0]))
+        for ps, normal in structures:
+            L, c = ps.algebra, ps.normal_form_constants()
+            closed = max(abs(c[0, 1, 1] - c[0, 2, 2]), abs(c[0, 1, 2] + c[0, 2, 1]), abs(c[1, 2, 0]))
+            in_frame = nijenhuis_normality_residual(LieAlgebra3(ps.raw_basis_constants()), frame)
+            worst = max(worst, abs(in_frame - closed) / L.scale)
+            mismatches += normal != (nijenhuis_normality_residual(L, ps.structure()) <= tol * L.scale)
+            outcomes[normal] += 1
+            families.add(ps.family)
+    passed = worst <= IDENTITY_RTOL and mismatches == 0 and min(outcomes.values()) > 0 and len(families) == 4
+    return GroupResult(
+        "normality",
+        passed,
+        f"{sum(outcomes.values())} structures ({outcomes[True]} normal); frame N vs closed form worst "
+        f"relative gap {worst:.2e}; {mismatches} flag mismatches against the ambient N",
     )
 
 
@@ -423,12 +478,8 @@ def check_pm_xi(seed: int = 42, n: int = 60) -> GroupResult:
     rng = np.random.default_rng(seed)
     ok = 0
     for i in range(n):
-        tag = CASE_TAGS[i % len(CASE_TAGS)]
-        src = sample_functional(rng) if tag == "E" else sample_params(rng, tag)
-        if tag == "E":
-            xi = src.dual
-        else:
-            xi = _geodesic_xi(rng, src)
+        src = _tag_source(rng, i)
+        xi = src.dual if isinstance(src, LinearFunctional) else _geodesic_xi(rng, src)
         r_plus = classify(src, xi)
         r_minus = classify(src, -xi)
         ok += is_isomorphic(r_plus.structure, r_minus.structure) is not None
@@ -460,6 +511,16 @@ def check_mirror(seed: int = 42, n: int = 40) -> GroupResult:
     )
 
 
+def _plane_curvatures(rng: np.random.Generator, L, n_planes: int) -> np.ndarray:
+    """Sectional curvatures of L on n_planes random planes (nearly degenerate pairs redrawn)."""
+    Ks = []
+    while len(Ks) < n_planes:
+        x, y = rng.standard_normal(3), rng.standard_normal(3)
+        if abs(np.dot(x, y)) <= 0.999 * np.linalg.norm(x) * np.linalg.norm(y):
+            Ks.append(sectional_curvature(L, _I3, x, y))
+    return np.array(Ks)
+
+
 @_group("curvature")
 def check_curvature(seed: int = 42, n_planes: int = 1000, n_algebras: int = 5) -> GroupResult:
     """Rank-one and p = 0 algebras have constant (negative, for rank-one) curvature."""
@@ -469,26 +530,12 @@ def check_curvature(seed: int = 42, n_planes: int = 1000, n_algebras: int = 5) -
     worst_flat = 0.0
     for _ in range(n_algebras):
         l = sample_functional(rng)
-        L = from_functional(l)
-        Ks = []
-        while len(Ks) < n_planes:
-            x, y = rng.standard_normal(3), rng.standard_normal(3)
-            if abs(np.dot(x, y)) > 0.999 * np.linalg.norm(x) * np.linalg.norm(y):
-                continue
-            Ks.append(sectional_curvature(L, _I3, x, y))
-        Ks = np.array(Ks)
+        Ks = _plane_curvatures(rng, from_functional(l), n_planes)
         worst_std = max(worst_std, float(Ks.std()))
         worst_value = max(worst_value, float(Ks.max()))
         worst_flat = max(worst_flat, float(np.abs(Ks + l.norm**2).max()))
-        params = sample_params(rng, "D")
-        LD = from_milnor(params)
-        Ks = []
-        while len(Ks) < n_planes:
-            x, y = rng.standard_normal(3), rng.standard_normal(3)
-            if abs(np.dot(x, y)) > 0.999 * np.linalg.norm(x) * np.linalg.norm(y):
-                continue
-            Ks.append(sectional_curvature(LD, _I3, x, y))
-        worst_std = max(worst_std, float(np.array(Ks).std()))
+        Ks = _plane_curvatures(rng, from_milnor(sample_params(rng, "D")), n_planes)
+        worst_std = max(worst_std, float(Ks.std()))
     passed = worst_std <= 1e-9 and worst_value < 0 and worst_flat <= 1e-9
     return GroupResult(
         "curvature",

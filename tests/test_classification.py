@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from contact3 import (
@@ -23,9 +23,13 @@ from contact3 import (
     construct_case6,
     enumerate_unit_geodesics,
     from_milnor,
+    is_contact_metric,
     is_isomorphic,
-    normal_scan,
+    nijenhuis_normality_residual,
 )
+from contact3.classification import PhiBasisStructure, _normal_form_constants, _structure_flags
+from contact3.contact_structures import PhiBasis
+from contact3.lie_core import LieAlgebra3
 from contact3.verify import CASE_TAGS, sample_functional, sample_params
 
 E = np.eye(3)
@@ -392,43 +396,117 @@ def test_isomorphism_map_intertwines_brackets():
             np.testing.assert_allclose(lhs, rhs, atol=1e-8)
 
 
-# -- normality scan -------------------------------------------------------
+# -- normality and contact flags ------------------------------------------
 
 
-def test_normal_scan_family_a():
-    res = normal_scan("A")
-    assert res.matched_relation is not None
-    assert "alpha = delta" in res.matched_relation
-    assert res.normal_mask.sum() > 0
+def _on_own_brackets(family, params):
+    """A normal-form structure on the algebra its own constants define."""
+    c = _normal_form_constants(family, params)
+    return PhiBasisStructure(family, params, PhiBasis(*E), None, LieAlgebra3(c))
 
 
-def test_normal_scan_family_b():
-    res = normal_scan("B")
-    assert res.matched_relation == "B = 0 and C = 0"
-    assert res.skipped > 0  # the A = 0 plane is excluded
-
-
-def test_normal_scan_family_c():
-    res = normal_scan("C")
-    assert res.matched_relation == "Abar = 0"
-    assert res.skipped == 1  # only the origin violates the invariant
-
-
-def test_normal_scan_cross_family_consistency():
+def test_normality_cross_family_consistency():
     # the family C point (Abar, 0) has the same brackets as the family A
-    # point (Abar, 0, 0, 0); their residuals must agree
-    import contact3.classification as cl
-    from contact3 import nijenhuis_normality_residual
-
+    # point (Abar, 0, 0, 0): both have N residual |Abar| and are not normal
     alpha = 1.5
-    L_c, s_c, _ = cl._family_structure("C", (alpha, 0.0))
-    res_c = nijenhuis_normality_residual(L_c, s_c)
+    ps_c = _on_own_brackets("C", (alpha, 0.0))
     ps_a = construct_case1((alpha, 0.0, 0.0, 0.0))
-    res_a = nijenhuis_normality_residual(ps_a.algebra, ps_a.structure())
-    assert res_c == pytest.approx(res_a, abs=1e-12)
-    assert res_c == pytest.approx(abs(alpha), abs=1e-12)  # Abar != 0: not normal
+    for ps in (ps_c, ps_a):
+        assert nijenhuis_normality_residual(ps.algebra, ps.structure()) == pytest.approx(alpha, abs=1e-12)
+        assert _structure_flags(ps) == (False, False, False)
 
 
-def test_normal_scan_rejects_unknown_family():
-    with pytest.raises(ValueError):
-        normal_scan("Z")
+def test_normal_loci_per_family():
+    assert _structure_flags(construct_case1(MilnorParameters.from_pqr(0.0, 0.7, 1.3)))[0]  # A: p = 0
+    assert classify(LinearFunctional(np.array([0.3, 0.4, 0.0])), np.array([0.6, 0.8, 0.0])).normal
+    assert _structure_flags(_on_own_brackets("B", (2.0, 0.0, 0.0))) == (True, False, False)
+    assert _structure_flags(_on_own_brackets("B", (2.0, 0.0, -1.0))) == (False, False, False)
+    assert _structure_flags(_on_own_brackets("B", (2.0, 1.0, 0.0))) == (False, True, True)
+    assert _structure_flags(_on_own_brackets("C", (0.0, 2.0)))[0]
+    assert _structure_flags(_on_own_brackets(None, (0.0, 0.0, 1.0, 2.0, 0.0)))[0]
+    assert _structure_flags(_on_own_brackets(None, (0.0, 0.0, 1.0, 2.0, 0.5)))[:2] == (False, True)
+
+
+def test_closed_forms_rederived_with_sympy():
+    sp = pytest.importorskip("sympy")
+    a, b, g, d, u, v, w = sp.symbols("a b g d u v w")
+    # the layout every family of _normal_form_constants fits: eta([xi, .]) = 0,
+    # [xi, e] = a e + b phi_e, [xi, phi_e] = g e + d phi_e, [e, phi_e] = w xi + u e + v phi_e
+    rng = np.random.default_rng(0)
+    for family, k in (("A", 4), ("B", 3), ("C", 2), (None, 5)):
+        c = _normal_form_constants(family, tuple(rng.uniform(1.0, 2.0, k)))
+        assert c[0, 1, 0] == c[0, 2, 0] == 0.0
+    table = {(0, 1): (0, a, b), (0, 2): (0, g, d), (1, 2): (w, u, v)}
+    c = {}
+    for (i, j), coeffs in table.items():
+        c[i, j] = sp.Matrix(coeffs)
+        c[j, i] = -sp.Matrix(coeffs)
+    basis = [sp.Matrix(col) for col in sp.eye(3).tolist()]
+
+    def br(x, y):
+        return sum((x[i] * y[j] * c[i, j] for i in range(3) for j in range(3) if i != j), sp.zeros(3, 1))
+
+    phi = sp.Matrix([[0, 0, 0], [0, 0, -1], [0, 1, 0]])  # phi e = phi_e, phi phi_e = -e
+    eta = sp.Matrix([[1, 0, 0]])
+
+    def deta(x, y):
+        return -(eta * br(x, y))[0]
+
+    def N(x, y):
+        return (
+            phi * phi * br(x, y) + br(phi * x, phi * y) - phi * br(phi * x, y) - phi * br(x, phi * y)
+            + 2 * deta(x, y) * basis[0]
+        )
+
+    xi, e, fe = basis
+    assert sp.simplify(N(xi, e) - sp.Matrix([0, d - a, -b - g])) == sp.zeros(3, 1)
+    assert sp.simplify(N(xi, fe) - sp.Matrix([0, -b - g, a - d])) == sp.zeros(3, 1)
+    assert sp.simplify(N(e, fe) - sp.Matrix([-w, 0, 0])) == sp.zeros(3, 1)
+    eta_wedge = sum(
+        sp.LeviCivita(i, j, k) * eta[i] * deta(basis[j], basis[k]) for i in range(3) for j in range(3) for k in range(3)
+    ) / 2
+    assert sp.simplify(eta_wedge + w) == 0
+    Phi = (e.T * phi * fe)[0]  # Phi(e, phi_e) = g(e, phi phi_e)
+    assert Phi == -1 and sp.simplify(deta(e, fe) + w) == 0
+
+
+def test_contact_and_normal_flags_pinned_under_scale():
+    # B = 1.2e-16 * lambda on the degenerate case-2 point of (lambda, 0, lambda)
+    flags = [
+        [(rep.contact_form, rep.normal) for rep in classify_representatives(MilnorParameters.from_pqr(lam, 0.0, lam))]
+        for lam in (1.0, 1e8)
+    ]
+    assert flags[0] == flags[1]
+
+
+def _rescaled(src, lam):
+    if isinstance(src, LinearFunctional):
+        return LinearFunctional(lam * src.l)
+    return MilnorParameters(*(lam * v for v in (src.alpha, src.beta, src.gamma, src.delta)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(CASE_TAGS), st.integers(0, 2**32 - 1), st.floats(-8.0, 8.0))
+def test_flags_invariant_under_scale(tag, seed, log_lam):
+    rng = np.random.default_rng(seed)
+    src = sample_functional(rng) if tag == "E" else sample_params(rng, tag)
+    base = classify_representatives(src)
+    try:
+        scaled = classify_representatives(_rescaled(src, 10.0**log_lam))
+    except (AssertionError, NotGeodesicError, ValueError):
+        assume(False)  # the absolute geodesic tolerance still rejects some rescaled sources
+    # contact_metric is a normalisation (B = 1) and is not scale-invariant
+    key = lambda r: (r.family, r.geodesic_case, r.contact_form, r.normal)
+    assert [key(r) for r in scaled] == [key(r) for r in base]
+
+
+def test_contact_metric_after_rescale():
+    t = math.pi / 3
+    xi = np.array([0.0, math.cos(t), math.sin(t)])
+    rep = classify((3, 0, 0, -1), xi)
+    B = rep.params["B"]
+    assert rep.contact_form and not rep.contact_metric
+    scaled = classify(_rescaled(MilnorParameters(3, 0, 0, -1), 1.0 / B), xi)
+    assert scaled.params["B"] == pytest.approx(1.0, abs=1e-12)
+    assert scaled.contact_form and scaled.contact_metric and not scaled.normal
+    assert is_contact_metric(scaled.structure.algebra, scaled.structure.structure(), I3)

@@ -25,6 +25,15 @@ def test_classify_auto_three_records(capsys):
     assert bs == pytest.approx([-math.sqrt(3.0), math.sqrt(3.0)])
     assert all(r["contact_form"] for r in records[1:])
     assert not records[0]["contact_form"]
+    assert not any(r["normal"] for r in records)
+
+
+def test_classify_normal_key(capsys):
+    # p = 0: the axis structure is normal
+    code, out, _ = run_cli(capsys, "classify", "--p", "0", "--q", "0.5", "--r", "1", "--xi", "auto")
+    assert code == 0
+    (rec,) = [json.loads(line) for line in out.strip().splitlines()]
+    assert rec["normal"] is True and rec["contact_form"] is False
 
 
 def test_classify_explicit_xi(capsys):
