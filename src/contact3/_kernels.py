@@ -1,16 +1,23 @@
 """Hot kernels for the sphere-scan geodesic oracle.
 
-The geodesic defect of a unit vector x is ``max_i |x^T M_i x|`` where the
-three symmetric matrices M_i encode ``g([x, e_i], x)``.  Scanning and
-refining hundreds of thousands of sphere points dominates the runtime of
-the oracle, so both kernels are vectorized over the points with numpy.
+The geodesic defect of a unit vector x is ``max_k |x^T M_k x|`` where the
+three symmetric matrices M_k encode ``g([x, e_k], x)``.  Each x^T M_k x is
+a quadratic form, so it is the dot product of the six monomials
+x0^2, x1^2, x2^2, x0 x1, x0 x2, x1 x2 (``monomial_table``) with the
+column k of a (6, 3) coefficient matrix built from M.  The monomials
+depend on the points alone, and they are equal for x and -x: the oracle
+tabulates them once per lattice over one hemisphere and scans any algebra
+with one (6, 3) x (6, n) contraction, which it keeps off the BLAS thread
+pool (``np.einsum`` without ``optimize``).
 
 Refinement alternates 1D Newton projections onto the residual surfaces
-{x^T M_i x = 0}, always targeting the currently-largest residual along its
+{x^T M_k x = 0}, always targeting the currently-largest residual along its
 own (tangent-projected) gradient.  Each move is normal to that surface, so
 points refine onto one-dimensional solution curves where they landed
 instead of sliding along them, and double surfaces (residuals vanishing to
-second order) still converge at rate 1/2.
+second order) still converge at rate 1/2.  The residual is even in x and
+every step is odd, so refining -X returns exactly the negation of
+refining X, with the same defects.
 """
 
 from __future__ import annotations
@@ -21,15 +28,32 @@ BACKEND = "numpy"
 
 _STALL2 = 1e-30  # squared-gradient floor, relative to scale^2
 
+# the (i, j) index pairs of the monomials x_i x_j, in table order
+_MONOMIALS = (np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2]))
+
 
 def residual_batch(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Residual vectors v_i = x^T M_i x, shape (n, 3); M has shape (3, 3, 3)."""
     return np.einsum("ni,kij,nj->nk", X, M, X)
 
 
-def defect_max_batch(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Defect max_i |x^T M_i x| for each row of X."""
-    return np.abs(residual_batch(M, X)).max(axis=1)
+def monomial_table(X: np.ndarray) -> np.ndarray:
+    """The monomials x_i x_j of each row of X as a C-contiguous (6, n) array."""
+    i, j = _MONOMIALS
+    return X.T[i] * X.T[j]
+
+
+def defect_max_batch(M: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Defect max_k |x^T M_k x| for each point, from its monomials.
+
+    P has one row per point, shape (n, 6): pass the transpose ``P.T`` of a
+    ``monomial_table``, so the contraction runs over its contiguous rows.
+    """
+    i, j = _MONOMIALS
+    # an off-diagonal monomial x_i x_j carries M_k[i, j] + M_k[j, i]
+    C = ((M[:, i, j] + M[:, j, i]) * np.where(i == j, 0.5, 1.0)).T
+    V = np.einsum("mk,mn->kn", C, P.T)
+    return np.abs(V, out=V).max(axis=0)
 
 
 def refine_batch(

@@ -482,6 +482,10 @@ def classify(source, xi, *, tol: float | None = None) -> ClassificationReport:
     ker d_eta is equivalent to xi geodesic); it is matched against the
     closed-form geodesic enumeration and routed to the branch that covers
     it, folding xi to the canonical sign representative.
+
+    ``tol`` moves only the geodesic test on xi.  The report's flags
+    (``normal``, ``contact_form``, ``contact_metric``) are read off the
+    normal form at ``default_tol()`` whatever ``tol`` is.
     """
     x = _unit_xi(xi)
     source, L, enum = resolve_source(source)

@@ -366,15 +366,45 @@ def enumerate_unit_geodesics(
 
 
 @functools.lru_cache(maxsize=4)
-def _sphere_grid(grid: int) -> np.ndarray:
-    # built once per size and shared, hence read-only
-    th = math.pi * (np.arange(grid) + 0.5) / grid
+def _hemisphere_trig(grid: int) -> tuple[np.ndarray, ...]:
+    """sin theta, cos theta, cos phi and sin phi of the upper half of the lattice.
+
+    The oracle lattice has ``grid`` rows theta_i = pi (i + 1/2) / grid and
+    ``grid`` columns phi_j = 2 pi j / grid.  Its upper half keeps the rows
+    below pi/2, plus the equator row when ``grid`` is odd: ceil(grid / 2)
+    rows.  Built once per size and shared, hence read-only.
+    """
+    th = math.pi * (np.arange((grid + 1) // 2) + 0.5) / grid
     ph = 2.0 * math.pi * np.arange(grid) / grid
-    TH, PH = np.meshgrid(th, ph, indexing="ij")
-    st = np.sin(TH)
-    X = np.stack([st * np.cos(PH), st * np.sin(PH), np.cos(TH)], axis=-1).reshape(-1, 3)
-    X.setflags(write=False)
-    return X
+    trig = (np.sin(th), np.cos(th), np.cos(ph), np.sin(ph))
+    for a in trig:
+        a.setflags(write=False)
+    return trig
+
+
+def _hemisphere_points(grid: int, idx: np.ndarray | None = None) -> np.ndarray:
+    """Points ``idx`` (all by default) of the upper half-lattice, shape (n, 3).
+
+    Point i * grid + j is (sin theta_i cos phi_j, sin theta_i sin phi_j,
+    cos theta_i), the same bits whichever points are asked for.
+    """
+    st, ct, cp, sp = _hemisphere_trig(grid)
+    i, j = np.divmod(np.arange(len(st) * grid) if idx is None else idx, grid)
+    return np.stack([st[i] * cp[j], st[i] * sp[j], ct[i]], axis=-1)
+
+
+@functools.lru_cache(maxsize=4)
+def _hemisphere_monomials(grid: int) -> np.ndarray:
+    """The (6, n) monomial table of the upper half-lattice (``_kernels.monomial_table``), read-only."""
+    P = _kernels.monomial_table(_hemisphere_points(grid))
+    P.setflags(write=False)
+    return P
+
+
+def _sphere_grid(grid: int) -> np.ndarray:
+    """The whole oracle lattice: the hemisphere, then its exact negation."""
+    H = _hemisphere_points(grid)
+    return np.concatenate([H, -H])
 
 
 # the offsets of a cell and its 26 neighbours
@@ -456,14 +486,22 @@ _KEEP_RTOL = 1e-10
 def geodesic_brute_force(L: LieAlgebra3, g: Metric3 | None = None, grid: int = 400) -> list[Vector]:
     """Sphere-scan oracle for the unit geodesic set, independent of the closed forms.
 
-    Lattice points whose defect clears a coarse, grid-spacing-aware
-    threshold are refined by local pattern search until the defect falls
+    The lattice is ``grid`` x ``grid`` points in (theta, phi).  The defect
+    is even in x, so the scan covers the upper half of the lattice
+    (``_hemisphere_trig``: ceil(grid / 2) * grid points), taking every
+    defect from the half-lattice's cached monomial table in one
+    contraction (``_kernels.defect_max_batch``).  Points whose defect
+    clears a coarse, grid-spacing-aware threshold are rebuilt from
+    (theta, phi) and refined by Newton projections until the defect falls
     below ~1e-13 relative to the structure-constant scale (isolated zeros
-    of the adapted form can be quadratically flat, so the refinement target
-    sits well under the 1e-10 acceptance cut); survivors are merged into
-    clusters and one representative per cluster is returned, sorted by
-    spherical angle.  If the whole sphere passes the coarse cut (abelian
-    input), a decimated subset of the lattice is returned unrefined.
+    of the adapted form can be quadratically flat, so the refinement
+    target sits well under the 1e-10 acceptance cut).  Refinement is
+    exactly odd, so the refined points and their bitwise negations, with
+    equal defects, are what refining the whole lattice (``_sphere_grid``)
+    would give.  That cloud is merged into clusters and one
+    representative per cluster is returned, sorted by spherical angle.  If
+    the whole sphere passes the coarse cut (abelian input), a decimated
+    subset of the whole lattice is returned unrefined.
     """
     if grid < 100:
         raise ValueError("grid must be at least 100")
@@ -471,24 +509,30 @@ def geodesic_brute_force(L: LieAlgebra3, g: Metric3 | None = None, grid: int = 4
         g = Metric3.identity()
     M = _defect_matrices(L, g)
     scale = float(np.abs(M).max())
-    X = _sphere_grid(grid)
     if scale == 0.0:
-        return list(X[:: max(1, len(X) // 512)].copy())
-    F = _kernels.defect_max_batch(M, X)
+        return _whole_sphere(grid)
+    F = _kernels.defect_max_batch(M, _hemisphere_monomials(grid).T)
     h = 2.0 * math.pi / grid
     tau = 3.0 * scale * h
     mask = F <= tau
     if mask.mean() > 0.5 and F.max() <= _KEEP_RTOL * scale:
-        return list(X[:: max(1, len(X) // 512)].copy())
-    seeds = X[mask]
-    if len(seeds) == 0:
+        return _whole_sphere(grid)
+    if not mask.any():
         return []
+    seeds = _hemisphere_points(grid, np.flatnonzero(mask))
     target = 1e-13 * scale
-    refined, fr = _kernels.refine_batch(M, np.ascontiguousarray(seeds), 3.0 * h, target, 80)
+    refined, fr = _kernels.refine_batch(M, seeds, 3.0 * h, target, 80)
     ok = fr <= _KEEP_RTOL * scale
     if not ok.any():
         return []
-    return list(_merge_clusters(refined[ok], fr[ok], _MERGE_RADIUS))
+    pts = refined[ok]
+    return list(_merge_clusters(np.concatenate([pts, -pts]), np.tile(fr[ok], 2), _MERGE_RADIUS))
+
+
+def _whole_sphere(grid: int) -> list[Vector]:
+    # about 512 points spread over the whole lattice
+    X = _sphere_grid(grid)
+    return list(X[:: max(1, len(X) // 512)].copy())
 
 
 @dataclass(frozen=True)
@@ -510,7 +554,7 @@ class OracleAgreement:
         return self.n_isolated_oracle == self.n_isolated_enum
 
 
-# pairs per block of the exhaustive scan in ``_nearest_distance``
+# candidate pairs per row block of the scans in ``_nearest_distance``
 _BLOCK_PAIRS = 1 << 18
 
 
@@ -521,10 +565,11 @@ def _nearest_distance(a: np.ndarray, b: np.ndarray, radius: float, *, exclude_se
     row with no other is at infinity.  Rows of b within ``radius`` of a row
     lie in the 27 cells of side ``radius`` around the row's own cell, so a
     cell index over b finds the nearest one; rows with none there are
-    scanned against all of b in blocks of about ``_BLOCK_PAIRS`` pairs.
-    Memory is thus linear in the rows and the pairs examined, never
-    len(a) x len(b).  Each distance is sqrt(sum((a_i - b_j)^2)), the
-    arithmetic of ``np.linalg.norm(a - b, axis=-1)``, for the nearest j.
+    scanned against all of b.  Both scans go in row blocks of about
+    ``_BLOCK_PAIRS`` candidate pairs, so memory is linear in the rows and
+    the block, never len(a) x len(b).  Each distance is
+    sqrt(sum((a_i - b_j)^2)), the arithmetic of
+    ``np.linalg.norm(a - b, axis=-1)``, for the nearest j.
     """
     ka = np.floor(a / radius).astype(np.int64)
     kb = np.floor(b / radius).astype(np.int64)
@@ -532,16 +577,24 @@ def _nearest_distance(a: np.ndarray, b: np.ndarray, radius: float, *, exclude_se
     ids = _cell_ids(kb, w)
     order = np.argsort(ids, kind="stable")
     ids = ids[order]
-    queries = (_cell_ids(ka, w)[:, None] + _cell_ids(_NEIGHBOURS, w)).ravel()
+    queries = _cell_ids(ka, w)[:, None] + _cell_ids(_NEIGHBOURS, w)
     lo = np.searchsorted(ids, queries, "left")
     count = np.searchsorted(ids, queries, "right") - lo
-    rows = np.repeat(np.arange(len(queries)) // len(_NEIGHBOURS), count)
-    cols = order[np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)]
-    d2 = ((a[rows] - b[cols]) ** 2).sum(axis=-1)
-    if exclude_self:
-        d2[rows == cols] = math.inf
+    ends = np.cumsum(count.sum(axis=1))
     best = np.full(len(a), math.inf)
-    np.minimum.at(best, rows, d2)
+    start = 0
+    while start < len(a):
+        # the rows whose candidate pairs fit in one block, at least one row
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + _BLOCK_PAIRS, "right")))
+        c, l = count[start:stop].ravel(), lo[start:stop].ravel()
+        rows = start + np.repeat(np.arange(len(c)) // len(_NEIGHBOURS), c)
+        cols = order[np.arange(c.sum()) + np.repeat(l - np.cumsum(c) + c, c)]
+        d2 = ((a[rows] - b[cols]) ** 2).sum(axis=-1)
+        if exclude_self:
+            d2[rows == cols] = math.inf
+        np.minimum.at(best, rows, d2)
+        start = stop
     far = np.flatnonzero(best > radius * radius)
     step = max(1, _BLOCK_PAIRS // max(len(b), 1))
     for s in range(0, len(far), step):

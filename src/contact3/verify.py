@@ -30,6 +30,7 @@ from .classification import (
     resolve_source,
 )
 from .contact_structures import (
+    KerConditionViolation,
     PhiBasis,
     build_structure,
     check_ker_condition,
@@ -49,6 +50,7 @@ from .lie_core import (
     LieAlgebra3,
     LinearFunctional,
     MilnorParameters,
+    bracket,
     from_functional,
     from_milnor,
 )
@@ -213,16 +215,33 @@ def check_ker_deta_equivalence(seed: int = 42, n: int = 1000) -> GroupResult:
 
 @_group("ker-bracket")
 def check_ker_bracket(seed: int = 42, n: int = 1000) -> GroupResult:
-    """[xi, X] stays in ker eta whenever xi is in ker d_eta."""
+    """[xi, X] stays in ker eta for X in ker eta exactly when xi is in ker d_eta.
+
+    Every other xi is geodesic (in ker d_eta), the rest random.  The
+    reference brackets xi with the columns of phi, which span ker eta,
+    through ``bracket``.  ``xi_in_ker_deta`` must agree with it, and
+    ``check_ker_condition`` must accept xi where it holds and raise
+    ``KerConditionViolation`` where it fails; both outcomes must occur.
+    """
     rng = np.random.default_rng(seed)
-    ok = 0
-    for _ in range(n):
+    agree = 0
+    outcomes = set()
+    for i in range(n):
         params = sample_params(rng)
         L = from_milnor(params)
-        xi = _geodesic_xi(rng, params)
+        xi = _geodesic_xi(rng, params) if i % 2 == 0 else _unit(rng)
         s = build_structure(_I3, xi)
-        ok += check_ker_condition(L, s, tol=1e-9)
-    return GroupResult("ker-bracket", ok == n, f"{ok}/{n} kernel-condition checks")
+        want = all(abs(s.eta @ bracket(L, s.xi, x)) <= 1e-9 for x in s.phi.T)
+        ok = xi_in_ker_deta(L, s, tol=1e-9) == want
+        try:
+            ok &= check_ker_condition(L, s, tol=1e-9) and want
+        except KerConditionViolation:
+            ok &= not want
+        agree += ok
+        outcomes.add(want)
+    return GroupResult(
+        "ker-bracket", agree == n and len(outcomes) == 2, f"{agree}/{n} agreements with the bracket reference"
+    )
 
 
 @_group("geodesic-oracle")

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from contact3 import Metric3, from_milnor
-from contact3._kernels import BACKEND, defect_max_batch, refine_batch, residual_batch
+from contact3 import Metric3, MilnorParameters, enumerate_unit_geodesics, from_functional, from_milnor
+from contact3 import metric_geometry as mg
+from contact3._kernels import BACKEND, defect_max_batch, monomial_table, refine_batch, residual_batch
 from contact3.metric_geometry import _defect_matrices, _sphere_grid
 
 
@@ -18,10 +19,50 @@ def problem():
     return M, X
 
 
+def _reference_defect_max_batch(M, X):
+    # the per-point quadratic-form kernel the monomial table replaced
+    return np.abs(np.einsum("ni,kij,nj->nk", X, M, X)).max(axis=1)
+
+
 def test_defect_matches_direct_evaluation(problem):
-    M, X = problem
-    direct = np.abs(np.einsum("ni,kij,nj->nk", X, M, X)).max(axis=1)
-    np.testing.assert_allclose(defect_max_batch(M, X), direct)
+    _, X = problem
+    P = monomial_table(X)
+    assert P.shape == (6, len(X)) and P.flags.c_contiguous
+    algebras = [from_milnor((3, 0, 0, -1)), from_milnor((1.5, -0.7, 0.7, 1.5)), from_functional([0.3, -1.2, 0.8])]
+    for L in algebras:
+        for g in (Metric3.identity(), Metric3(np.diag([1.0, 2.5, 0.4]))):
+            M = _defect_matrices(L, g)
+            want = _reference_defect_max_batch(M, X)
+            got = defect_max_batch(M, P.T)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(M).max())
+
+
+@pytest.mark.parametrize("grid", [100, 101, 400])
+def test_full_grid_is_hemisphere_then_its_negation(grid):
+    X = _sphere_grid(grid)
+    half = (grid + 1) // 2 * grid
+    assert X.shape == (2 * half, 3)
+    assert np.array_equal(X[half:], -X[:half])
+    assert np.allclose(np.linalg.norm(X, axis=1), 1.0, rtol=0, atol=1e-15)
+    # the upper half: z > 0, and the equator row z ~ 0 only for odd grids
+    assert (X[:half, 2] > (-1e-15 if grid % 2 else 0.0)).all()
+    assert np.array_equal(mg._hemisphere_monomials(grid), monomial_table(X[:half]))
+    idx = np.array([0, half // 3, half - 1])
+    assert np.array_equal(mg._hemisphere_points(grid, idx), X[idx])
+
+
+@pytest.mark.parametrize("pqr", [(0.7, 0.4, 1.0), (0.0, 0.3, 1.2), (1.0, 0.0, 1.0), (1.0, 0.5, 1.0)])
+def test_refine_is_exactly_odd(pqr):
+    M = _defect_matrices(from_milnor(MilnorParameters.from_pqr(*pqr)), Metric3.identity())
+    scale = np.abs(M).max()
+    h = 2.0 * math.pi / 200
+    X = _sphere_grid(200)
+    X = np.ascontiguousarray(X[defect_max_batch(M, monomial_table(X).T) <= 3.0 * scale * h])
+    assert len(X) > 50
+    pts, fr = refine_batch(M, X, 3.0 * h, 1e-13 * scale, 80)
+    neg, fneg = refine_batch(M, -X, 3.0 * h, 1e-13 * scale, 80)
+    assert np.array_equal(neg, -pts)
+    assert np.array_equal(fneg, fr)
 
 
 def test_residual_shape(problem):
@@ -32,7 +73,7 @@ def test_residual_shape(problem):
 
 def test_refine_lands_on_closed_form_roots(problem):
     M, X = problem
-    F = defect_max_batch(M, X)
+    F = defect_max_batch(M, monomial_table(X).T)
     seeds = np.ascontiguousarray(X[F <= 0.2][:200])
     cap = 3.0 * 2.0 * math.pi / 100
     target = 1e-13 * np.abs(M).max()
@@ -49,6 +90,28 @@ def test_refine_lands_on_closed_form_roots(problem):
     good = pts[fr <= 1e-10 * np.abs(M).max()]
     dists = np.linalg.norm(good[:, None, :] - enum_pts[None, :, :], axis=-1).min(axis=1)
     assert dists.max() <= 1e-6
+
+
+@pytest.mark.parametrize("grid", [101, 201])
+def test_odd_grid_oracle_matches_enumeration(grid):
+    for params in [(3, 0, 0, -1), (2, 2, 0, 0), (1, 0, 0, 1), MilnorParameters.from_pqr(0.7, 0.4, 1.0)]:
+        pts = mg.geodesic_brute_force(from_milnor(params), grid=grid)
+        agr = mg.oracle_match(enumerate_unit_geodesics(params), pts, grid)
+        assert agr.agreement <= 1e-5
+        assert agr.counts_match
+
+
+@pytest.mark.parametrize("grid", [200, 201])
+def test_oracle_scans_one_hemisphere(monkeypatch, grid):
+    seen = []
+
+    def counting(M, P):
+        seen.append(len(P))
+        return defect_max_batch(M, P)
+
+    monkeypatch.setattr(mg._kernels, "defect_max_batch", counting)
+    mg.geodesic_brute_force(from_milnor((3, 0, 0, -1)), grid=grid)
+    assert seen == [math.ceil(grid / 2) * grid]
 
 
 def test_backend_reported():

@@ -1,8 +1,11 @@
-"""The oracle's merge and scoring layers against their dense reference forms.
+"""The oracle's layers against their reference forms.
 
 The references below are the O(n^2) greedy merge and the pairwise-matrix
 scoring that the cell-indexed versions replaced, kept here as independent
-oracles: the merge must match bit for bit, the scoring to 1e-15.
+oracles: the merge must match bit for bit, the scoring to 1e-15.  The
+whole-sphere scan with the per-point quadratic-form kernel is the
+reference of the hemisphere scan; their lattices differ in rounding, so
+they must agree on the isolated count and stay inside the verify gates.
 """
 
 import math
@@ -10,8 +13,10 @@ import math
 import numpy as np
 import pytest
 
-from contact3 import from_functional, from_milnor
+from contact3 import Metric3, from_functional, from_milnor
+from contact3._kernels import refine_batch
 from contact3.metric_geometry import (
+    _defect_matrices,
     _merge_clusters,
     _nearest_distance,
     enumerate_unit_geodesics,
@@ -49,6 +54,22 @@ def _reference_merge(points, defects, radius):
     out = reps[:n]
     srt = np.lexsort((np.arctan2(out[:, 1], out[:, 0]), np.arccos(np.clip(out[:, 2], -1, 1))))
     return out[srt]
+
+
+def _reference_brute_force(L, grid):
+    # every lattice row, defects by the per-point quadratic form, and
+    # every survivor refined
+    M = _defect_matrices(L, Metric3.identity())
+    scale = float(np.abs(M).max())
+    th = math.pi * (np.arange(grid) + 0.5) / grid
+    ph = 2.0 * math.pi * np.arange(grid) / grid
+    TH, PH = np.meshgrid(th, ph, indexing="ij")
+    X = np.stack([np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH), np.cos(TH)], axis=-1).reshape(-1, 3)
+    F = np.abs(np.einsum("ni,kij,nj->nk", X, M, X)).max(axis=1)
+    h = 2.0 * math.pi / grid
+    refined, fr = refine_batch(M, np.ascontiguousarray(X[F <= 3.0 * scale * h]), 3.0 * h, 1e-13 * scale, 80)
+    ok = fr <= 1e-10 * scale
+    return list(_merge_clusters(refined[ok], fr[ok], 1e-3))
 
 
 def _reference_circle_distance(fam, x):
@@ -216,3 +237,15 @@ def test_batched_distance_matches_per_row(tag, L, enum):
             d = fam.distance(x)
             assert np.array_equal(d, [fam.distance(row) for row in x])
             assert fam.distance(fam.normal) == math.sqrt(2.0)
+
+
+@pytest.mark.parametrize("tag, L, enum", list(_sources()))
+def test_hemisphere_scan_matches_whole_sphere_reference(tag, L, enum):
+    grid = 200
+    got = oracle_match(enum, geodesic_brute_force(L, grid=grid), grid)
+    ref_pts = _reference_brute_force(L, grid)
+    ref = oracle_match(enum, ref_pts, grid)
+    assert got.n_isolated_oracle == ref.n_isolated_oracle == ref.n_isolated_enum
+    assert max(got.agreement, ref.agreement) <= 1e-5
+    assert got.family_coverage_gap <= 3.0 * (2.0 * math.pi / grid)
+    assert got.family_coverage_gap == pytest.approx(ref.family_coverage_gap, rel=0, abs=0.1 * 2.0 * math.pi / grid)
