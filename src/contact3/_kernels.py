@@ -7,17 +7,22 @@ x0^2, x1^2, x2^2, x0 x1, x0 x2, x1 x2 (``monomial_table``) with the
 column k of a (6, 3) coefficient matrix built from M.  The monomials
 depend on the points alone, and they are equal for x and -x: the oracle
 tabulates them once per lattice over one hemisphere and scans any algebra
-with one (6, 3) x (6, n) contraction, which it keeps off the BLAS thread
-pool (``np.einsum`` without ``optimize``).
+with one (6, 3) x (6, n) contraction.  Every contraction here stays off
+the BLAS thread pool (``np.einsum`` without ``optimize``).
 
 Refinement alternates 1D Newton projections onto the residual surfaces
 {x^T M_k x = 0}, always targeting the currently-largest residual along its
 own (tangent-projected) gradient.  Each move is normal to that surface, so
 points refine onto one-dimensional solution curves where they landed
 instead of sliding along them, and double surfaces (residuals vanishing to
-second order) still converge at rate 1/2.  The residual is even in x and
+second order) still converge at rate 1/2.  It works column-wise: the
+points still moving form a (3, m) array, compacted as points stop, their
+residuals come from the same monomials and coefficient matrix as the scan
+(``_coefficients``), and each point's worst residual and gradient are
+gathered by flat index (``np.take``).  The residual is even in x and
 every step is odd, so refining -X returns exactly the negation of
-refining X, with the same defects.
+refining X, with the same defects.  ``residual_batch``, the per-point
+quadratic form, serves ``metric_geometry.geodesic_defect``.
 """
 
 from __future__ import annotations
@@ -43,17 +48,35 @@ def monomial_table(X: np.ndarray) -> np.ndarray:
     return X.T[i] * X.T[j]
 
 
+def _coefficients(M: np.ndarray) -> np.ndarray:
+    """The (6, 3) matrix C with x^T M_k x = sum_m C[m, k] P_m over the monomials P."""
+    i, j = _MONOMIALS
+    # an off-diagonal monomial x_i x_j carries M_k[i, j] + M_k[j, i]
+    return ((M[:, i, j] + M[:, j, i]) * np.where(i == j, 0.5, 1.0)).T
+
+
 def defect_max_batch(M: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Defect max_k |x^T M_k x| for each point, from its monomials.
 
     P has one row per point, shape (n, 6): pass the transpose ``P.T`` of a
     ``monomial_table``, so the contraction runs over its contiguous rows.
     """
-    i, j = _MONOMIALS
-    # an off-diagonal monomial x_i x_j carries M_k[i, j] + M_k[j, i]
-    C = ((M[:, i, j] + M[:, j, i]) * np.where(i == j, 0.5, 1.0)).T
-    V = np.einsum("mk,mn->kn", C, P.T)
+    V = np.einsum("mk,mn->kn", _coefficients(M), P.T)
     return np.abs(V, out=V).max(axis=0)
+
+
+def _residual(C: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """x^T M_k x for each column x of X (3, n), through the monomials: shape (3, n)."""
+    return np.einsum("mk,mn->kn", C, monomial_table(X.T))
+
+
+def _trial(C: np.ndarray, X: np.ndarray, step: np.ndarray, pick: np.ndarray, thr: np.ndarray):
+    # the points X - step back on the sphere, their residuals, and whether
+    # each point's worst residual (flat index ``pick``) fell below ``thr``
+    Y = X - step
+    Y /= np.sqrt(np.einsum("in,in->n", Y, Y))
+    V = _residual(C, Y)
+    return Y, V, np.abs(np.take(V, pick)) < thr
 
 
 def refine_batch(
@@ -63,48 +86,66 @@ def refine_batch(
     target: float,
     max_iter: int = 80,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Drive the defect below ``target`` by alternating Newton projections."""
-    X = X0.copy()
-    V = residual_batch(M, X)
-    F = np.abs(V).max(axis=1)
+    """Drive the defect below ``target`` by alternating Newton projections.
+
+    X0 holds one point per row, shape (n, 3); the result is the refined
+    points, shape (n, 3), and their defects.  The points still moving are
+    kept column-wise, (3, m), and compacted as points stop: at ``target``,
+    at a vanishing gradient, or when no damped step (1, 1/2, 1/4, 1/8)
+    takes a tenth off the worst residual.
+    """
+    C = _coefficients(M)
+    G = 2.0 * M.reshape(9, 3)  # rows 3k, 3k + 1, 3k + 2: the gradient 2 M_k x
     scale = max(float(np.abs(M).max()), 1e-300)
-    active = F > target
+    X = X0.T.copy()
+    V = _residual(C, X)
+    F = np.abs(V).max(axis=0)
+    live = np.flatnonzero(F > target)
+    Xa, Va = np.take(X, live, axis=1), np.take(V, live, axis=1)
     for _ in range(max_iter):
-        if not active.any():
+        m = len(live)
+        if not m:
             break
-        idx = np.nonzero(active)[0]
-        Xa, Va = X[idx], V[idx]
-        worst = np.argmax(np.abs(Va), axis=1)
-        va = Va[np.arange(len(idx)), worst]
-        grad = 2.0 * np.einsum("nij,nj->ni", M[worst], Xa)
-        grad -= np.einsum("ni,ni->n", grad, Xa)[:, None] * Xa
-        gn2 = np.einsum("ni,ni->n", grad, grad)
+        # each point's worst residual k (the first on a tie), as the flat
+        # index k m + j into Va; its gradient rows start at 3 k m + j
+        A = np.abs(Va)
+        w = np.maximum(A[1] > A[0], 2 * (A[2] > np.maximum(A[0], A[1])))
+        pick = w * m + np.arange(m)
+        va = np.take(Va, pick)
+        grad = np.take(np.einsum("kj,jn->kn", G, Xa), (pick + 2 * m * w) + m * np.arange(3)[:, None])
+        grad -= np.einsum("in,in->n", grad, Xa) * Xa
+        gn2 = np.einsum("in,in->n", grad, grad)
         ok = gn2 > _STALL2 * scale * scale
-        step = np.zeros_like(Xa)
-        step[ok] = (-va[ok] / gn2[ok])[:, None] * grad[ok]
-        lens = np.linalg.norm(step, axis=1)
-        clip = lens > step_cap
-        step[clip] *= (step_cap / lens[clip])[:, None]
-        newX, newV = Xa.copy(), Va.copy()
-        pending = ok.copy()
-        damp = 1.0
-        for _try in range(4):
-            if not pending.any():
-                break
-            Y = Xa[pending] + damp * step[pending]
-            Y /= np.linalg.norm(Y, axis=1, keepdims=True)
-            VY = residual_batch(M, Y)
-            w = worst[pending]
-            better = np.abs(VY[np.arange(len(w)), w]) < 0.9 * np.abs(
-                Va[pending][np.arange(len(w)), w]
-            )
-            rows = np.nonzero(pending)[0][better]
-            newX[rows] = Y[better]
-            newV[rows] = VY[better]
-            pending[rows] = False
-            damp *= 0.5
-        X[idx], V[idx] = newX, newV
-        newF = np.abs(newV).max(axis=1)
-        F[idx] = newF
-        active[idx] = (newF > target) & ~pending & ok  # stalled points stop
-    return X, F
+        if not ok.all():
+            gn2[~ok] = 1.0  # any finite step: these points stop below
+        # the Newton step va / |grad| along grad, at most step_cap long
+        lim = step_cap / np.sqrt(gn2)
+        step = grad * np.clip(va / gn2, -lim, lim)
+        thr = 0.9 * np.abs(va)
+        Y, VY, better = _trial(C, Xa, step, pick, thr)
+        better &= ok
+        if not better.all():
+            pending = np.flatnonzero(~better & ok)
+            damp = 1.0
+            for _try in range(3):
+                if not len(pending):
+                    break
+                damp *= 0.5
+                p = len(pending)
+                Yp, Vp, hit = _trial(
+                    C, Xa[:, pending], damp * step[:, pending], w[pending] * p + np.arange(p), thr[pending]
+                )
+                Y[:, pending[hit]], VY[:, pending[hit]] = Yp[:, hit], Vp[:, hit]
+                better[pending[hit]] = True
+                pending = pending[~hit]
+            # points without a better step keep their last point and stop
+            Y[:, ~better], VY[:, ~better] = Xa[:, ~better], Va[:, ~better]
+        Xa, Va = Y, VY
+        Fa = np.abs(Va).max(axis=0)
+        go = (Fa > target) & better
+        if not go.all():
+            X[:, live[~go]], F[live[~go]] = Xa[:, ~go], Fa[~go]
+            live, Xa, Va = live[go], Xa[:, go], Va[:, go]
+    X[:, live] = Xa
+    F[live] = np.abs(Va).max(axis=0)
+    return X.T.copy(), F

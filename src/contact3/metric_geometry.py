@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,6 +90,9 @@ class Metric3:
 
     def norm(self, x) -> float:
         return math.sqrt(max(self.inner(x, x), 0.0))
+
+
+_I3 = Metric3.identity()
 
 
 def _connection(L: LieAlgebra3, g: Metric3):
@@ -191,21 +194,18 @@ class CircleFamily:
     u: np.ndarray
     v: np.ndarray
     angles: tuple[float, ...] | None = None
+    normal: np.ndarray = field(init=False, repr=False, compare=False)  # u x v
 
     def __post_init__(self):
         u = _as_vector(self.u)
         v = _as_vector(self.v)
-        u.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        n = np.cross(u, v)
+        for name, a in (("u", u), ("v", v), ("normal", n)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     def point(self, t: float) -> Vector:
         return math.cos(t) * self.u + math.sin(t) * self.v
-
-    @property
-    def normal(self) -> Vector:
-        return np.cross(self.u, self.v)
 
     def distance(self, x) -> float | np.ndarray:
         """Euclidean distance from unit x to the circle (full-circle case).
@@ -292,7 +292,7 @@ def _check_enumeration(L: LieAlgebra3, enum: GeodesicEnumeration) -> None:
     probes = np.array(probes)
     if np.any(np.abs(_norm(probes) - 1.0) > IDENTITY_RTOL):
         raise AssertionError("enumerated vector is not unit")
-    if np.any(geodesic_defect(L, Metric3.identity(), probes) > 1e-9):
+    if np.any(geodesic_defect(L, _I3, probes) > 1e-9):
         raise AssertionError("enumerated vector fails the geodesic predicate")
 
 
@@ -407,8 +407,11 @@ def _sphere_grid(grid: int) -> np.ndarray:
     return np.concatenate([H, -H])
 
 
-# the offsets of a cell and its 26 neighbours
-_NEIGHBOURS = np.array([(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)])
+# the offsets (i, j, 0) of the 9 columns of 3 cells around a cell: cells
+# (i, j, k - 1), (i, j, k) and (i, j, k + 1) have consecutive ids
+_COLUMNS = np.array([(i, j, 0) for i in (-1, 0, 1) for j in (-1, 0, 1)])
+# pairs per block of ``_neighbour_pairs``, and per row block of the far scan
+_BLOCK_PAIRS = 1 << 18
 
 
 def _cell_ids(keys: np.ndarray, w: int) -> np.ndarray:
@@ -416,6 +419,64 @@ def _cell_ids(keys: np.ndarray, w: int) -> np.ndarray:
     # digits in base 2w, so ids are unique and the id of key + offset is the
     # key's id plus the offset's
     return (keys[..., 0] * (2 * w) + keys[..., 1]) * (2 * w) + keys[..., 2]
+
+
+def _run_starts(x: np.ndarray) -> np.ndarray:
+    # True where a run of equal values of x begins
+    starts = np.ones(len(x), dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=starts[1:])
+    return starts
+
+
+def _cell_keys(radius: float, *arrays: np.ndarray) -> tuple[list[np.ndarray], int]:
+    """Integer cell keys (side ``radius``) of each array's rows, and the w of ``_cell_ids``.
+
+    Raises ValueError when the ids, up to (2w)^3 / 2 in magnitude, would
+    overflow int64.
+    """
+    keys = [np.floor(x / radius) for x in arrays]
+    top = max(np.abs(k).max(initial=0.0) for k in keys)
+    if not top < 2.0**62 or (2 * (int(top) + 2)) ** 3 >= 2**63:
+        raise ValueError(f"cell keys up to {top:.3g} (radius {radius!r}) overflow the int64 cell ids")
+    return [k.astype(np.int64) for k in keys], int(top) + 2
+
+
+def _neighbour_pairs(a: np.ndarray, b: np.ndarray, radius: float):
+    """Blocks ``(rows, cols, d2)`` of the pairs with b[col] in the 27 cells around a[row].
+
+    Cells have side ``radius``, so every pair closer than ``radius`` is
+    there, up to the rounding of a / radius at cell faces.  Rows ascend
+    through the blocks, a row never spans two, and a block holds about
+    ``_BLOCK_PAIRS`` pairs (at least one row).  d2 is
+    (e0 e0 + e1 e1) + e2 e2 with e = a[row] - b[col], the bits of
+    ``((a[rows] - b[cols]) ** 2).sum(axis=-1)``.  Raises ValueError, on
+    the first block, when the cell ids would overflow int64
+    (``_cell_keys``).
+    """
+    (ka, kb), w = _cell_keys(radius, a, b)
+    ids = _cell_ids(kb, w)
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    # coordinates as rows, b's in cell order: the gathers below stay 1-D
+    at, bt = np.ascontiguousarray(a.T), b[order].T.copy()
+    columns = _cell_ids(ka, w)[:, None] + _cell_ids(_COLUMNS, w)
+    lo = np.searchsorted(ids, columns - 1, "left")
+    count = np.searchsorted(ids, columns + 1, "right") - lo
+    per_row = count.sum(axis=1)
+    ends = np.cumsum(per_row)
+    start = 0
+    while start < len(a):
+        # the rows whose pairs fit in one block, at least one row
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + _BLOCK_PAIRS, "right")))
+        c, l, n = count[start:stop].ravel(), lo[start:stop].ravel(), per_row[start:stop]
+        # the position in bt of each pair: its range's start plus its rank in the range
+        pos = np.arange(n.sum()) + np.repeat(l - np.cumsum(c) + c, c)
+        e = np.repeat(at[:, start:stop], n, axis=1)
+        e -= np.take(bt, pos, axis=1)
+        e *= e
+        yield np.repeat(np.arange(start, stop), n), np.take(order, pos), (e[0] + e[1]) + e[2]
+        start = stop
 
 
 def _angular_order(x: np.ndarray) -> np.ndarray:
@@ -429,51 +490,54 @@ def _merge_clusters(points: np.ndarray, defects: np.ndarray, radius: float) -> n
     cell), then a greedy pass in angular order: the nearest representative
     within ``radius`` (the lowest index on a tie) absorbs a candidate and
     takes its place if the candidate's defect is lower; otherwise the
-    candidate starts a new representative.  Representatives within
-    ``radius`` lie in the 27 cells around the candidate's own, and every
-    cell holds at most one (each holds at most one candidate), so a dict
-    from cell to representative finds them.
+    candidate starts a new representative.  A representative is always
+    held by an earlier candidate, so each candidate needs only the earlier
+    candidates within ``radius`` (``_neighbour_pairs``).  A representative
+    is named by the candidate that started it, so names order like
+    indices; a candidate with no earlier one within ``radius`` starts one
+    without a look, and the pass visits only the others.
     """
-    keys = np.floor(points / radius).astype(np.int64)
-    order = np.lexsort((defects, keys[:, 2], keys[:, 1], keys[:, 0]))
-    keys_sorted = keys[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = np.any(keys_sorted[1:] != keys_sorted[:-1], axis=1)
-    cand = points[order[first]]
+    (keys,), w = _cell_keys(radius, points)
+    ids = _cell_ids(keys, w)
+    # per cell (cell ids order like their keys), the first point of lowest
+    # defect: the first point of a stable (key, defect) sort
+    order = np.argsort(ids, kind="stable")
+    ids, d = ids[order], defects[order]
+    start = np.flatnonzero(_run_starts(ids))
+    hit = np.flatnonzero(d == np.repeat(np.minimum.reduceat(d, start), np.diff(start, append=len(d))))
+    first = hit[_run_starts(ids[hit])]
+    cand, cd = points[order[first]], d[first]
     ang = _angular_order(cand)
-    cand, cd, ck = cand[ang], defects[order[first]][ang], keys_sorted[first][ang]
-    w = int(np.abs(ck).max()) + 2
-    cells = _cell_ids(ck.astype(object), w).tolist()  # Python ints: no overflow
-    offsets = _cell_ids(_NEIGHBOURS, w).tolist()
-    cell_rep: dict[int, int] = {}
-    reps: list[list[float]] = []
-    reps_d: list[float] = []
-    reps_cell: list[int] = []
+    cand, cd = cand[ang], cd[ang].tolist()
     r2 = radius * radius
-    for x, d, cell in zip(cand.tolist(), cd.tolist(), cells):
-        x0, x1, x2 = x
+    near = []
+    for rows, cols, d2 in _neighbour_pairs(cand, cand, radius):
+        k = (d2 <= r2) & (cols < rows)
+        near.append((rows[k], cols[k], d2[k]))
+    rows, cols, d2 = (np.concatenate(x) for x in zip(*near))
+    # candidate visit[n]'s earlier neighbours within radius are cols[ptr[n]:ptr[n + 1]]
+    visit, ptr = np.unique(rows, return_index=True)
+    ptr = [*ptr.tolist(), len(rows)]
+    cols, d2 = cols.tolist(), d2.tolist()
+    holds = np.arange(len(cand))  # the name of the representative a candidate holds, or -1
+    holds[visit] = -1
+    holds = holds.tolist()
+    at = list(range(len(cand)))  # the candidate holding each named representative
+    rep_d = list(cd)
+    for n, i in enumerate(visit.tolist()):
         best, j = math.inf, -1
-        for off in offsets:
-            i = cell_rep.get(cell + off)
-            if i is None:
-                continue
-            y0, y1, y2 = reps[i]
-            e0, e1, e2 = y0 - x0, y1 - x1, y2 - x2
-            # the same sum, in the same order, as ((reps - x) ** 2).sum(axis=1)
-            d2 = (e0 * e0 + e1 * e1) + e2 * e2
-            if d2 < best or (d2 == best and i < j):
-                best, j = d2, i
-        if best <= r2:
-            if d < reps_d[j]:
-                del cell_rep[reps_cell[j]]
-                cell_rep[cell] = j
-                reps[j], reps_d[j], reps_cell[j] = x, d, cell
-            continue
-        cell_rep[cell] = len(reps)
-        reps.append(x)
-        reps_d.append(d)
-        reps_cell.append(cell)
-    out = np.array(reps).reshape(-1, 3)
+        for p in range(ptr[n], ptr[n + 1]):
+            k = holds[cols[p]]
+            if k >= 0 and (d2[p] < best or (d2[p] == best and k < j)):
+                best, j = d2[p], k
+        if j < 0:
+            holds[i] = i
+        elif cd[i] < rep_d[j]:
+            holds[at[j]], holds[i] = -1, j
+            at[j], rep_d[j] = i, cd[i]
+    names = np.array(holds)
+    reps = np.flatnonzero(names >= 0)
+    out = cand[reps[np.argsort(names[reps])]]
     return out[_angular_order(out)]
 
 
@@ -505,9 +569,7 @@ def geodesic_brute_force(L: LieAlgebra3, g: Metric3 | None = None, grid: int = 4
     """
     if grid < 100:
         raise ValueError("grid must be at least 100")
-    if g is None:
-        g = Metric3.identity()
-    M = _defect_matrices(L, g)
+    M = _defect_matrices(L, _I3 if g is None else g)
     scale = float(np.abs(M).max())
     if scale == 0.0:
         return _whole_sphere(grid)
@@ -554,47 +616,25 @@ class OracleAgreement:
         return self.n_isolated_oracle == self.n_isolated_enum
 
 
-# candidate pairs per row block of the scans in ``_nearest_distance``
-_BLOCK_PAIRS = 1 << 18
-
-
 def _nearest_distance(a: np.ndarray, b: np.ndarray, radius: float, *, exclude_self: bool = False) -> np.ndarray:
     """Distance from each row of a to the nearest row of b.
 
     With ``exclude_self`` (a is b) a row is not its own neighbour, and a
     row with no other is at infinity.  Rows of b within ``radius`` of a row
-    lie in the 27 cells of side ``radius`` around the row's own cell, so a
-    cell index over b finds the nearest one; rows with none there are
-    scanned against all of b.  Both scans go in row blocks of about
-    ``_BLOCK_PAIRS`` candidate pairs, so memory is linear in the rows and
-    the block, never len(a) x len(b).  Each distance is
-    sqrt(sum((a_i - b_j)^2)), the arithmetic of
-    ``np.linalg.norm(a - b, axis=-1)``, for the nearest j.
+    lie in the 27 cells around it, so the minimum over its
+    ``_neighbour_pairs`` finds the nearest one; rows with none there are
+    scanned against all of b, in row blocks of about ``_BLOCK_PAIRS``
+    pairs.  Memory is linear in the rows and the block, never
+    len(a) x len(b).  Each distance is sqrt(sum((a_i - b_j)^2)), the
+    arithmetic of ``np.linalg.norm(a - b, axis=-1)``, for the nearest j.
     """
-    ka = np.floor(a / radius).astype(np.int64)
-    kb = np.floor(b / radius).astype(np.int64)
-    w = int(max(np.abs(ka).max(initial=0), np.abs(kb).max(initial=0))) + 2
-    ids = _cell_ids(kb, w)
-    order = np.argsort(ids, kind="stable")
-    ids = ids[order]
-    queries = _cell_ids(ka, w)[:, None] + _cell_ids(_NEIGHBOURS, w)
-    lo = np.searchsorted(ids, queries, "left")
-    count = np.searchsorted(ids, queries, "right") - lo
-    ends = np.cumsum(count.sum(axis=1))
     best = np.full(len(a), math.inf)
-    start = 0
-    while start < len(a):
-        # the rows whose candidate pairs fit in one block, at least one row
-        base = ends[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, base + _BLOCK_PAIRS, "right")))
-        c, l = count[start:stop].ravel(), lo[start:stop].ravel()
-        rows = start + np.repeat(np.arange(len(c)) // len(_NEIGHBOURS), c)
-        cols = order[np.arange(c.sum()) + np.repeat(l - np.cumsum(c) + c, c)]
-        d2 = ((a[rows] - b[cols]) ** 2).sum(axis=-1)
+    for rows, cols, d2 in _neighbour_pairs(a, b, radius):
         if exclude_self:
             d2[rows == cols] = math.inf
-        np.minimum.at(best, rows, d2)
-        start = stop
+        if len(rows):
+            starts = np.flatnonzero(_run_starts(rows))
+            best[rows[starts]] = np.minimum.reduceat(d2, starts)
     far = np.flatnonzero(best > radius * radius)
     step = max(1, _BLOCK_PAIRS // max(len(b), 1))
     for s in range(0, len(far), step):

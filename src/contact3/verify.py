@@ -3,8 +3,7 @@
 Each group draws its own reproducible sample, checks one family of
 identities or predicates, and reports a pass/fail with a short detail
 line.  The CLI ``verify`` subcommand runs these; ``tests/test_verify.py``
-runs every group at its full sample size except ``geodesic-oracle``, which
-it runs at n=24 (each of the 8 case tags 3 times) and the full grid=400.
+runs every group at its full sample size.
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ from .lie_core import (
     LieAlgebra3,
     LinearFunctional,
     MilnorParameters,
+    _trace_form,
     bracket,
     from_functional,
     from_milnor,
@@ -143,6 +143,13 @@ def sample_algebra(rng: np.random.Generator):
     return from_functional(sample_functional(rng))
 
 
+def _random_metric(rng: np.random.Generator) -> Metric3:
+    """A random metric: random orthonormal eigenbasis, eigenvalues in [0.5, 2]."""
+    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    g = Q @ np.diag(rng.uniform(0.5, 2.0, 3)) @ Q.T
+    return Metric3(0.5 * (g + g.T))
+
+
 def _tag_source(rng: np.random.Generator, i: int):
     """The i-th source of a cycle through every case tag (E: a rank-one functional)."""
     tag = CASE_TAGS[i % len(CASE_TAGS)]
@@ -217,7 +224,10 @@ def check_ker_deta_equivalence(seed: int = 42, n: int = 1000) -> GroupResult:
 def check_ker_bracket(seed: int = 42, n: int = 1000) -> GroupResult:
     """[xi, X] stays in ker eta for X in ker eta exactly when xi is in ker d_eta.
 
-    Every other xi is geodesic (in ker d_eta), the rest random.  The
+    Every other xi is geodesic (in ker d_eta), the rest random, and every
+    other draw of each kind is under a random metric, where eta = g xi is
+    not xi: its geodesic xi is the g-normal of the unimodular kernel,
+    which holds the derived algebra, so g([xi, X], xi) = 0.  The
     reference brackets xi with the columns of phi, which span ker eta,
     through ``bracket``.  ``xi_in_ker_deta`` must agree with it, and
     ``check_ker_condition`` must accept xi where it holds and raise
@@ -229,8 +239,14 @@ def check_ker_bracket(seed: int = 42, n: int = 1000) -> GroupResult:
     for i in range(n):
         params = sample_params(rng)
         L = from_milnor(params)
-        xi = _geodesic_xi(rng, params) if i % 2 == 0 else _unit(rng)
-        s = build_structure(_I3, xi)
+        if i % 4 < 2:
+            g = _I3
+            xi = _geodesic_xi(rng, params) if i % 2 == 0 else _unit(rng)
+        else:
+            g = _random_metric(rng)
+            xi = np.linalg.solve(g.g, _trace_form(L)) if i % 2 == 0 else _unit(rng)
+            xi = xi / g.norm(xi)
+        s = build_structure(g, xi)
         want = all(abs(s.eta @ bracket(L, s.xi, x)) <= 1e-9 for x in s.phi.T)
         ok = xi_in_ker_deta(L, s, tol=1e-9) == want
         try:

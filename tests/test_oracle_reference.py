@@ -3,9 +3,12 @@
 The references below are the O(n^2) greedy merge and the pairwise-matrix
 scoring that the cell-indexed versions replaced, kept here as independent
 oracles: the merge must match bit for bit, the scoring to 1e-15.  The
-whole-sphere scan with the per-point quadratic-form kernel is the
-reference of the hemisphere scan; their lattices differ in rounding, so
-they must agree on the isolated count and stay inside the verify gates.
+neighbour pairs behind both are checked against a dense scan of the
+cells.  The row-wise einsum refinement is the reference of the
+column-wise one on the monomials, and the whole-sphere scan with the
+per-point quadratic-form kernel and that refinement is the reference of
+the hemisphere scan; their arithmetic differs in rounding, so they must
+agree on the isolated count and stay inside the verify gates.
 """
 
 import math
@@ -14,11 +17,14 @@ import numpy as np
 import pytest
 
 from contact3 import Metric3, from_functional, from_milnor
-from contact3._kernels import refine_batch
+from contact3 import metric_geometry as mg
+from contact3._kernels import defect_max_batch, monomial_table, refine_batch, residual_batch
 from contact3.metric_geometry import (
     _defect_matrices,
     _merge_clusters,
     _nearest_distance,
+    _neighbour_pairs,
+    _sphere_grid,
     enumerate_unit_geodesics,
     geodesic_brute_force,
     oracle_match,
@@ -56,9 +62,56 @@ def _reference_merge(points, defects, radius):
     return out[srt]
 
 
+def _reference_refine_batch(M, X0, step_cap, target, max_iter=80):
+    # the row-wise refinement the column-wise one replaced: residuals by the
+    # per-point quadratic form, the worst one's gradient by einsum
+    X = X0.copy()
+    V = residual_batch(M, X)
+    F = np.abs(V).max(axis=1)
+    scale = max(float(np.abs(M).max()), 1e-300)
+    active = F > target
+    for _ in range(max_iter):
+        if not active.any():
+            break
+        idx = np.nonzero(active)[0]
+        Xa, Va = X[idx], V[idx]
+        worst = np.argmax(np.abs(Va), axis=1)
+        va = Va[np.arange(len(idx)), worst]
+        grad = 2.0 * np.einsum("nij,nj->ni", M[worst], Xa)
+        grad -= np.einsum("ni,ni->n", grad, Xa)[:, None] * Xa
+        gn2 = np.einsum("ni,ni->n", grad, grad)
+        ok = gn2 > 1e-30 * scale * scale
+        step = np.zeros_like(Xa)
+        step[ok] = (-va[ok] / gn2[ok])[:, None] * grad[ok]
+        lens = np.linalg.norm(step, axis=1)
+        clip = lens > step_cap
+        step[clip] *= (step_cap / lens[clip])[:, None]
+        newX, newV = Xa.copy(), Va.copy()
+        pending = ok.copy()
+        damp = 1.0
+        for _try in range(4):
+            if not pending.any():
+                break
+            Y = Xa[pending] + damp * step[pending]
+            Y /= np.linalg.norm(Y, axis=1, keepdims=True)
+            VY = residual_batch(M, Y)
+            w = worst[pending]
+            better = np.abs(VY[np.arange(len(w)), w]) < 0.9 * np.abs(Va[pending][np.arange(len(w)), w])
+            rows = np.nonzero(pending)[0][better]
+            newX[rows] = Y[better]
+            newV[rows] = VY[better]
+            pending[rows] = False
+            damp *= 0.5
+        X[idx], V[idx] = newX, newV
+        newF = np.abs(newV).max(axis=1)
+        F[idx] = newF
+        active[idx] = (newF > target) & ~pending & ok
+    return X, F
+
+
 def _reference_brute_force(L, grid):
     # every lattice row, defects by the per-point quadratic form, and
-    # every survivor refined
+    # every survivor refined by the row-wise reference
     M = _defect_matrices(L, Metric3.identity())
     scale = float(np.abs(M).max())
     th = math.pi * (np.arange(grid) + 0.5) / grid
@@ -67,7 +120,8 @@ def _reference_brute_force(L, grid):
     X = np.stack([np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH), np.cos(TH)], axis=-1).reshape(-1, 3)
     F = np.abs(np.einsum("ni,kij,nj->nk", X, M, X)).max(axis=1)
     h = 2.0 * math.pi / grid
-    refined, fr = refine_batch(M, np.ascontiguousarray(X[F <= 3.0 * scale * h]), 3.0 * h, 1e-13 * scale, 80)
+    seeds = np.ascontiguousarray(X[F <= 3.0 * scale * h])
+    refined, fr = _reference_refine_batch(M, seeds, 3.0 * h, 1e-13 * scale, 80)
     ok = fr <= 1e-10 * scale
     return list(_merge_clusters(refined[ok], fr[ok], 1e-3))
 
@@ -249,3 +303,87 @@ def test_hemisphere_scan_matches_whole_sphere_reference(tag, L, enum):
     assert max(got.agreement, ref.agreement) <= 1e-5
     assert got.family_coverage_gap <= 3.0 * (2.0 * math.pi / grid)
     assert got.family_coverage_gap == pytest.approx(ref.family_coverage_gap, rel=0, abs=0.1 * 2.0 * math.pi / grid)
+
+
+def _dense_pairs(a, b, radius):
+    # every (row, col) with b[col] in the 27 cells around a[row], by brute force
+    ka, kb = np.floor(a / radius), np.floor(b / radius)
+    near = np.abs(ka[:, None, :] - kb[None, :, :]).max(axis=-1) <= 1
+    return set(zip(*np.nonzero(near)))
+
+
+def _cell_cloud(rng, radius):
+    # points on cell faces, edges and corners (exact multiples of radius)
+    # and their neighbours one ulp away, among random points
+    lattice = radius * rng.integers(-6, 6, (60, 3)).astype(float)
+    faces = lattice + radius * rng.random((60, 3)) * (rng.random((60, 3)) < 0.5)
+    return np.concatenate(
+        [lattice, np.nextafter(lattice, -np.inf), faces, radius * rng.uniform(-6, 6, (200, 3))]
+    )
+
+
+@pytest.mark.parametrize("block", [1 << 18, 40])
+def test_neighbour_pairs_match_dense_scan(monkeypatch, block):
+    monkeypatch.setattr(mg, "_BLOCK_PAIRS", block)
+    rng = np.random.default_rng(19)
+    radius = 0.05
+    a, b = _cell_cloud(rng, radius), _cell_cloud(rng, radius)
+    blocks = list(_neighbour_pairs(a, b, radius))
+    rows, cols, d2 = (np.concatenate(x) for x in zip(*blocks))
+    assert set(zip(rows, cols)) == _dense_pairs(a, b, radius)
+    assert len(rows) == len(set(zip(rows, cols)))
+    assert np.all(np.diff(rows) >= 0)
+    # a row never spans two blocks, and a block overflows only by one row
+    last = [blk[0][-1] for blk in blocks if len(blk[0])]
+    first = [blk[0][0] for blk in blocks if len(blk[0])]
+    assert all(l < f for l, f in zip(last, first[1:]))
+    assert all(len(blk[0]) <= block or blk[0][0] == blk[0][-1] for blk in blocks)
+    assert np.array_equal(d2, ((a[rows] - b[cols]) ** 2).sum(axis=-1))
+    # every pair closer than radius is there, up to the rounding of the
+    # cell keys: a point a hair below a face and one exactly radius past
+    # it are two cells apart at rounded distance radius
+    dense = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1) < (1.0 - 1e-12) * radius * radius
+    assert set(zip(*np.nonzero(dense))) <= set(zip(rows, cols))
+
+
+def test_neighbour_pairs_of_the_empty_set():
+    assert list(_neighbour_pairs(np.zeros((0, 3)), np.ones((4, 3)), 0.1)) == []
+
+
+def test_neighbour_pairs_overflow_raises():
+    r = 1e-3
+    # ids reach (2w)^3 / 2 with w the largest |cell key| + 2: 2w = 2^21
+    # is the first to overflow int64
+    fits = np.array([[(2**20 - 3) * r, 0.0, 0.0]])
+    assert len(next(_neighbour_pairs(fits, fits, r))[0]) == 1
+    for big in ([[2**20 * r, 0.0, 0.0]], [[0.0, 0.0, -1e6]], [[1e300, 0.0, 0.0]]):
+        with pytest.raises(ValueError):
+            list(_neighbour_pairs(np.array(big), np.zeros((1, 3)), r))
+        with pytest.raises(ValueError):
+            _nearest_distance(np.zeros((1, 3)), np.array(big), r)
+    with pytest.raises(ValueError):
+        _merge_clusters(np.array([[1e6, 0.0, 0.0]]), np.zeros(1), r)
+
+
+@pytest.mark.parametrize("tag, L, enum", list(_sources()))
+def test_refine_matches_rowwise_reference(tag, L, enum):
+    grid = 200
+    M = _defect_matrices(L, Metric3.identity())
+    scale = float(np.abs(M).max())
+    h = 2.0 * math.pi / grid
+    X = _sphere_grid(grid)
+    seeds = np.ascontiguousarray(X[defect_max_batch(M, monomial_table(X).T) <= 3.0 * scale * h])
+    args = (3.0 * h, 1e-13 * scale, 80)
+    got, fg = refine_batch(M, seeds, *args)
+    want, fw = _reference_refine_batch(M, seeds, *args)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    keep = 1e-10 * scale
+    assert np.array_equal(fg <= keep, fw <= keep)
+    # both settle each seed on the same point; on the full circles of the
+    # B tags a seed whose two paths part at a near-tie of the worst
+    # residual (under 0.2% of them) lands elsewhere on its circle
+    apart = np.linalg.norm(got - want, axis=1) > 1e-9
+    assert apart.mean() <= 2e-3
+    assert not apart.any() or (tag in ("B1", "B2") and (fg[apart] <= keep).all())
+    # the defects returned are the scan kernel's on the returned points
+    assert np.array_equal(fg, defect_max_batch(M, monomial_table(got).T))
