@@ -38,8 +38,8 @@ _MONOMIALS = (np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2]))
 
 
 def residual_batch(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Residual vectors v_i = x^T M_i x, shape (n, 3); M has shape (3, 3, 3)."""
-    return np.einsum("ni,kij,nj->nk", X, M, X)
+    """Residual vectors v_i = x^T M_i x, shape (..., n, 3), for M of shape (..., 3, 3, 3)."""
+    return np.einsum("...ni,...kij,...nj->...nk", X, M, X)
 
 
 def monomial_table(X: np.ndarray) -> np.ndarray:

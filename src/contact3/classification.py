@@ -102,30 +102,26 @@ class NotGeodesicError(ValueError):
     """The requested Reeb vector is not a geodesic vector."""
 
 
-def _normal_form_constants(family: str | None, params: tuple[float, ...]) -> np.ndarray:
-    """Structure constants of the normal form in (xi, e, phi_e) coordinates."""
-    c = np.zeros((3, 3, 3))
+# the constant c[i, j, k] (i < j) that carries each normal-form parameter
+_NORMAL_FORM_SLOTS = {
+    "A": ((0, 1, 1), (0, 1, 2), (0, 2, 1), (0, 2, 2)),
+    "B": ((1, 2, 2), (1, 2, 0), (0, 1, 2)),
+    "C": ((0, 1, 1), (1, 2, 1)),
+    None: ((0, 1, 1), (0, 1, 2), (1, 2, 1), (1, 2, 2), (1, 2, 0)),
+}
 
-    def setb(i, j, coeffs):
-        c[i, j] = coeffs
-        c[j, i] = [-v for v in coeffs]
 
-    if family == "A":
-        a, b, g, d = params
-        setb(0, 1, (0.0, a, b))
-        setb(0, 2, (0.0, g, d))
-    elif family == "B":
-        A, B, C = params
-        setb(0, 1, (0.0, 0.0, C))
-        setb(1, 2, (B, 0.0, A))
-    elif family == "C":
-        Ab, Bb = params
-        setb(0, 1, (0.0, Ab, 0.0))
-        setb(1, 2, (0.0, Bb, 0.0))
-    else:
-        a, b, u, v, w = params
-        setb(0, 1, (0.0, a, b))
-        setb(1, 2, (w, u, v))
+def _normal_form_constants(family: str | None, params) -> np.ndarray:
+    """Structure constants of the normal form in (xi, e, phi_e) coordinates.
+
+    ``params`` are numbers, or arrays of one shape S for a stack of normal
+    forms of shape S + (3, 3, 3).  Family A with (alpha, beta, gamma,
+    delta) gives the adapted-form algebra itself (``from_milnor``).
+    """
+    c = np.zeros(np.shape(params[0]) + (3, 3, 3))
+    for (i, j, k), v in zip(_NORMAL_FORM_SLOTS[family], params):
+        c[..., i, j, k] = v
+        c[..., j, i, k] = -v
     return c
 
 
@@ -151,9 +147,13 @@ def _structure_flags(ps: PhiBasisStructure) -> tuple[bool, bool, bool]:
     )
 
 
-def _basis_constants(L: LieAlgebra3, B: np.ndarray) -> np.ndarray:
-    """c'[a, b] = B^T [B_a, B_b] for the orthonormal frame with columns B_a."""
-    return np.einsum("ia,jb,ijk,kc->abc", B, B, L.c, B)
+def _basis_constants(c: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """c'[a, b] = B^T [B_a, B_b] for the orthonormal frame with columns B_a.
+
+    c holds structure constants, shape (..., 3, 3, 3), and B the frames,
+    shape (..., 3, 3).
+    """
+    return np.einsum("...ia,...jb,...ijk,...kc->...abc", B, B, c, B)
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,7 @@ class PhiBasisStructure:
             if abs(p[0]) <= IDENTITY_RTOL * scale:
                 raise ValueError("family B requires A != 0")
         elif self.family == "C":
-            if p[0] ** 2 + p[1] ** 2 <= (IDENTITY_RTOL * scale) ** 2:
+            if math.hypot(p[0], p[1]) <= IDENTITY_RTOL * scale:
                 raise ValueError("family C requires Abar^2 + Bbar^2 != 0")
         object.__setattr__(self, "params", p)
         object.__setattr__(self, "notes", tuple(self.notes))
@@ -211,7 +211,7 @@ class PhiBasisStructure:
         c'[a, b] = B^T [B_a, B_b] with B_a the columns of the orthonormal
         frame matrix B, as one contraction of the ambient constants.
         """
-        return _basis_constants(self.algebra, self.basis.matrix)
+        return _basis_constants(self.algebra.c, self.basis.matrix)
 
     def normal_form_residual(self) -> float:
         return float(np.abs(self.raw_basis_constants() - self.normal_form_constants()).max())
@@ -395,7 +395,7 @@ def _reduce_outside(L: LieAlgebra3, xi: Vector) -> PhiBasisStructure:
     [xi, phi_e] = 0 and the remaining five coefficients are reported.
     """
     u, v = _adapted_frame(_I3, xi)
-    M = _basis_constants(L, np.column_stack([xi, u, v]))[0, 1:, 1:].T  # M[w, z] = w . [xi, z]
+    M = _basis_constants(L.c, np.column_stack([xi, u, v]))[0, 1:, 1:].T  # M[w, z] = w . [xi, z]
     if np.abs(M).max() <= 1e-12 * max(1.0, L.scale):
         rho = 0.0
     else:
@@ -405,7 +405,7 @@ def _reduce_outside(L: LieAlgebra3, xi: Vector) -> PhiBasisStructure:
         rho = math.atan2(-k1, k2) % math.pi
     e = math.cos(rho) * u + math.sin(rho) * v
     fe = -math.sin(rho) * u + math.cos(rho) * v
-    c = _basis_constants(L, np.column_stack([xi, e, fe]))
+    c = _basis_constants(L.c, np.column_stack([xi, e, fe]))
     return PhiBasisStructure(
         None,
         (c[0, 1, 1], c[0, 1, 2], c[1, 2, 1], c[1, 2, 2], c[1, 2, 0]),

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lie_core import LieAlgebra3, _as_vector, ad_matrix, bracket
-from .metric_geometry import Metric3
+from .metric_geometry import Metric3, _dot
 from .tolerances import IDENTITY_RTOL, default_tol
 
 Vector = np.ndarray
@@ -102,17 +102,19 @@ class PhiBasis:
         return np.column_stack([self.xi, self.e, self.phi_e])
 
 
-def _adapted_frame(g: Metric3, xi: Vector) -> tuple[Vector, Vector]:
+def _adapted_frame(g: Metric3, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """g-orthonormal (e, f) completing the unit xi to a frame with det[xi, e, f] > 0.
 
-    e is the coordinate axis least aligned with xi, projected off xi and
-    normalised; f = sqrt(det g) g^-1 (xi x e) is the g-cross product of xi
-    and e (``np.cross(xi, e)`` for the identity metric).
+    e is the coordinate axis least aligned with xi (the first on a tie),
+    projected off xi and normalised; f = sqrt(det g) g^-1 (xi x e) is the
+    g-cross product of xi and e (``np.cross(xi, e)`` for the identity
+    metric).  xi is one vector or a stack of them, shape (..., 3).
     """
-    axis = np.eye(3)[np.argsort(np.abs(xi), kind="stable")[0]]
-    e = axis - g.inner(xi, axis) * xi
-    e = e / g.norm(e)
-    f = math.sqrt(np.linalg.det(g.g)) * np.linalg.solve(g.g, np.cross(xi, e))
+    G = g.g
+    axis = np.eye(3)[np.argmin(np.abs(xi), axis=-1)]
+    e = axis - _dot(xi @ G, axis)[..., None] * xi
+    e = e / np.sqrt(np.maximum(_dot(e @ G, e), 0.0))[..., None]
+    f = math.sqrt(np.linalg.det(G)) * np.linalg.solve(G, np.cross(xi, e)[..., None])[..., 0]
     return e, f
 
 
@@ -165,9 +167,23 @@ def lie_derivative_eta(L: LieAlgebra3, s: AlmostContactStructure, X) -> float:
     return float(-s.eta @ bracket(L, s.xi, X))
 
 
-def _deta_matrix(L: LieAlgebra3, s: AlmostContactStructure) -> np.ndarray:
-    """d_eta(e_i, e_j) = -eta([e_i, e_j]) for every basis pair: the matrix -c . eta."""
-    return -(L.c @ s.eta)
+def _deta_matrix(c: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """d_eta(e_i, e_j) = -eta([e_i, e_j]) for every basis pair: the matrix -c . eta.
+
+    c has shape (..., 3, 3, 3) and eta (..., 3); the result (..., 3, 3).
+    """
+    return -(c @ eta[..., None, :, None])[..., 0]
+
+
+def _ker_deta_routes(c: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """d_eta(xi, e_j) twice: xi contracted into the d_eta matrix, and -eta o ad(xi).
+
+    Both have shape (..., 3) for stacked c (..., 3, 3, 3), xi and eta (..., 3).
+    """
+    via_deta = (xi[..., None, :] @ _deta_matrix(c, eta))[..., 0, :]
+    ad_xi = np.einsum("...i,...ijk->...kj", xi, c)  # ad(xi), columns [xi, e_j]
+    via_lie = -(eta[..., None, :] @ ad_xi)[..., 0, :]
+    return via_deta, via_lie
 
 
 def xi_in_ker_deta(L: LieAlgebra3, s: AlmostContactStructure, tol: float | None = None) -> bool:
@@ -182,8 +198,7 @@ def xi_in_ker_deta(L: LieAlgebra3, s: AlmostContactStructure, tol: float | None 
     """
     if tol is None:
         tol = default_tol()
-    via_deta = s.xi @ _deta_matrix(L, s)
-    via_lie = -(s.eta @ ad_matrix(L, s.xi))
+    via_deta, via_lie = _ker_deta_routes(L.c, s.xi, s.eta)
     scale = max(1.0, L.scale) * max(1.0, np.abs(s.xi).max()) * max(1.0, np.abs(s.eta).max())
     if np.abs(via_deta - via_lie).max() > IDENTITY_RTOL * scale:
         raise AssertionError("d_eta and Lie-derivative predicates disagree")
@@ -213,13 +228,13 @@ def is_contact_metric(
     """True iff d_eta(X, Y) = Phi(X, Y) on all basis pairs, i.e. the d_eta matrix equals g phi."""
     if tol is None:
         tol = default_tol()
-    gap = _deta_matrix(L, s) - g.g @ s.phi
+    gap = _deta_matrix(L.c, s.eta) - g.g @ s.phi
     return bool(np.abs(gap[_UPPER]).max() <= tol)
 
 
 def eta_wedge_deta(L: LieAlgebra3, s: AlmostContactStructure) -> float:
     """(eta ^ d_eta)(e1, e2, e3) = (1/2) eps^{ijk} eta_i d_eta_jk."""
-    return float(0.5 * np.einsum("ijk,i,jk->", _LEVI_CIVITA, s.eta, _deta_matrix(L, s)))
+    return float(0.5 * np.einsum("ijk,i,jk->", _LEVI_CIVITA, s.eta, _deta_matrix(L.c, s.eta)))
 
 
 def is_contact_form(L: LieAlgebra3, s: AlmostContactStructure, tol: float | None = None) -> bool:
@@ -235,17 +250,24 @@ def nijenhuis_normality_residual(L: LieAlgebra3, s: AlmostContactStructure) -> f
     N(X, Y) = phi^2 [X,Y] + [phi X, phi Y] - phi [phi X, Y] - phi [X, phi Y]
               + 2 d_eta(X, Y) xi;
     the structure is normal when the residual vanishes.  N is evaluated on
-    every basis pair at once as contractions of the structure constants,
-    N[i, j] = N(e_i, e_j); its antisymmetry is asserted as an internal
-    consistency check.
+    every basis pair at once (``_nijenhuis``); its antisymmetry is asserted
+    as an internal consistency check.
     """
-    phi, c = s.phi, L.c
-    phi_x = np.einsum("ai,ajk->ijk", phi, c)  # [phi e_i, e_j]
-    phi_y = np.einsum("bj,ibk->ijk", phi, c)  # [e_i, phi e_j]
-    phi_xy = np.einsum("ai,bj,abk->ijk", phi, phi, c)  # [phi e_i, phi e_j]
-    N = c @ (phi @ phi).T + phi_xy - (phi_x + phi_y) @ phi.T
-    N = N + 2.0 * _deta_matrix(L, s)[:, :, None] * s.xi
-    sym_scale = max(1.0, L.scale) * max(1.0, np.abs(phi).max()) ** 2
+    N = _nijenhuis(L.c, s.phi, s.xi, s.eta)
+    sym_scale = max(1.0, L.scale) * max(1.0, np.abs(s.phi).max()) ** 2
     if np.abs(N[_UPPER] + N[_UPPER[::-1]]).max() > IDENTITY_RTOL * sym_scale:
         raise AssertionError("normality tensor is not antisymmetric")
     return float(np.abs(N[_UPPER]).max())
+
+
+def _nijenhuis(c: np.ndarray, phi: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """N[..., i, j, :] = N(e_i, e_j) as contractions of the structure constants.
+
+    c has shape (..., 3, 3, 3), phi (..., 3, 3), xi and eta (..., 3).
+    """
+    phi_x = np.einsum("...ai,...ajk->...ijk", phi, c)  # [phi e_i, e_j]
+    phi_y = np.einsum("...bj,...ibk->...ijk", phi, c)  # [e_i, phi e_j]
+    phi_xy = np.einsum("...ai,...bj,...abk->...ijk", phi, phi, c)  # [phi e_i, phi e_j]
+    phi_t = np.swapaxes(phi, -1, -2)[..., None, :, :]
+    N = c @ np.swapaxes(phi @ phi, -1, -2)[..., None, :, :] + phi_xy - (phi_x + phi_y) @ phi_t
+    return N + 2.0 * _deta_matrix(c, eta)[..., None] * xi[..., None, None, :]

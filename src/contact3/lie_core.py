@@ -155,6 +155,14 @@ def ad_matrix(L: LieAlgebra3, x) -> np.ndarray:
     return np.einsum("i,ijk->kj", _as_vector(x), L.c)
 
 
+def _norm(v: Vector) -> float:
+    """``np.linalg.norm(v)``, scaled by max |v_i| first where |v|^2 would overflow."""
+    m = float(np.abs(v).max())
+    if m > 1e150:
+        return m * float(np.linalg.norm(v / m))
+    return float(np.linalg.norm(v))
+
+
 def _trace_form(L: LieAlgebra3) -> Vector:
     """Covector x -> trace ad(x), i.e. T_i = trace ad(e_i)."""
     return np.einsum("ijj->i", L.c)
@@ -177,7 +185,7 @@ def unimodular_kernel(L: LieAlgebra3) -> list[Vector]:
     T = _trace_form(L)
     if is_unimodular(L):
         raise ValueError("algebra is unimodular: the kernel is everything")
-    n = T / np.linalg.norm(T)
+    n = T / _norm(T)
     k = int(np.argmax(np.abs(n)))
     basis = []
     for i in range(3):
@@ -229,12 +237,32 @@ def pqr_from_milnor(alpha: float, beta: float, gamma: float, delta: float):
     return p, q, r
 
 
+# beyond these magnitudes of alpha + delta, the squares and products in
+# ``milnor_invariant_D`` leave the float range
+_D_DIRECT_RANGE = (1e-140, 1e140)
+
+
 def milnor_invariant_D(params: MilnorParameters | tuple) -> float:
     """Complete isomorphism invariant D = 4(alpha*delta - beta*gamma)/(alpha+delta)^2."""
     if not isinstance(params, MilnorParameters):
         params = MilnorParameters(*params)
-    a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
-    return 4.0 * (a * d - b * g) / (a + d) ** 2
+    return _milnor_D(params.alpha, params.beta, params.gamma, params.delta)
+
+
+def _milnor_D(a: float, b: float, g: float, d: float) -> float:
+    """D of admissible adapted-form coefficients, as Python floats.
+
+    Admissibility bounds every coefficient by 1e12 |alpha + delta|, so the
+    direct form is finite while |alpha + delta| stays inside
+    ``_D_DIRECT_RANGE``; outside it the coefficients are divided by
+    alpha + delta first.
+    """
+    s = a + d
+    lo, hi = _D_DIRECT_RANGE
+    if lo < abs(s) < hi:
+        return 4.0 * (a * d - b * g) / s**2
+    a, b, g, d = a / s, b / s, g / s, d / s
+    return 4.0 * (a * d - b * g)
 
 
 def canonical_L_action(params: MilnorParameters | tuple) -> np.ndarray:
@@ -256,7 +284,7 @@ def invariant_D(L: LieAlgebra3) -> float:
     ``milnor_invariant_D`` on adapted-form algebras.
     """
     T = _trace_form(L)
-    tn = np.linalg.norm(T)
+    tn = _norm(T)
     if tn <= 1e-9 * max(L.scale, 1.0):
         raise ValueError("algebra is unimodular: D is undefined")
     u1, u2 = unimodular_kernel(L)

@@ -112,10 +112,11 @@ def levi_civita(L: LieAlgebra3, g: Metric3, x, y) -> Vector:
     return _connection(L, g)(_as_vector(x), _as_vector(y))
 
 
-def _defect_matrices(L: LieAlgebra3, g: Metric3) -> np.ndarray:
-    # M_i symmetric with x^T M_i x = g([x, e_i], x)
-    Q = np.einsum("jik,km->ijm", L.c, g.g)
-    return 0.5 * (Q + np.transpose(Q, (0, 2, 1)))
+def _defect_matrices(c: np.ndarray, g: Metric3) -> np.ndarray:
+    # M_i symmetric with x^T M_i x = g([x, e_i], x), for structure constants
+    # c of shape (..., 3, 3, 3)
+    Q = np.einsum("...jik,km->...ijm", c, g.g)
+    return 0.5 * (Q + np.swapaxes(Q, -1, -2))
 
 
 def geodesic_defect(L: LieAlgebra3, g: Metric3, x) -> float | np.ndarray:
@@ -126,7 +127,7 @@ def geodesic_defect(L: LieAlgebra3, g: Metric3, x) -> float | np.ndarray:
     result is an array).
     """
     x = _points(x)
-    d = np.abs(_kernels.residual_batch(_defect_matrices(L, g), x.reshape(-1, 3))).max(axis=1)
+    d = np.abs(_kernels.residual_batch(_defect_matrices(L.c, g), x.reshape(-1, 3))).max(axis=1)
     return _scalar_or_array(d.reshape(x.shape[:-1]))
 
 
@@ -284,33 +285,65 @@ class GeodesicEnumeration:
         return _scalar_or_array(best)
 
 
+# the angles at which ``_check_enumeration`` probes a full circle
+_CIRCLE_PROBES = np.linspace(0.0, 2.0 * math.pi, 13)
+
+
+def _probe_faults(c: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(some probe is not unit, some probe fails the geodesic gate) per probe set.
+
+    ``probes`` has shape (..., k, 3) and ``c`` the matching structure
+    constants, shape (..., 3, 3, 3); the geodesic gate is the defect 1e-9
+    for the identity metric.
+    """
+    not_unit = np.any(np.abs(_norm(probes) - 1.0) > IDENTITY_RTOL, axis=-1)
+    defect = np.abs(_kernels.residual_batch(_defect_matrices(c, _I3), probes)).max(axis=-1)
+    return not_unit, np.any(defect > 1e-9, axis=-1)
+
+
 def _check_enumeration(L: LieAlgebra3, enum: GeodesicEnumeration) -> None:
     probes = list(enum.discrete)
     for fam in enum.families:
-        ts = fam.angles if fam.angles is not None else np.linspace(0.0, 2.0 * math.pi, 13)
+        ts = fam.angles if fam.angles is not None else _CIRCLE_PROBES
         probes.extend(fam.point(t) for t in ts)
-    probes = np.array(probes)
-    if np.any(np.abs(_norm(probes) - 1.0) > IDENTITY_RTOL):
+    not_unit, not_geodesic = _probe_faults(L.c, np.array(probes))
+    if not_unit:
         raise AssertionError("enumerated vector is not unit")
-    if np.any(geodesic_defect(L, _I3, probes) > 1e-9):
+    if not_geodesic:
         raise AssertionError("enumerated vector fails the geodesic predicate")
 
 
+# case tags in the order of the codes ``_regimes`` returns
+_REGIMES = ("D", "generic", "B1", "B2", "C1", "C2")
+
+
+def _regimes(p, q, r, scale):
+    """Index into ``_REGIMES`` of the case tag: D, generic (A1/A2), B1, B2, C1 or C2.
+
+    The rule of ``enumerate_unit_geodesics``: p = 0 and p = +-r hold to
+    IDENTITY_RTOL * scale, q = 0 to IDENTITY_RTOL, and p = 0 wins a tie.
+    Elementwise: the arguments are numbers or arrays, and plain arithmetic
+    on booleans makes the number case as cheap as a branch.
+    """
+    tol = IDENTITY_RTOL * scale
+    dm, dp = abs(p - r), abs(p + r)
+    on_line = (dm <= tol) | (dp <= tol)
+    return (1 - (abs(p) <= tol)) * (1 + on_line * (1 + 2 * (dm > tol) + (abs(q) <= IDENTITY_RTOL)))
+
+
 def _regime(params: MilnorParameters) -> str:
-    """Case tag D, B1, B2, C1 or C2, or "generic" for A1/A2 (rule: ``enumerate_unit_geodesics``)."""
-    tol = IDENTITY_RTOL * params.scale
-    p, r = params.p, params.r
-    if abs(p) <= tol:
-        return "D"
-    if min(abs(p - r), abs(p + r)) > tol:
-        return "generic"
-    return ("B" if abs(p - r) <= tol else "C") + ("2" if abs(params.q) <= IDENTITY_RTOL else "1")
+    """The case tag of one algebra (``_regimes``)."""
+    return _REGIMES[_regimes(params.p, params.q, params.r, params.scale)]
 
 
-def _shear_directions(q: float) -> tuple[Vector, Vector]:
-    """(q e2 - e3)/s, (e2 + q e3)/s: the B1 circle direction and its normal, C1 the reverse."""
-    s = math.sqrt(1.0 + q * q)
-    return np.array([0.0, q, -1.0]) / s, np.array([0.0, 1.0, q]) / s
+def _shear_directions(q) -> tuple[np.ndarray, np.ndarray]:
+    """(q e2 - e3)/s, (e2 + q e3)/s: the B1 circle direction and its normal, C1 the reverse.
+
+    For a 1-D array of q the directions are the rows of (n, 3) arrays.
+    """
+    s = np.sqrt(1.0 + q * q)
+    zero, one = np.zeros_like(q), np.ones_like(q)
+    return (np.array([zero, q, -one]) / s).T, (np.array([zero, one, q]) / s).T
 
 
 def enumerate_unit_geodesics(
@@ -569,7 +602,7 @@ def geodesic_brute_force(L: LieAlgebra3, g: Metric3 | None = None, grid: int = 4
     """
     if grid < 100:
         raise ValueError("grid must be at least 100")
-    M = _defect_matrices(L, _I3 if g is None else g)
+    M = _defect_matrices(L.c, _I3 if g is None else g)
     scale = float(np.abs(M).max())
     if scale == 0.0:
         return _whole_sphere(grid)

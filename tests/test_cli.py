@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -128,6 +130,37 @@ def test_atlas_csv(tmp_path, capsys):
     # row-major order: p varies slowest
     ps = [float(r["p"]) for r in rows]
     assert ps == sorted(ps)
+
+
+def test_atlas_at_r_1e200(tmp_path, capsys):
+    # every row is tag D with D = 1 + q^2; (alpha + delta)^2 overflows
+    out_file = tmp_path / "atlas.csv"
+    code, _, _ = run_cli(
+        capsys, "atlas", "--p-range", "-1:1:3", "--q-range", "-1:1:3", "--r", "1e200", "--out", str(out_file)
+    )
+    assert code == 0
+    rows = [ln.split(",") for ln in out_file.read_text().strip().splitlines()[1:]]
+    assert len(rows) == 9
+    assert all(row[3] == "D" and float(row[5]) == 1.0 + float(row[1]) ** 2 for row in rows)
+
+
+def test_classify_family_c_at_large_scale(capsys):
+    # Abar^2 + Bbar^2 overflows at this scale
+    code, out, _ = run_cli(capsys, "classify", "--p", "1e160", "--q", "0", "--r", "1e160", "--xi", "0.6,0,0.8")
+    assert code == 0
+    assert json.loads(out)["family"] == "C"
+
+
+def test_python_m_contact3_runs_the_cli():
+    import contact3
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(contact3.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "contact3", "verify", "--list"], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "axioms" in proc.stdout.split()
 
 
 def test_atlas_bad_output_path_exits_4(capsys):

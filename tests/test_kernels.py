@@ -14,7 +14,7 @@ from contact3.metric_geometry import _defect_matrices, _sphere_grid
 @pytest.fixture(scope="module")
 def problem():
     L = from_milnor((3, 0, 0, -1))
-    M = _defect_matrices(L, Metric3.identity())
+    M = _defect_matrices(L.c, Metric3.identity())
     X = _sphere_grid(100)
     return M, X
 
@@ -31,7 +31,7 @@ def test_defect_matches_direct_evaluation(problem):
     algebras = [from_milnor((3, 0, 0, -1)), from_milnor((1.5, -0.7, 0.7, 1.5)), from_functional([0.3, -1.2, 0.8])]
     for L in algebras:
         for g in (Metric3.identity(), Metric3(np.diag([1.0, 2.5, 0.4]))):
-            M = _defect_matrices(L, g)
+            M = _defect_matrices(L.c, g)
             want = _reference_defect_max_batch(M, X)
             got = defect_max_batch(M, P.T)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(M).max())
@@ -53,7 +53,7 @@ def test_full_grid_is_hemisphere_then_its_negation(grid):
 
 @pytest.mark.parametrize("pqr", [(0.7, 0.4, 1.0), (0.0, 0.3, 1.2), (1.0, 0.0, 1.0), (1.0, 0.5, 1.0)])
 def test_refine_is_exactly_odd(pqr):
-    M = _defect_matrices(from_milnor(MilnorParameters.from_pqr(*pqr)), Metric3.identity())
+    M = _defect_matrices(from_milnor(MilnorParameters.from_pqr(*pqr)).c, Metric3.identity())
     scale = np.abs(M).max()
     h = 2.0 * math.pi / 200
     X = _sphere_grid(200)

@@ -130,6 +130,24 @@ def test_invariant_D_values(params, expected_D):
 
 
 @pytest.mark.parametrize(
+    "params,expected_D",
+    [((1e200, 0, 0, 1e200), 1.0), ((3e200, 0, 0, -1e200), -3.0), (MilnorParameters.from_pqr(0.5e200, 1.0, 1e200), 1.5)],
+)
+def test_invariant_D_beyond_the_float_range_of_its_squares(params, expected_D):
+    # (alpha + delta)^2 and |trace form|^2 overflow here
+    D = milnor_invariant_D(params)
+    assert D == pytest.approx(expected_D, rel=1e-12)
+    assert D == pytest.approx(invariant_D(from_milnor(params)), rel=1e-12)
+
+
+@pytest.mark.parametrize("pqr", [(2.0, 0.5, 1.0), (0.3, -0.7, 1.1), (1e-3, 3.0, -7e-4), (5e8, 0.2, 1e9)])
+def test_invariant_D_direct_form_at_ordinary_scales(pqr):
+    P = MilnorParameters.from_pqr(*pqr)
+    a, b, g, d = P.alpha, P.beta, P.gamma, P.delta
+    assert milnor_invariant_D(P) == 4.0 * (a * d - b * g) / (a + d) ** 2
+
+
+@pytest.mark.parametrize(
     "params,expected",
     [((3, 0, 0, -1), (2, 0, 1)), ((2, 2, 0, 0), (1, 1, 1)), ((1, 0, 0, 1), (0, 0, 1))],
 )

@@ -21,7 +21,7 @@ from contact3 import (
     sectional_curvature,
 )
 from contact3.lie_core import bracket
-from contact3.metric_geometry import _regime, oracle_match
+from contact3.metric_geometry import _REGIMES, _regime, _regimes, oracle_match
 
 E = np.eye(3)
 I3 = Metric3.identity()
@@ -133,10 +133,18 @@ def test_enumeration_dispatch(params, tag, n_discrete, n_families):
     assert len(enum.families) == n_families
 
 
+def _tag(params):
+    """``_regime``, checked against ``_regimes`` over an array holding the same algebra twice."""
+    tag = _regime(params)
+    codes = _regimes(*(np.full(2, v) for v in (params.p, params.q, params.r, params.scale)))
+    assert [_REGIMES[k] for k in codes] == [tag, tag]
+    return tag
+
+
 def test_regime_tie_goes_to_p_zero():
     # |p| and |p - r| are both within 1e-12 * scale = 1.5 of zero
     params = MilnorParameters.from_pqr(0.5, 1e12, 1.0)
-    assert _regime(params) == "D"
+    assert _tag(params) == "D"
     assert enumerate_unit_geodesics(params).case_tag == "D"
 
 
@@ -144,12 +152,12 @@ def test_regime_tie_goes_to_p_zero():
 def test_regime_q_is_dimensionless(r):
     # p = +-r is decided relative to the scale, q = 0 at a bare 1e-12
     for sign, line in ((1.0, "B"), (-1.0, "C")):
-        assert _regime(MilnorParameters.from_pqr(sign * r, 5e-13, r)) == line + "2"
-        assert _regime(MilnorParameters.from_pqr(sign * r, 2e-12, r)) == line + "1"
-        assert _regime(MilnorParameters.from_pqr(sign * r * (1 + 1e-13), 0.7, r)) == line + "1"
-        assert _regime(MilnorParameters.from_pqr(sign * r * (1 + 1e-10), 0.7, r)) == "generic"
-    assert _regime(MilnorParameters.from_pqr(1e-13 * r, 0.7, r)) == "D"
-    assert _regime(MilnorParameters.from_pqr(1e-10 * r, 0.7, r)) == "generic"
+        assert _tag(MilnorParameters.from_pqr(sign * r, 5e-13, r)) == line + "2"
+        assert _tag(MilnorParameters.from_pqr(sign * r, 2e-12, r)) == line + "1"
+        assert _tag(MilnorParameters.from_pqr(sign * r * (1 + 1e-13), 0.7, r)) == line + "1"
+        assert _tag(MilnorParameters.from_pqr(sign * r * (1 + 1e-10), 0.7, r)) == "generic"
+    assert _tag(MilnorParameters.from_pqr(1e-13 * r, 0.7, r)) == "D"
+    assert _tag(MilnorParameters.from_pqr(1e-10 * r, 0.7, r)) == "generic"
 
 
 def test_regime_near_line_is_generic():

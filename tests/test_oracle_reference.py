@@ -112,7 +112,7 @@ def _reference_refine_batch(M, X0, step_cap, target, max_iter=80):
 def _reference_brute_force(L, grid):
     # every lattice row, defects by the per-point quadratic form, and
     # every survivor refined by the row-wise reference
-    M = _defect_matrices(L, Metric3.identity())
+    M = _defect_matrices(L.c, Metric3.identity())
     scale = float(np.abs(M).max())
     th = math.pi * (np.arange(grid) + 0.5) / grid
     ph = 2.0 * math.pi * np.arange(grid) / grid
@@ -368,7 +368,7 @@ def test_neighbour_pairs_overflow_raises():
 @pytest.mark.parametrize("tag, L, enum", list(_sources()))
 def test_refine_matches_rowwise_reference(tag, L, enum):
     grid = 200
-    M = _defect_matrices(L, Metric3.identity())
+    M = _defect_matrices(L.c, Metric3.identity())
     scale = float(np.abs(M).max())
     h = 2.0 * math.pi / grid
     X = _sphere_grid(grid)
