@@ -115,7 +115,7 @@ class LinearFunctional:
 
     def __post_init__(self):
         v = _as_vector(self.l)
-        if np.linalg.norm(v) == 0.0:
+        if not v.any():
             raise ValueError("l = 0 gives the abelian (unimodular) algebra")
         v.setflags(write=False)
         object.__setattr__(self, "l", v)
@@ -125,7 +125,7 @@ class LinearFunctional:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.l))
+        return _norm(self.l)
 
     @property
     def dual(self) -> Vector:
@@ -156,9 +156,9 @@ def ad_matrix(L: LieAlgebra3, x) -> np.ndarray:
 
 
 def _norm(v: Vector) -> float:
-    """``np.linalg.norm(v)``, scaled by max |v_i| first where |v|^2 would overflow."""
+    """``np.linalg.norm(v)``, scaled by max |v_i| first where |v|^2 would over- or underflow."""
     m = float(np.abs(v).max())
-    if m > 1e150:
+    if m > 1e150 or 0.0 < m < 1e-150:
         return m * float(np.linalg.norm(v / m))
     return float(np.linalg.norm(v))
 

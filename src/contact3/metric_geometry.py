@@ -649,22 +649,20 @@ class OracleAgreement:
         return self.n_isolated_oracle == self.n_isolated_enum
 
 
-def _nearest_distance(a: np.ndarray, b: np.ndarray, radius: float, *, exclude_self: bool = False) -> np.ndarray:
-    """Distance from each row of a to the nearest row of b.
+def _nearest_distance(a: np.ndarray, b: np.ndarray, radius: float, skip: np.ndarray | None = None) -> np.ndarray:
+    """Distance from each row a[i] to the nearest row of b but b[skip[i]] (none if skip[i] < 0; inf if no row).
 
-    With ``exclude_self`` (a is b) a row is not its own neighbour, and a
-    row with no other is at infinity.  Rows of b within ``radius`` of a row
-    lie in the 27 cells around it, so the minimum over its
-    ``_neighbour_pairs`` finds the nearest one; rows with none there are
-    scanned against all of b, in row blocks of about ``_BLOCK_PAIRS``
-    pairs.  Memory is linear in the rows and the block, never
-    len(a) x len(b).  Each distance is sqrt(sum((a_i - b_j)^2)), the
-    arithmetic of ``np.linalg.norm(a - b, axis=-1)``, for the nearest j.
+    Exact for any ``radius``, which sets only the cost: rows of b within
+    ``radius`` of a row lie in the 27 cells around it (up to face rounding
+    in ``_cell_keys``), so the minimum over its ``_neighbour_pairs`` finds
+    the nearest one; other rows are scanned against all of b, in blocks of
+    about ``_BLOCK_PAIRS`` pairs, never len(a) x len(b).  Each distance is
+    sqrt(sum((a_i - b_j)^2)), the arithmetic of ``np.linalg.norm``.
     """
     best = np.full(len(a), math.inf)
     for rows, cols, d2 in _neighbour_pairs(a, b, radius):
-        if exclude_self:
-            d2[rows == cols] = math.inf
+        if skip is not None:
+            d2[cols == skip[rows]] = math.inf
         if len(rows):
             starts = np.flatnonzero(_run_starts(rows))
             best[rows[starts]] = np.minimum.reduceat(d2, starts)
@@ -673,8 +671,8 @@ def _nearest_distance(a: np.ndarray, b: np.ndarray, radius: float, *, exclude_se
     for s in range(0, len(far), step):
         i = far[s : s + step]
         d2 = ((a[i, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
-        if exclude_self:
-            d2[np.arange(len(i)), i] = math.inf
+        if skip is not None:
+            d2[np.arange(len(b)) == skip[i, None]] = math.inf
         best[i] = d2.min(axis=1, initial=math.inf)
     return np.sqrt(best)
 
@@ -685,26 +683,28 @@ def oracle_match(enum: GeodesicEnumeration, points: list[Vector], grid: int) -> 
     An oracle point counts as isolated when no other oracle point lies
     within 3.5 lattice spacings h = 2 pi / grid (a lone point is
     isolated); along full circles the representatives chain at lattice
-    density, so the two populations separate cleanly.  The family coverage
-    gap is the worst distance from 720 samples of each full circle to the
-    nearest oracle point.  Nearest points come from a cell index
-    (``_nearest_distance``), so memory grows linearly with the number of
-    points: no pairwise matrix is built.
+    density, so the two populations separate cleanly.  Points sharing a
+    cell of side 1.75 h are within 3.5 h of each other, so only the points
+    alone in their cell are searched, with the enumerated isolated points
+    in one ``_nearest_distance`` call.  The family coverage gap is the
+    worst distance from 720 samples of each full circle to the nearest
+    oracle point, searched in cells of side h / 2.  Memory is linear.
     """
     pts = np.asarray(points, dtype=float)
     if len(pts) == 0:
         raise ValueError("oracle returned no points")
-    radius = 3.5 * (2.0 * math.pi / grid)
+    h = 2.0 * math.pi / grid
     d_o2s = float(enum.distance_to_set(pts).max())
     iso = np.array(enum.isolated_points()).reshape(-1, 3)
-    d_i2o = float(_nearest_distance(iso, pts, radius).max(initial=0.0))
-    n_iso = int((_nearest_distance(pts, pts, radius, exclude_self=True) > radius).sum())
-    ts = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
-    gap = 0.0
-    for fam in enum.families:
-        if fam.angles is None:
-            samples = np.cos(ts)[:, None] * fam.u + np.sin(ts)[:, None] * fam.v
-            gap = max(gap, float(_nearest_distance(samples, pts, radius).max()))
+    (keys,), w = _cell_keys(1.75 * h, pts)
+    _, cell, size = np.unique(_cell_ids(keys, w), return_inverse=True, return_counts=True)
+    lone = np.flatnonzero(size[cell] == 1)
+    d = _nearest_distance(np.concatenate([iso, pts[lone]]), pts, 3.5 * h, np.append(np.full(len(iso), -1), lone))
+    d_i2o = float(d[: len(iso)].max(initial=0.0))
+    n_iso = int((d[len(iso) :] > 3.5 * h).sum())
+    ts = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)[:, None]
+    circles = [np.cos(ts) * f.u + np.sin(ts) * f.v for f in enum.families if f.angles is None]
+    gap = max((float(_nearest_distance(x, pts, 0.5 * h).max()) for x in circles), default=0.0)
     return OracleAgreement(d_o2s, d_i2o, gap, n_iso, len(iso))
 
 

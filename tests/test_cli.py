@@ -112,6 +112,15 @@ def test_geodesics_case_d(capsys):
     assert len(rec["discrete"]) == 2 and rec["families"] == []
 
 
+def test_geodesics_of_a_tiny_functional(capsys):
+    # |l|^2 underflows at 1e-200; l is still nonzero and its dual is e1
+    code, out, _ = run_cli(capsys, "geodesics", "--l", "1e-200,0,0")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["case_tag"] == "E"
+    assert rec["discrete"][0] == [1.0, 0.0, 0.0]
+
+
 def test_atlas_csv(tmp_path, capsys):
     out_file = tmp_path / "atlas.csv"
     code, _, _ = run_cli(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,6 +181,21 @@ def test_from_functional_matches_milnor():
 def test_functional_rejects_zero():
     with pytest.raises(ValueError):
         LinearFunctional(np.zeros(3))
+
+
+@pytest.mark.parametrize("l1", [1e200, 1e-200, 5e-324, -1e300])
+def test_functional_norm_and_dual_beyond_the_float_range_of_its_square(l1):
+    # |l|^2 over- or underflows here; a nonzero l is not "l = 0"
+    l = LinearFunctional(np.array([l1, 0.0, 0.0]))
+    assert l.norm == abs(l1)
+    assert np.array_equal(l.dual, [math.copysign(1.0, l1), 0.0, 0.0])
+
+
+@pytest.mark.parametrize("v", [(0.3, -1.2, 2.5), (1e-140, 2e-141, 0.0), (4e140, 0.0, -3e139)])
+def test_functional_norm_is_numpys_in_the_normal_range(v):
+    l = LinearFunctional(np.array(v))
+    assert l.norm == float(np.linalg.norm(v))
+    assert np.array_equal(l.dual, np.array(v) / np.linalg.norm(v))
 
 
 @settings(max_examples=200, deadline=None)

@@ -148,6 +148,17 @@ def _reference_distance_to_set(enum, x):
     return best
 
 
+def _reference_isolated_count(pts, radius):
+    # rows with no other row within radius, from the dense distance matrix
+    # (built in row chunks to bound memory)
+    n = 0
+    for s in range(0, len(pts), 256):
+        dm = np.linalg.norm(pts[s : s + 256, None, :] - pts[None, :, :], axis=-1)
+        dm[np.arange(len(dm)), np.arange(s, s + len(dm))] = np.inf
+        n += int((dm.min(axis=1) > radius).sum())
+    return n
+
+
 def _reference_oracle_match(enum, points, grid):
     pts = np.array([np.asarray(p, float) for p in points])
     d_o2s = max(_reference_distance_to_set(enum, x) for x in pts)
@@ -155,13 +166,7 @@ def _reference_oracle_match(enum, points, grid):
     d_i2o = 0.0
     for p in iso:
         d_i2o = max(d_i2o, float(np.linalg.norm(pts - p, axis=1).min()))
-    h = 2.0 * math.pi / grid
-    if len(pts) == 1:
-        n_iso = 1
-    else:
-        dm = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-        np.fill_diagonal(dm, np.inf)
-        n_iso = int((dm.min(axis=1) > 3.5 * h).sum())
+    n_iso = _reference_isolated_count(pts, 3.5 * (2.0 * math.pi / grid))
     gap = 0.0
     for fam in enum.families:
         if fam.angles is not None:
@@ -232,15 +237,23 @@ def test_merge_matches_dense_reference(name, defect_kind):
 def test_nearest_distance_matches_dense_minimum(exclude_self):
     rng = np.random.default_rng(5)
     b = _unit_rows(rng.standard_normal((600, 3)))
-    a = b if exclude_self else _unit_rows(rng.standard_normal((400, 3)))
+    # excluding self: a is every other row of b, and row i skips b[skip[i]],
+    # except every fifth row, whose skip is -1 (none): it finds itself
+    skip = np.arange(0, 600, 2) if exclude_self else None
+    a = b[skip] if exclude_self else _unit_rows(rng.standard_normal((400, 3)))
     dense = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
     if exclude_self:
-        np.fill_diagonal(dense, np.inf)
+        dense[np.arange(len(a)), skip] = np.inf
+        dense[np.arange(0, len(a), 5), skip[::5]] = 0.0
+        skip[::5] = -1
     # nearest distances here spread across 0.5 to 3 radii: both the cell
     # index and the exhaustive scan answer some rows
     radius = float(np.median(dense.min(axis=1)))
-    assert np.array_equal(_nearest_distance(a, b, radius, exclude_self=exclude_self), dense.min(axis=1))
-    assert _nearest_distance(b[:1], b[:1], radius, exclude_self=True)[0] == math.inf
+    assert np.array_equal(_nearest_distance(a, b, radius, skip), dense.min(axis=1))
+    assert _nearest_distance(b[:1], b[:1], radius, np.zeros(1, dtype=int))[0] == math.inf
+    # skip -1 skips no row, also in the scan beyond the cells
+    b = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    assert _nearest_distance(np.array([[0.0, 0.0, 2.0]]), b, 0.1, np.array([-1]))[0] == 1.0
 
 
 def _sources():
@@ -271,6 +284,116 @@ def test_oracle_match_lone_point_is_isolated():
     agr = oracle_match(enum, [np.array([-1.0, 0.0, 0.0])], 200)
     assert agr.n_isolated_oracle == 1
     assert agr.max_oracle_to_set == 0.0
+
+
+# the isolation radius 3.5 h of oracle_match at this grid, about 0.05
+ISO_GRID = 440
+ISO_RADIUS = 3.5 * (2.0 * math.pi / ISO_GRID)
+
+
+def _isolated_count(pts, grid=ISO_GRID):
+    # the count does not look at the enumeration
+    return oracle_match(enumerate_unit_geodesics(functional=[1.0, 0.0, 0.0]), list(pts), grid).n_isolated_oracle
+
+
+def _isolated_clouds():
+    rng = np.random.default_rng(23)
+    r = ISO_RADIUS
+    # pairs (rounded) radius apart across faces of the cells of side radius
+    # and radius / 2, one pair per site and sites 4 radii apart
+    sites = 4.0 * r * rng.permutation(np.stack(np.meshgrid(*[np.arange(-3, 4)] * 3), -1).reshape(-1, 3))[:60]
+    sites = np.concatenate([sites[:20], np.nextafter(sites[20:40], -np.inf), sites[40:] + r / 2])
+    step = r * np.eye(3)[rng.integers(0, 3, 60)]
+    faces = np.concatenate([sites, sites + step, sites[::3] - step[::3]])
+    # lone points just inside and just outside radius of crowded chains:
+    # offsets along a chain's normal, and past its ends
+    chains, lone = [], []
+    for f in (0.1, 0.25, 0.45):
+        u, w = np.linalg.qr(rng.standard_normal((3, 2)))[0].T
+        t = r * f * np.arange(120)
+        chain = np.cos(t)[:, None] * u + np.sin(t)[:, None] * w
+        # one offset per chain point, the points 24 steps (2.4 radii or more) apart
+        d = np.array([0.6, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 + 1e-6, 2.5])
+        lone.append(chain[12::24] + (d * r)[:, None] * np.cross(u, w))
+        lone.append([chain[0] - (1.0 + 1e-9) * r * w])
+        chains.append(chain)
+    # pairs along a cell diagonal: 1.3 and 1.005 radii apart within one
+    # cell of side radius (or radius / 1.7), and 0.85 radii apart within
+    # one of side radius / 2
+    corners = 4.0 * r * rng.permutation(np.stack(np.meshgrid(*[np.arange(-3, 4)] * 3), -1).reshape(-1, 3))[:40]
+    corners += 0.001 * r
+    diagonals = np.concatenate([corners, corners + r * np.repeat([0.75, 0.58, 0.49], [15, 10, 15])[:, None]])
+    base = _unit_rows(np.random.default_rng(24).standard_normal((40, 3)))
+    return {
+        "faces": faces,
+        "diagonals": diagonals,
+        "lone-by-chains": np.concatenate([*chains, *lone]),
+        "chains": np.concatenate(chains),
+        "single": base[:1],
+        "duplicates": np.concatenate([base, base[:10], base[5:25]]),
+        "cell-cloud": _cell_cloud(rng, r / 2),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["faces", "diagonals", "lone-by-chains", "chains", "single", "duplicates", "cell-cloud"]
+)
+def test_isolated_count_matches_dense_reference(name):
+    pts = _isolated_clouds()[name]
+    want = _reference_isolated_count(pts, ISO_RADIUS)
+    assert _isolated_count(pts) == want
+    # each kind of cloud exercises what its name says
+    expected = {"diagonals": 50, "chains": 0, "single": 1, "duplicates": 15}
+    if name in expected:
+        assert want == expected[name]
+    else:
+        assert 0 < want < len(pts)
+
+
+def test_isolated_count_of_the_pair_two_cells_apart():
+    # z = -5e-324 has cell key -1 at side radius, z = radius has key 1
+    for z, want in ((ISO_RADIUS, 0), (np.nextafter(ISO_RADIUS, 1.0), 2)):
+        pts = np.array([[0.0, 0.0, -5e-324], [0.0, 0.0, z]])
+        assert np.linalg.norm(pts[0] - pts[1]) == z
+        assert _isolated_count(pts) == _reference_isolated_count(pts, ISO_RADIUS) == want
+
+
+def _circle_source_400():
+    rng = np.random.default_rng(29)
+    params = sample_params(rng, "B1")
+    return from_milnor(params), enumerate_unit_geodesics(params)
+
+
+def test_isolated_count_on_a_grid_400_circle_source():
+    L, enum = _circle_source_400()
+    pts = np.array(geodesic_brute_force(L, grid=400))
+    assert len(pts) > 1000
+    radius = 3.5 * (2.0 * math.pi / 400)
+    assert _isolated_count(pts, 400) == _reference_isolated_count(pts, radius)
+
+
+def _gap_probes(enum, pts, rng):
+    ts = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
+    probes = [_unit_rows(rng.standard_normal((200, 3))), np.array(enum.isolated_points()).reshape(-1, 3), pts[::7]]
+    for fam in enum.families:
+        if fam.angles is None:
+            probes.append(np.cos(ts)[:, None] * fam.u + np.sin(ts)[:, None] * fam.v)
+    return np.concatenate(probes)
+
+
+@pytest.mark.parametrize("grid", [200, 400])
+def test_nearest_distance_is_independent_of_the_cell_radius(grid):
+    # the family gap is searched in cells of side h / 2 rather than 3.5 h
+    rng = np.random.default_rng(31)
+    sources = list(_sources()) if grid == 200 else [("B1", *_circle_source_400())]
+    h = 2.0 * math.pi / grid
+    for _, L, enum in sources:
+        pts = np.array(geodesic_brute_force(L, grid=grid))
+        x = _gap_probes(enum, pts, rng)
+        got = [_nearest_distance(x, pts, f * h) for f in (0.5, 1.0, 3.5)]
+        assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
+        dense = [np.linalg.norm(x[s : s + 256, None] - pts[None], axis=-1).min(axis=1) for s in range(0, len(x), 256)]
+        assert np.array_equal(got[0], np.concatenate(dense))
 
 
 @pytest.mark.parametrize("tag, L, enum", list(_sources())[::2])
