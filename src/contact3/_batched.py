@@ -31,18 +31,29 @@ from .metric_geometry import (
     _regimes,
     _shear_directions,
 )
-from .tolerances import IDENTITY_RTOL, default_tol
+from .tolerances import (
+    FAMILY_A_TOL,
+    FRAME_TOL,
+    IDENTITY_RTOL,
+    INPLANE_TOL,
+    NORMAL_FORM_TOL,
+    NULL_AD_TOL,
+    PREDICATE_TOL,
+    ROOT_MERGE_TOL,
+    SIGN_TOL,
+    UNIMODULAR_TOL,
+)
 
 
 def _inplane_roots(a, h, d, scale) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``inplane_geodesic_angles`` elementwise: (first root, second root, number of roots, bad).
 
-    The same eigen-formula, fold and 1e-12 deduplication over arrays of
-    alpha, h = (beta + gamma)/2, delta and the scale; numpy's arctan2 and
-    hypot may differ from the math module's in the last bit.  A missing
-    root is NaN.  ``bad`` marks rows where a root misses the IDENTITY_RTOL
-    residual check on which ``inplane_geodesic_angles`` raises
-    ArithmeticError.
+    The same eigen-formula, fold and ROOT_MERGE_TOL deduplication over
+    arrays of alpha, h = (beta + gamma)/2, delta and the scale; numpy's
+    arctan2 and hypot may differ from the math module's in the last bit.
+    A missing root is NaN.  ``bad`` marks rows where a root misses the
+    IDENTITY_RTOL residual check on which ``inplane_geodesic_angles``
+    raises ArithmeticError.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         det = a * d - h * h
@@ -54,7 +65,7 @@ def _inplane_roots(a, h, d, scale) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
         t0, t1 = _fold_array(phi + psi), _fold_array(phi - psi)
         lo, hi = np.minimum(t0, t1), np.maximum(t0, t1)
         gap = np.minimum(hi - lo, math.pi - hi + lo)
-        n = np.where(det > 0.0, 0, np.where((hi == lo) | (gap <= 1e-12), 1, 2))
+        n = np.where(det > 0.0, 0, np.where((hi == lo) | (gap <= ROOT_MERGE_TOL), 1, 2))
         lo = np.where(n > 0, lo, np.nan)
         hi = np.where(n > 1, hi, np.nan)
         bad = np.zeros(np.shape(n), dtype=bool)
@@ -102,7 +113,7 @@ def _family_params_ok(family: str | None, params) -> np.ndarray:
     s = np.maximum(1.0, np.abs(np.stack(params)).max(axis=0))
     if family == "A":
         a, b, g, d = params
-        return ~(np.abs(a + d) <= IDENTITY_RTOL * s) & ~(np.abs(a * g + b * d) > 1e-9 * s * s)
+        return ~(np.abs(a + d) <= IDENTITY_RTOL * s) & ~(np.abs(a * g + b * d) > FAMILY_A_TOL * s * s)
     if family == "B":
         return ~(np.abs(params[0]) <= IDENTITY_RTOL * s)
     if family == "C":
@@ -114,7 +125,7 @@ def _outside_frames(c: np.ndarray, scale: np.ndarray, xi: np.ndarray) -> tuple[n
     """``_reduce_outside``'s (e, phi_e) for stacked algebras and unit xi, with a batched SVD."""
     u, v = _adapted_frame(_I3, xi)
     M = np.swapaxes(_basis_constants(c, np.stack([xi, u, v], axis=-1))[:, 0, 1:, 1:], -1, -2)
-    small = np.abs(M).max(axis=(-2, -1)) <= 1e-12 * np.maximum(1.0, scale)
+    small = np.abs(M).max(axis=(-2, -1)) <= NULL_AD_TOL * np.maximum(1.0, scale)
     # a non-finite M fails the row's later checks; only the SVD must not see it
     _, _, Vt = np.linalg.svd(np.where(np.isfinite(M), M, 0.0))
     rho = np.where(small, 0.0, np.arctan2(-Vt[:, -1, 0], Vt[:, -1, 1]) % math.pi)[:, None]
@@ -151,8 +162,9 @@ def _representative_summary(p: np.ndarray, q: np.ndarray, r: float):
         ok &= ~(np.abs(a * g + b * d) > IDENTITY_RTOL * scale * scale)
         ok &= ~(np.abs(a + d) <= IDENTITY_RTOL * scale)
         # invariant_D's unimodularity test: |trace form| = |alpha + delta|
-        ok &= ~(np.abs(a + d) <= 1e-9 * np.maximum(scale, 1.0))
-        q_ = np.where(np.abs(a) > IDENTITY_RTOL * np.maximum(scale, 1e-300), b / a, -g / d)
+        ok &= ~(np.abs(a + d) <= UNIMODULAR_TOL * np.maximum(scale, 1.0))
+        # pqr_from_milnor's q; its 1e-300 floor on the scale acts only on rows failed above
+        q_ = np.where(np.abs(a) > IDENTITY_RTOL * scale, b / a, -g / d)
 
         # regime and enumeration
         regime = np.asarray(_regimes(0.5 * (a - d), q_, 0.5 * (a + d), scale))
@@ -195,7 +207,7 @@ def _representative_summary(p: np.ndarray, q: np.ndarray, r: float):
         B = -(rg * ct * ct + (rd - ra) * st * ct - rb * st * st)
         C = rb * ct * ct + (rd - ra) * st * ct - rg * st * st
         xi, fe = np.stack([zero, ct, st], axis=-1), np.stack([zero, st, -ct], axis=-1)
-        eq_ok = ~(np.abs(eq) > 1e-9 * np.maximum(1.0, scale[rows]))
+        eq_ok = ~(np.abs(eq) > INPLANE_TOL * np.maximum(1.0, scale[rows]))
         branches.append(_Branch(rows, _unit_rows(_plane_points(t)), xi, E1, fe, "B", (A, B, C), eq_ok))
         # branch 3 at the special direction of B1/C1, routed from its in-plane line
         rows = np.flatnonzero(shear)
@@ -224,7 +236,7 @@ def _representative_summary(p: np.ndarray, q: np.ndarray, r: float):
         # _reduce_outside on B1/C1
         sub = rows[out]
         xi = proj[out]
-        lead = np.take_along_axis(xi, np.argmax(np.abs(xi) > 1e-9, axis=-1)[:, None], axis=-1)
+        lead = np.take_along_axis(xi, np.argmax(np.abs(xi) > SIGN_TOL, axis=-1)[:, None], axis=-1)
         xi = np.where(lead > 0, xi, -xi)  # _canonical_sign
         e, fe = _outside_frames(c[sub], scale[sub], xi)
         raw = _basis_constants(c[sub], np.stack([xi, e, fe], axis=-1))
@@ -245,7 +257,7 @@ def _report_checks(c: np.ndarray, scale: np.ndarray, branches: list[_Branch]):
     """The checks and predicates of every representative at once: (rows, ok, N residual, contact form).
 
     ``c`` and ``scale`` hold the algebras the branches' rows index.  The
-    checks, at the scalar path's gates: x is geodesic at ``default_tol()``
+    checks, at the scalar path's gates: x is geodesic at ``PREDICATE_TOL``
     (``_route``); the frame is orthonormal and (phi, xi, eta) satisfies
     the structure axioms (``PhiBasis``, ``structure_from_basis``,
     ``AlmostContactStructure``); the normal form matches the raw constants
@@ -262,11 +274,10 @@ def _report_checks(c: np.ndarray, scale: np.ndarray, branches: list[_Branch]):
     nf = np.concatenate([_normal_form_constants(br.family, br.params) for br in branches])
     ok = np.concatenate([np.broadcast_to(_family_params_ok(br.family, br.params) & br.ok, len(br.rows)) for br in branches])
     cr, sr = c[rows], scale[rows]
-    tol = default_tol()
     defect = np.abs(_kernels.residual_batch(_defect_matrices(cr, _I3), x[:, None, :])[:, 0]).max(axis=-1)
-    ok &= defect <= tol * _dot(x, x)
+    ok &= defect <= PREDICATE_TOL * _dot(x, x)
     F = np.stack([xi, e, fe], axis=-1)
-    ok &= ~(np.abs(np.swapaxes(F, -1, -2) @ F - np.eye(3)).max(axis=(-2, -1)) > 1e-9)
+    ok &= ~(np.abs(np.swapaxes(F, -1, -2) @ F - np.eye(3)).max(axis=(-2, -1)) > FRAME_TOL)
     phi = fe[:, :, None] * e[:, None, :] - e[:, :, None] * fe[:, None, :]
     phi_scale = np.maximum(1.0, np.abs(phi).max(axis=(-2, -1)))
     ok &= ~(np.abs(_dot(xi, xi) - 1.0) > IDENTITY_RTOL)
@@ -275,15 +286,15 @@ def _report_checks(c: np.ndarray, scale: np.ndarray, branches: list[_Branch]):
     square = phi @ phi + np.eye(3) - xi[:, :, None] * xi[:, None, :]
     ok &= ~(np.abs(square).max(axis=(-2, -1)) > IDENTITY_RTOL * phi_scale**2)
     raw = _basis_constants(cr, F)
-    ok &= ~(np.abs(raw - nf).reshape(m, -1).max(axis=-1) > 1e-10 * np.maximum(1.0, sr))
+    ok &= ~(np.abs(raw - nf).reshape(m, -1).max(axis=-1) > NORMAL_FORM_TOL * np.maximum(1.0, sr))
     via_deta, via_lie = _ker_deta_routes(cr, xi, xi)
     ker_scale = np.maximum(1.0, sr) * np.maximum(1.0, np.abs(xi).max(axis=-1)) ** 2
     ok &= ~(np.abs(via_deta - via_lie).max(axis=-1) > IDENTITY_RTOL * ker_scale)
-    ok &= np.all(np.abs(via_deta) <= tol, axis=-1)
+    ok &= np.all(np.abs(via_deta) <= PREDICATE_TOL, axis=-1)
     N = _nijenhuis(cr, phi, xi, xi)
     upper, lower = N[:, _UPPER[0], _UPPER[1]], N[:, _UPPER[1], _UPPER[0]]
     sym_scale = np.maximum(1.0, sr) * phi_scale**2
     ok &= ~(np.abs(upper + lower).reshape(m, -1).max(axis=-1) > IDENTITY_RTOL * sym_scale)
     residual = np.abs(upper).reshape(m, -1).max(axis=-1)
-    contact = np.abs(nf[:, 1, 2, 0]) > tol * sr  # as _structure_flags
+    contact = np.abs(nf[:, 1, 2, 0]) > PREDICATE_TOL * sr  # as _structure_flags
     return rows, ok, residual, contact

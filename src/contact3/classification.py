@@ -80,7 +80,7 @@ from .metric_geometry import (
     geodesic_defect,
     is_geodesic_vector,
 )
-from .tolerances import IDENTITY_RTOL, default_tol
+from .tolerances import FAMILY_A_TOL, IDENTITY_RTOL, INPLANE_TOL, NORMAL_FORM_TOL, NULL_AD_TOL, PREDICATE_TOL, SIGN_TOL
 
 Vector = np.ndarray
 
@@ -132,18 +132,17 @@ def _structure_flags(ps: PhiBasisStructure) -> tuple[bool, bool, bool]:
     w = eta([e, phi_e]), the frame (xi, e, phi_e) gives N(xi, e) =
     (0, d - a, -b - g), N(xi, phi_e) = (0, -b - g, a - d), N(e, phi_e) =
     (-w, 0, 0), (eta ^ d_eta)(xi, e, phi_e) = d_eta(e, phi_e) = -w and
-    Phi(e, phi_e) = -1.  The first two flags are held to tol times the
-    algebra's scale; contact metric is the normalisation w = 1, held to tol
-    itself, so it is not invariant under c -> lambda c.
+    Phi(e, phi_e) = -1.  The first two flags are held to PREDICATE_TOL
+    times the algebra's scale; contact metric is the normalisation w = 1,
+    held to PREDICATE_TOL itself, so it is not invariant under c -> lambda c.
     """
     c = ps.normal_form_constants()
-    tol = default_tol()
     a, b, g, d, w = c[0, 1, 1], c[0, 1, 2], c[0, 2, 1], c[0, 2, 2], c[1, 2, 0]
-    bound = tol * ps.algebra.scale
+    bound = PREDICATE_TOL * ps.algebra.scale
     return (
         bool(max(abs(a - d), abs(b + g), abs(w)) <= bound),
         bool(abs(w) > bound),
-        bool(abs(1.0 - w) <= tol),
+        bool(abs(1.0 - w) <= PREDICATE_TOL),
     )
 
 
@@ -181,7 +180,7 @@ class PhiBasisStructure:
             a, b, g, d = p
             if abs(a + d) <= IDENTITY_RTOL * scale:
                 raise ValueError("family A requires alpha + delta != 0")
-            if abs(a * g + b * d) > 1e-9 * scale * scale:
+            if abs(a * g + b * d) > FAMILY_A_TOL * scale * scale:
                 raise ValueError("family A requires alpha*gamma + beta*delta = 0")
         elif self.family == "B":
             if abs(p[0]) <= IDENTITY_RTOL * scale:
@@ -192,7 +191,7 @@ class PhiBasisStructure:
         object.__setattr__(self, "params", p)
         object.__setattr__(self, "notes", tuple(self.notes))
         res = self.normal_form_residual()
-        if res > 1e-10 * max(1.0, self.algebra.scale):
+        if res > NORMAL_FORM_TOL * max(1.0, self.algebra.scale):
             raise AssertionError(f"normal form does not match raw brackets (residual {res!r})")
 
     @property
@@ -253,7 +252,7 @@ def construct_case2(params, theta: float) -> PhiBasisStructure:
     a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
     ct, st = math.cos(theta), math.sin(theta)
     eq = a * ct * ct + (b + g) * st * ct + d * st * st
-    if abs(eq) > 1e-9 * max(1.0, params.scale):
+    if abs(eq) > INPLANE_TOL * max(1.0, params.scale):
         raise NotGeodesicError(
             f"angle {theta!r} violates the in-plane geodesic equation (residual {eq!r})"
         )
@@ -396,7 +395,7 @@ def _reduce_outside(L: LieAlgebra3, xi: Vector) -> PhiBasisStructure:
     """
     u, v = _adapted_frame(_I3, xi)
     M = _basis_constants(L.c, np.column_stack([xi, u, v]))[0, 1:, 1:].T  # M[w, z] = w . [xi, z]
-    if np.abs(M).max() <= 1e-12 * max(1.0, L.scale):
+    if np.abs(M).max() <= NULL_AD_TOL * max(1.0, L.scale):
         rho = 0.0
     else:
         # kernel direction of M (det M = 0 here): null right-singular vector
@@ -434,7 +433,7 @@ class ClassificationReport:
 
 def _canonical_sign(x: Vector) -> Vector:
     for comp in x:
-        if abs(comp) > 1e-9:
+        if abs(comp) > SIGN_TOL:
             return x if comp > 0 else -x
     raise ValueError("zero vector")
 
@@ -474,30 +473,27 @@ def resolve_source(source) -> tuple[MilnorParameters | LinearFunctional, LieAlge
     return params, from_milnor(params), enumerate_unit_geodesics(params)
 
 
-def classify(source, xi, *, tol: float | None = None) -> ClassificationReport:
+def classify(source, xi) -> ClassificationReport:
     """Classify the structure with Reeb vector xi on the given algebra.
 
     ``source`` is either adapted-form parameters or a linear functional.
     xi must be a unit geodesic vector (rejected otherwise, since xi in
     ker d_eta is equivalent to xi geodesic); it is matched against the
     closed-form geodesic enumeration and routed to the branch that covers
-    it, folding xi to the canonical sign representative.
-
-    ``tol`` moves only the geodesic test on xi.  The report's flags
-    (``normal``, ``contact_form``, ``contact_metric``) are read off the
-    normal form at ``default_tol()`` whatever ``tol`` is.
+    it, folding xi to the canonical sign representative.  The geodesic
+    test on xi and the report's flags decide at ``PREDICATE_TOL``.
     """
     x = _unit_xi(xi)
     source, L, enum = resolve_source(source)
-    return _report(*_route(source, L, enum, x, tol), invariant_D(L))
+    return _report(*_route(source, L, enum, x), invariant_D(L))
 
 
 def _route(
-    source, L: LieAlgebra3, enum: GeodesicEnumeration, x: Vector, tol: float | None
+    source, L: LieAlgebra3, enum: GeodesicEnumeration, x: Vector
 ) -> tuple[str, PhiBasisStructure, tuple[str, ...]]:
     """(case tag, normal-form structure, notes) of the branch that covers xi."""
     functional = isinstance(source, LinearFunctional)
-    if not is_geodesic_vector(L, _I3, x, tol):
+    if not is_geodesic_vector(L, _I3, x):
         raise NotGeodesicError(
             f"xi is not a geodesic vector (defect {float(geodesic_defect(L, _I3, x))!r})"
             + (
@@ -569,7 +565,7 @@ def _route(
     return tag, _reduce_outside(L, _canonical_sign(proj)), extra
 
 
-def classify_representatives(source, *, tol: float | None = None) -> list[ClassificationReport]:
+def classify_representatives(source) -> list[ClassificationReport]:
     """Reports for one representative of each geodesic orbit.
 
     One representative per antipodal pair of isolated geodesics and per
@@ -577,10 +573,10 @@ def classify_representatives(source, *, tol: float | None = None) -> list[Classi
     distinguished direction (branch 3) and one interior sample at a
     deterministic angle.
     """
-    return _representatives(*resolve_source(source), tol)
+    return _representatives(*resolve_source(source))
 
 
-def _representatives(source, L: LieAlgebra3, enum: GeodesicEnumeration, tol: float | None) -> list[ClassificationReport]:
+def _representatives(source, L: LieAlgebra3, enum: GeodesicEnumeration) -> list[ClassificationReport]:
     if isinstance(source, LinearFunctional):
         xis = [source.dual]
     else:
@@ -588,7 +584,7 @@ def _representatives(source, L: LieAlgebra3, enum: GeodesicEnumeration, tol: flo
         xis = [E1]
         xis.extend(np.array([0.0, math.cos(t), math.sin(t)]) for t in enum.inplane_angles())
         xis.extend((E1 + fam.v) / math.sqrt(2.0) for fam in enum.families if fam.angles is None)
-    routes = [_route(source, L, enum, x / np.linalg.norm(x), tol) for x in xis]
+    routes = [_route(source, L, enum, x / np.linalg.norm(x)) for x in xis]
     D = invariant_D(L)
     return [_report(*route, D) for route in routes]
 
@@ -656,7 +652,7 @@ def _stationary_angles(c1: np.ndarray, c2: np.ndarray, conj: bool) -> np.ndarray
     return rhos
 
 
-def is_isomorphic(s1: PhiBasisStructure, s2: PhiBasisStructure, tol: float | None = None):
+def is_isomorphic(s1: PhiBasisStructure, s2: PhiBasisStructure, tol: float = PREDICATE_TOL):
     """Search for a structure-preserving isometry intertwining the brackets.
 
     Candidate maps send xi to xi and rotate the ker-eta plane by an angle
@@ -671,8 +667,6 @@ def is_isomorphic(s1: PhiBasisStructure, s2: PhiBasisStructure, tol: float | Non
     map in ambient coordinates when the best residual is within
     ``tol`` times the largest structure constant, or None.
     """
-    if tol is None:
-        tol = default_tol()
     D1, D2 = s1.invariant_D(), s2.invariant_D()
     if abs(D1 - D2) > 1e-6 * max(1.0, abs(D1), abs(D2)):
         return None

@@ -176,7 +176,7 @@ def atlas_rows(p_values, q_values, r_value):
 
 def _scalar_atlas_row(p: float, q: float, r: float) -> dict:
     params, L, enum = resolve_source(MilnorParameters.from_pqr(p, q, r))
-    reps = _representatives(params, L, enum, None)
+    reps = _representatives(params, L, enum)
     return _atlas_row(
         p,
         q,
@@ -232,7 +232,7 @@ def cmd_verify(args) -> int:
         if name not in GROUPS:
             print(f"unknown group {name!r}; known: {', '.join(GROUPS)}", file=sys.stderr)
             return EXIT_BAD_PARAMS
-    results = run_groups(names, seed=args.seed, quick=args.quick)
+    results = run_groups(names, seed=args.seed)
     all_ok = True
     for res in results:
         print(f"[{'PASS' if res.passed else 'FAIL'}] {res.name}: {res.detail}")
@@ -271,22 +271,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=42)
     p_ver.add_argument("--group", action="append", help="run only this group (repeatable)")
     p_ver.add_argument("--list", action="store_true", help="print group names and exit")
-    p_ver.add_argument("--quick", action="store_true", help="smaller samples, faster run")
     p_ver.set_defaults(func=cmd_verify)
     return parser
 
 
-_FUSE_FLAGS = {"--p-range", "--q-range", "--xi", "--l"}
+@functools.cache
+def _value_flags() -> frozenset[str]:
+    """The option strings of every subcommand option that takes a value."""
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return frozenset(s for p in sub.choices.values() for a in p._actions if a.nargs != 0 for s in a.option_strings)
 
 
 def _fuse_compound_values(argv: list[str]) -> list[str]:
-    # argparse rejects option values like "-1:1:3" or "-1,0,0"; fold them
-    # into --flag=value form
+    # argparse reads option values like "-1e2", "-1:1:3" or "-1,0,0" as
+    # flags; fold them into --flag=value form
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _FUSE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
+        if tok in _value_flags() and i + 1 < len(argv) and argv[i + 1].startswith("-"):
             out.append(tok + "=" + argv[i + 1])
             i += 2
         else:

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lie_core import LieAlgebra3, _as_vector, ad_matrix, bracket
+from .lie_core import LieAlgebra3, _as_vector, bracket
 from .metric_geometry import Metric3, _dot
-from .tolerances import IDENTITY_RTOL, default_tol
+from .tolerances import FRAME_TOL, IDENTITY_RTOL, PREDICATE_TOL
 
 Vector = np.ndarray
 
@@ -93,7 +93,7 @@ class PhiBasis:
             v.setflags(write=False)
             object.__setattr__(self, name, v)
         B = self.matrix
-        if np.abs(B.T @ B - np.eye(3)).max() > 1e-9:
+        if np.abs(B.T @ B - np.eye(3)).max() > FRAME_TOL:
             raise ValueError("phi-basis must be orthonormal")
 
     @property
@@ -139,7 +139,7 @@ def structure_from_basis(g: Metric3, xi, e, phi_e) -> AlmostContactStructure:
     """Structure determined by an explicit adapted basis (either handedness)."""
     xi, e, phi_e = (_as_vector(w) for w in (xi, e, phi_e))
     B = np.column_stack([xi, e, phi_e])
-    if np.abs(B.T @ g.g @ B - np.eye(3)).max() > 1e-9:
+    if np.abs(B.T @ g.g @ B - np.eye(3)).max() > FRAME_TOL:
         raise ValueError("basis must be g-orthonormal")
     phi = np.outer(phi_e, g.g @ e) - np.outer(e, g.g @ phi_e)
     return AlmostContactStructure(phi, xi, g.g @ xi)
@@ -186,7 +186,7 @@ def _ker_deta_routes(c: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> tuple[np
     return via_deta, via_lie
 
 
-def xi_in_ker_deta(L: LieAlgebra3, s: AlmostContactStructure, tol: float | None = None) -> bool:
+def xi_in_ker_deta(L: LieAlgebra3, s: AlmostContactStructure, tol: float = PREDICATE_TOL) -> bool:
     """True iff d_eta(xi, e_i) vanishes for all i.
 
     Computed both as xi contracted into the d_eta matrix and as the Lie
@@ -196,8 +196,6 @@ def xi_in_ker_deta(L: LieAlgebra3, s: AlmostContactStructure, tol: float | None 
     can differ when a value sits within rounding of ``tol``; the decision
     is the d_eta route's.
     """
-    if tol is None:
-        tol = default_tol()
     via_deta, via_lie = _ker_deta_routes(L.c, s.xi, s.eta)
     scale = max(1.0, L.scale) * max(1.0, np.abs(s.xi).max()) * max(1.0, np.abs(s.eta).max())
     if np.abs(via_deta - via_lie).max() > IDENTITY_RTOL * scale:
@@ -205,29 +203,22 @@ def xi_in_ker_deta(L: LieAlgebra3, s: AlmostContactStructure, tol: float | None 
     return bool(np.all(np.abs(via_deta) <= tol))
 
 
-def check_ker_condition(L: LieAlgebra3, s: AlmostContactStructure, tol: float | None = None) -> bool:
+def check_ker_condition(L: LieAlgebra3, s: AlmostContactStructure, tol: float = PREDICATE_TOL) -> bool:
     """Verify eta([xi, X]) = 0 for X in ker eta.
 
-    ker eta is spanned by the columns of the projector I - xi (x) eta, so
-    the check is the single contraction eta . ad(xi) . (I - xi (x) eta),
-    which needs no metric.  Requires xi in ker d_eta; under that
-    hypothesis the check can only fail through an implementation bug,
-    never through the input data.
+    This restates the precondition xi in ker d_eta: X = Y - eta(Y) xi runs
+    over ker eta, and eta([xi, X]) = eta([xi, Y]) = -d_eta(xi, Y) because
+    [xi, xi] = 0.  So the check is ``xi_in_ker_deta`` at ``tol``: it
+    returns True, or raises KerConditionViolation where xi is not in
+    ker d_eta.
     """
-    if tol is None:
-        tol = default_tol()
     if not xi_in_ker_deta(L, s, tol):
         raise KerConditionViolation("precondition failed: xi is not in ker d_eta")
-    leak = s.eta @ ad_matrix(L, s.xi) @ (np.eye(3) - np.outer(s.xi, s.eta))
-    return bool(np.abs(leak).max() <= tol)
+    return True
 
 
-def is_contact_metric(
-    L: LieAlgebra3, s: AlmostContactStructure, g: Metric3, tol: float | None = None
-) -> bool:
+def is_contact_metric(L: LieAlgebra3, s: AlmostContactStructure, g: Metric3, tol: float = PREDICATE_TOL) -> bool:
     """True iff d_eta(X, Y) = Phi(X, Y) on all basis pairs, i.e. the d_eta matrix equals g phi."""
-    if tol is None:
-        tol = default_tol()
     gap = _deta_matrix(L.c, s.eta) - g.g @ s.phi
     return bool(np.abs(gap[_UPPER]).max() <= tol)
 
@@ -237,10 +228,8 @@ def eta_wedge_deta(L: LieAlgebra3, s: AlmostContactStructure) -> float:
     return float(0.5 * np.einsum("ijk,i,jk->", _LEVI_CIVITA, s.eta, _deta_matrix(L.c, s.eta)))
 
 
-def is_contact_form(L: LieAlgebra3, s: AlmostContactStructure, tol: float | None = None) -> bool:
+def is_contact_form(L: LieAlgebra3, s: AlmostContactStructure, tol: float = PREDICATE_TOL) -> bool:
     """True iff the 3-form eta ^ d_eta is nonzero."""
-    if tol is None:
-        tol = default_tol()
     return abs(eta_wedge_deta(L, s)) > tol
 
 

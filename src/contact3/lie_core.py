@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tolerances import IDENTITY_RTOL
+from .tolerances import IDENTITY_RTOL, UNIMODULAR_TOL
 
 Vector = np.ndarray
 
@@ -171,7 +171,7 @@ def _trace_form(L: LieAlgebra3) -> Vector:
 def is_unimodular(L: LieAlgebra3, tol: float | None = None) -> bool:
     """True iff trace ad(e_i) vanishes for every basis vector."""
     if tol is None:
-        tol = 1e-9 * max(L.scale, 1.0)
+        tol = UNIMODULAR_TOL * max(L.scale, 1.0)
     return bool(np.abs(_trace_form(L)).max() <= tol)
 
 
@@ -285,7 +285,7 @@ def invariant_D(L: LieAlgebra3) -> float:
     """
     T = _trace_form(L)
     tn = _norm(T)
-    if tn <= 1e-9 * max(L.scale, 1.0):
+    if tn <= UNIMODULAR_TOL * max(L.scale, 1.0):
         raise ValueError("algebra is unimodular: D is undefined")
     u1, u2 = unimodular_kernel(L)
     x0 = T / tn  # trace ad(x0) = tn > 0

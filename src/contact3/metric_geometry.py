@@ -32,7 +32,7 @@ from .lie_core import (
     from_functional,
     from_milnor,
 )
-from .tolerances import IDENTITY_RTOL, default_tol
+from .tolerances import IDENTITY_RTOL, PREDICATE_TOL, ROOT_MERGE_TOL
 
 Vector = np.ndarray
 
@@ -131,7 +131,7 @@ def geodesic_defect(L: LieAlgebra3, g: Metric3, x) -> float | np.ndarray:
     return _scalar_or_array(d.reshape(x.shape[:-1]))
 
 
-def is_geodesic_vector(L: LieAlgebra3, g: Metric3, x, tol: float | None = None) -> bool:
+def is_geodesic_vector(L: LieAlgebra3, g: Metric3, x, tol: float = PREDICATE_TOL) -> bool:
     """True iff |g([x, e_i], x)| <= tol * |x|^2 for every basis vector.
 
     Equivalent to nabla_x x = 0; the connection-based restatement is kept
@@ -142,8 +142,6 @@ def is_geodesic_vector(L: LieAlgebra3, g: Metric3, x, tol: float | None = None) 
     nx2 = g.inner(x, x)
     if nx2 == 0.0:
         raise ValueError("the zero vector cannot be a geodesic vector")
-    if tol is None:
-        tol = default_tol()
     return geodesic_defect(L, g, x) <= tol * nx2
 
 
@@ -175,7 +173,7 @@ def inplane_geodesic_angles(params: MilnorParameters | tuple) -> list[float]:
     phi = 0.5 * math.atan2(2.0 * h, a - d)
     psi = math.atan2(math.sqrt(lam_plus), math.sqrt(-lam_minus))
     roots = sorted({_fold(phi + psi), _fold(phi - psi)})
-    if len(roots) == 2 and min(roots[1] - roots[0], math.pi - roots[1] + roots[0]) <= 1e-12:
+    if len(roots) == 2 and min(roots[1] - roots[0], math.pi - roots[1] + roots[0]) <= ROOT_MERGE_TOL:
         del roots[1]
     for t in roots:
         res = abs(a * math.cos(t) ** 2 + 2.0 * h * math.sin(t) * math.cos(t) + d * math.sin(t) ** 2)
@@ -293,12 +291,12 @@ def _probe_faults(c: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.nda
     """(some probe is not unit, some probe fails the geodesic gate) per probe set.
 
     ``probes`` has shape (..., k, 3) and ``c`` the matching structure
-    constants, shape (..., 3, 3, 3); the geodesic gate is the defect 1e-9
-    for the identity metric.
+    constants, shape (..., 3, 3, 3); the geodesic gate is the defect
+    PREDICATE_TOL for the identity metric.
     """
     not_unit = np.any(np.abs(_norm(probes) - 1.0) > IDENTITY_RTOL, axis=-1)
     defect = np.abs(_kernels.residual_batch(_defect_matrices(c, _I3), probes)).max(axis=-1)
-    return not_unit, np.any(defect > 1e-9, axis=-1)
+    return not_unit, np.any(defect > PREDICATE_TOL, axis=-1)
 
 
 def _check_enumeration(L: LieAlgebra3, enum: GeodesicEnumeration) -> None:
@@ -580,7 +578,7 @@ _MERGE_RADIUS = 1e-3
 _KEEP_RTOL = 1e-10
 
 
-def geodesic_brute_force(L: LieAlgebra3, g: Metric3 | None = None, grid: int = 400) -> list[Vector]:
+def geodesic_brute_force(L: LieAlgebra3, g: Metric3 | None = None, grid: int = 400) -> np.ndarray:
     """Sphere-scan oracle for the unit geodesic set, independent of the closed forms.
 
     The lattice is ``grid`` x ``grid`` points in (theta, phi).  The defect
@@ -596,9 +594,10 @@ def geodesic_brute_force(L: LieAlgebra3, g: Metric3 | None = None, grid: int = 4
     exactly odd, so the refined points and their bitwise negations, with
     equal defects, are what refining the whole lattice (``_sphere_grid``)
     would give.  That cloud is merged into clusters and one
-    representative per cluster is returned, sorted by spherical angle.  If
-    the whole sphere passes the coarse cut (abelian input), a decimated
-    subset of the whole lattice is returned unrefined.
+    representative per cluster is returned, sorted by spherical angle, as
+    the rows of an (n, 3) array.  If the whole sphere passes the coarse
+    cut (abelian input), a decimated subset of the whole lattice is
+    returned unrefined.
     """
     if grid < 100:
         raise ValueError("grid must be at least 100")
@@ -613,21 +612,21 @@ def geodesic_brute_force(L: LieAlgebra3, g: Metric3 | None = None, grid: int = 4
     if mask.mean() > 0.5 and F.max() <= _KEEP_RTOL * scale:
         return _whole_sphere(grid)
     if not mask.any():
-        return []
+        return np.zeros((0, 3))
     seeds = _hemisphere_points(grid, np.flatnonzero(mask))
     target = 1e-13 * scale
     refined, fr = _kernels.refine_batch(M, seeds, 3.0 * h, target, 80)
     ok = fr <= _KEEP_RTOL * scale
     if not ok.any():
-        return []
+        return np.zeros((0, 3))
     pts = refined[ok]
-    return list(_merge_clusters(np.concatenate([pts, -pts]), np.tile(fr[ok], 2), _MERGE_RADIUS))
+    return _merge_clusters(np.concatenate([pts, -pts]), np.tile(fr[ok], 2), _MERGE_RADIUS)
 
 
-def _whole_sphere(grid: int) -> list[Vector]:
+def _whole_sphere(grid: int) -> np.ndarray:
     # about 512 points spread over the whole lattice
     X = _sphere_grid(grid)
-    return list(X[:: max(1, len(X) // 512)].copy())
+    return X[:: max(1, len(X) // 512)].copy()
 
 
 @dataclass(frozen=True)
@@ -677,18 +676,20 @@ def _nearest_distance(a: np.ndarray, b: np.ndarray, radius: float, skip: np.ndar
     return np.sqrt(best)
 
 
-def oracle_match(enum: GeodesicEnumeration, points: list[Vector], grid: int) -> OracleAgreement:
+def oracle_match(enum: GeodesicEnumeration, points: np.ndarray, grid: int) -> OracleAgreement:
     """Score oracle output against the enumeration.
 
-    An oracle point counts as isolated when no other oracle point lies
-    within 3.5 lattice spacings h = 2 pi / grid (a lone point is
-    isolated); along full circles the representatives chain at lattice
-    density, so the two populations separate cleanly.  Points sharing a
-    cell of side 1.75 h are within 3.5 h of each other, so only the points
-    alone in their cell are searched, with the enumerated isolated points
-    in one ``_nearest_distance`` call.  The family coverage gap is the
-    worst distance from 720 samples of each full circle to the nearest
-    oracle point, searched in cells of side h / 2.  Memory is linear.
+    ``points`` holds the oracle's unit vectors as rows, the (n, 3) array
+    ``geodesic_brute_force`` returns.  An oracle point counts as isolated
+    when no other oracle point lies within 3.5 lattice spacings
+    h = 2 pi / grid (a lone point is isolated); along full circles the
+    representatives chain at lattice density, so the two populations
+    separate cleanly.  Points sharing a cell of side 1.75 h are within
+    3.5 h of each other, so only the points alone in their cell are
+    searched, with the enumerated isolated points in one
+    ``_nearest_distance`` call.  The family coverage gap is the worst
+    distance from 720 samples of each full circle to the nearest oracle
+    point, searched in cells of side h / 2.  Memory is linear.
     """
     pts = np.asarray(points, dtype=float)
     if len(pts) == 0:

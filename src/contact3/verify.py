@@ -63,7 +63,7 @@ from .metric_geometry import (
     oracle_match,
     sectional_curvature,
 )
-from .tolerances import IDENTITY_RTOL, default_tol
+from .tolerances import IDENTITY_RTOL, PREDICATE_TOL
 
 _I3 = Metric3.identity()
 
@@ -359,11 +359,10 @@ def check_normal_forms(seed: int = 42, n: int = 60) -> GroupResult:
 def check_contact_criterion(seed: int = 42, n: int = 150) -> GroupResult:
     """The report's contact flags against eta ^ d_eta and d_eta = Phi on the ambient structure.
 
-    eta is a contact form when |eta ^ d_eta| exceeds tol times the algebra's
-    scale; family C never is.
+    eta is a contact form when |eta ^ d_eta| exceeds PREDICATE_TOL times
+    the algebra's scale; family C never is.
     """
     rng = np.random.default_rng(seed)
-    tol = default_tol()
     exceptions = 0
     n_contact = 0
     checked = 0
@@ -371,7 +370,7 @@ def check_contact_criterion(seed: int = 42, n: int = 150) -> GroupResult:
         for rep in classify_representatives(_tag_source(rng, i)):
             checked += 1
             L, s = rep.structure.algebra, rep.structure.structure()
-            exceptions += rep.contact_form != (abs(eta_wedge_deta(L, s)) > tol * L.scale)
+            exceptions += rep.contact_form != (abs(eta_wedge_deta(L, s)) > PREDICATE_TOL * L.scale)
             exceptions += rep.contact_metric != is_contact_metric(L, s, _I3)
             if rep.family == "C" and rep.contact_form:
                 exceptions += 1
@@ -393,11 +392,10 @@ def check_normality(seed: int = 42, n: int = 150) -> GroupResult:
     admissibility).  In the frame (xi, e, phi_e), max |N| must equal
     max(|a - d|, |b + g|, |w|) for [xi, e] = a e + b phi_e, [xi, phi_e] =
     g e + d phi_e and w = eta([e, phi_e]), to IDENTITY_RTOL times the scale;
-    the flag must equal max |N| <= tol * scale on the ambient structure, and
-    both outcomes must occur.
+    the flag must equal max |N| <= PREDICATE_TOL * scale on the ambient
+    structure, and both outcomes must occur.
     """
     rng = np.random.default_rng(seed)
-    tol = default_tol()
     frame = structure_from_basis(_I3, E1, E2, E3)
     worst, mismatches, outcomes, families = 0.0, 0, {True: 0, False: 0}, set()
     for i in range(n):
@@ -415,7 +413,7 @@ def check_normality(seed: int = 42, n: int = 150) -> GroupResult:
             closed = max(abs(c[0, 1, 1] - c[0, 2, 2]), abs(c[0, 1, 2] + c[0, 2, 1]), abs(c[1, 2, 0]))
             in_frame = nijenhuis_normality_residual(LieAlgebra3(ps.raw_basis_constants()), frame)
             worst = max(worst, abs(in_frame - closed) / L.scale)
-            mismatches += normal != (nijenhuis_normality_residual(L, ps.structure()) <= tol * L.scale)
+            mismatches += normal != (nijenhuis_normality_residual(L, ps.structure()) <= PREDICATE_TOL * L.scale)
             outcomes[normal] += 1
             families.add(ps.family)
     passed = worst <= IDENTITY_RTOL and mismatches == 0 and min(outcomes.values()) > 0 and len(families) == 4
@@ -617,19 +615,10 @@ def check_sign_conventions(seed: int = 42, n: int = 100) -> GroupResult:
     )
 
 
-def run_groups(
-    names: list[str] | None = None, seed: int = 42, quick: bool = False
-) -> list[GroupResult]:
-    """Run the named groups (all by default) with one base seed."""
+def run_groups(names: list[str] | None = None, seed: int = 42) -> list[GroupResult]:
+    """Run the named groups (all by default) at full size with one base seed."""
     selected = names or list(GROUPS)
-    results = []
     for name in selected:
         if name not in GROUPS:
             raise KeyError(f"unknown group {name!r}; known: {', '.join(GROUPS)}")
-        kwargs = {}
-        if quick:
-            kwargs = {"n": 25} if name != "curvature" else {"n_planes": 100, "n_algebras": 2}
-            if name == "geodesic-oracle":
-                kwargs = {"n": 8, "grid": 200}
-        results.append(GROUPS[name](seed=seed, **kwargs))
-    return results
+    return [GROUPS[name](seed=seed) for name in selected]

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from contact3 import MilnorParameters, inplane_geodesic_angles
 from contact3.cli import ATLAS_HEADER, main
 
 
@@ -187,7 +188,7 @@ def test_verify_list_and_single_group(capsys):
     names = out.strip().splitlines()
     assert "axioms" in names and "geodesic-oracle" in names
 
-    code, out, _ = run_cli(capsys, "verify", "--seed", "42", "--group", "angle-roots", "--quick")
+    code, out, _ = run_cli(capsys, "verify", "--seed", "42", "--group", "angle-roots")
     assert code == 0
     assert out.startswith("[PASS] angle-roots")
 
@@ -198,12 +199,42 @@ def test_verify_unknown_group(capsys):
     assert "unknown group" in err
 
 
-def test_tolerance_env_override(capsys, monkeypatch):
-    # a loose CONTACT3_TOL lets a slightly non-geodesic xi through
-    monkeypatch.setenv("CONTACT3_TOL", "1e-1")
-    xi = f"{math.cos(0.01)},{math.sin(0.01)},0"
-    code, out, _ = run_cli(capsys, "classify", "--alpha", "3", "--beta", "0", "--gamma", "0", "--delta", "-1", "--xi", xi)
+def test_classify_snaps_xi_at_the_default_tolerance(capsys):
+    # at a double in-plane root the geodesic defect grows with the square of
+    # xi's offset: 1e-6 off passes the predicate tolerance and snaps, 3e-5 off fails
+    (t,) = inplane_geodesic_angles(MilnorParameters.from_pqr(0.5, 0.75, 0.625))
+    args = ("classify", "--p", "0.5", "--q", "0.75", "--r", "0.625", "--xi")
+    code, out, _ = run_cli(capsys, *args, f"0,{math.cos(t + 1e-6)},{math.sin(t + 1e-6)}")
     assert code == 0
-    monkeypatch.setenv("CONTACT3_TOL", "1e-12")
-    code, _, _ = run_cli(capsys, "classify", "--alpha", "3", "--beta", "0", "--gamma", "0", "--delta", "-1", "--xi", xi)
+    assert any(note.startswith("xi snapped") for note in json.loads(out)["errata_notes"])
+    code, _, err = run_cli(capsys, *args, f"0,{math.cos(t + 3e-5)},{math.sin(t + 3e-5)}")
     assert code == 3
+    assert "not a geodesic vector" in err
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--alpha", ("classify", "--alpha", "-1e0", "--beta", "0", "--gamma", "0", "--delta", "3", "--xi", "auto")),
+        ("--beta", ("classify", "--alpha", "1", "--beta", "-2e0", "--gamma", "0", "--delta", "0", "--xi", "auto")),
+        ("--gamma", ("classify", "--alpha", "0", "--beta", "0", "--gamma", "-2e0", "--delta", "1", "--xi", "auto")),
+        ("--delta", ("classify", "--alpha", "3", "--beta", "0", "--gamma", "0", "--delta", "-1e0", "--xi", "auto")),
+        ("--p", ("classify", "--p", "-5e-1", "--q", "1", "--r", "1", "--xi", "auto")),
+        ("--q", ("classify", "--p", "0.5", "--q", "-1e0", "--r", "1", "--xi", "auto")),
+        ("--r", ("classify", "--p", "0.5", "--q", "1", "--r", "-2e0", "--xi", "auto")),
+        ("--r", ("atlas", "--p-range", "-1:1:3", "--q-range", "0:1:2", "--r", "-1e2", "--out")),
+    ],
+    ids=["alpha", "beta", "gamma", "delta", "p", "q", "r", "atlas-r"],
+)
+def test_negative_exponent_values(flag, argv, tmp_path, capsys):
+    # argparse does not read "-1e2" as a number; every float flag must take it
+    # as it takes "--flag=-1e2"
+    out_file = tmp_path / "atlas.csv"
+    argv = [*argv, str(out_file)] if argv[0] == "atlas" else list(argv)
+    i = argv.index(flag)
+    outputs = []
+    for args in (argv, argv[:i] + [f"{flag}={argv[i + 1]}"] + argv[i + 2 :]):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 0, err
+        outputs.append(out + (out_file.read_text() if argv[0] == "atlas" else ""))
+    assert outputs[0] == outputs[1]
