@@ -109,7 +109,7 @@ def cmd_classify(args) -> int:
 def cmd_geodesics(args) -> int:
     _, L, enum = resolve_source(_parse_source(args))
     agreement = None
-    if args.oracle:
+    if args.oracle is not None:
         pts = geodesic_brute_force(L, grid=args.oracle)
         agreement = oracle_match(enum, pts, args.oracle).agreement
     obj = {

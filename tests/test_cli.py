@@ -106,6 +106,17 @@ def test_geodesics_with_oracle(capsys):
     assert sorted(angles) == pytest.approx([math.pi / 3, 2 * math.pi / 3], abs=1e-12)
 
 
+@pytest.mark.parametrize("grid, code", [(0, 2), (99, 2), (100, 0)])
+def test_geodesics_oracle_grid_floor(capsys, grid, code):
+    # a grid of 0 is rejected like any other grid below 100, not skipped
+    got, out, err = run_cli(capsys, "geodesics", "--p", "2", "--q", "0", "--r", "1", "--oracle", str(grid))
+    assert got == code
+    if code:
+        assert "grid must be at least 100" in err and out == ""
+    else:
+        assert json.loads(out)["oracle_agreement"] is not None
+
+
 def test_geodesics_case_d(capsys):
     code, out, _ = run_cli(capsys, "geodesics", "--p", "0", "--q", "0", "--r", "1")
     rec = json.loads(out)
