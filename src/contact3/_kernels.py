@@ -10,18 +10,19 @@ tabulates them once per lattice over one hemisphere and scans any algebra
 with one (6, 3) x (6, n) contraction.  Every contraction here stays off
 the BLAS thread pool (``np.einsum`` without ``optimize``).
 
-Refinement alternates 1D Newton projections onto the residual surfaces
-{x^T M_k x = 0}, always targeting the currently-largest residual along its
-own (tangent-projected) gradient.  Each move is normal to that surface, so
-points refine onto one-dimensional solution curves where they landed
-instead of sliding along them, and double surfaces (residuals vanishing to
-second order) still converge at rate 1/2.  It works column-wise: the
-points still moving form a (3, m) array, compacted as points stop, their
-residuals come from the same monomials and coefficient matrix as the scan
-(``_coefficients``), and each point's worst residual and gradient are
-gathered by flat index (``np.take``).  The residual is even in x and
-every step is odd, so refining -X returns exactly the negation of
-refining X, with the same defects.  ``residual_batch``, the per-point
+Refinement moves each point along the tangent-projected gradient g of
+its largest residual q.  Along that line q is exactly the quadratic
+q(x - t g) = q(x) - t |g|^2 + t^2 q(g), whose zeros survive the
+normalisation back to the sphere, so each step goes to its root nearest
+t = 0: points settle onto one-dimensional solution curves where they
+landed instead of sliding along them, and reach a double surface (a
+residual vanishing to second order) in one step.  It works column-wise:
+the points still moving form a (3, m) array, compacted as points stop,
+their residuals come from the same monomials and coefficient matrix as
+the scan (``_coefficients``), and each point's worst residual and
+gradient are gathered by flat index (``np.take``).  The residual is even
+in x and every step is odd, so refining -X returns exactly the negation
+of refining X, with the same defects.  ``residual_batch``, the per-point
 quadratic form, serves ``metric_geometry.geodesic_defect``.
 """
 
@@ -32,6 +33,7 @@ import numpy as np
 BACKEND = "numpy"
 
 _STALL2 = 1e-30  # squared-gradient floor, relative to scale^2
+_DOUBLE_ROOT = 1e-12  # a discriminant 1 - k below this is rounding: a double root
 
 # the (i, j) index pairs of the monomials x_i x_j, in table order
 _MONOMIALS = (np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2]))
@@ -86,13 +88,14 @@ def refine_batch(
     target: float,
     max_iter: int = 80,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Drive the defect below ``target`` by alternating Newton projections.
+    """Drive the defect below ``target`` by exact line roots of the worst residual.
 
     X0 holds one point per row, shape (n, 3); the result is the refined
     points, shape (n, 3), and their defects.  The points still moving are
     kept column-wise, (3, m), and compacted as points stop: at ``target``,
-    at a vanishing gradient, or when no damped step (1, 1/2, 1/4, 1/8)
-    takes a tenth off the worst residual.
+    at a vanishing gradient, or when the step (to the nearest root of the
+    worst residual along its gradient, at most ``step_cap`` long) does not
+    take a tenth off that residual.
     """
     C = _coefficients(M)
     G = 2.0 * M.reshape(9, 3)  # rows 3k, 3k + 1, 3k + 2: the gradient 2 M_k x
@@ -118,26 +121,19 @@ def refine_batch(
         ok = gn2 > _STALL2 * scale * scale
         if not ok.all():
             gn2[~ok] = 1.0  # any finite step: these points stop below
-        # the Newton step va / |grad| along grad, at most step_cap long
-        lim = step_cap / np.sqrt(gn2)
-        step = grad * np.clip(va / gn2, -lim, lim)
-        thr = 0.9 * np.abs(va)
-        Y, VY, better = _trial(C, Xa, step, pick, thr)
+        # along the line x - t grad the residual is va - t gn2 + t^2 q(grad):
+        # its root nearest 0 is t = 2u / (1 + sqrt(1 - k)), u = va / gn2 and
+        # k = 4 u q(grad / |grad|) free of the scale (no power of it past
+        # gn2 is formed), or the double root 2u where 1 - k is rounding or
+        # negative; the step t grad is at most step_cap long
+        gn = np.sqrt(gn2)
+        u = va / gn2
+        disc = 1.0 - 4.0 * u * np.take(_residual(C, grad / gn), pick)
+        t = 2.0 * u / (1.0 + np.sqrt(np.where(disc > _DOUBLE_ROOT, disc, 0.0)))
+        lim = step_cap / gn
+        Y, VY, better = _trial(C, Xa, grad * np.clip(t, -lim, lim), pick, 0.9 * np.abs(va))
         better &= ok
         if not better.all():
-            pending = np.flatnonzero(~better & ok)
-            damp = 1.0
-            for _try in range(3):
-                if not len(pending):
-                    break
-                damp *= 0.5
-                p = len(pending)
-                Yp, Vp, hit = _trial(
-                    C, Xa[:, pending], damp * step[:, pending], w[pending] * p + np.arange(p), thr[pending]
-                )
-                Y[:, pending[hit]], VY[:, pending[hit]] = Yp[:, hit], Vp[:, hit]
-                better[pending[hit]] = True
-                pending = pending[~hit]
             # points without a better step keep their last point and stop
             Y[:, ~better], VY[:, ~better] = Xa[:, ~better], Va[:, ~better]
         Xa, Va = Y, VY

@@ -584,20 +584,20 @@ def geodesic_brute_force(L: LieAlgebra3, g: Metric3 | None = None, grid: int = 4
     The lattice is ``grid`` x ``grid`` points in (theta, phi).  The defect
     is even in x, so the scan covers the upper half of the lattice
     (``_hemisphere_trig``: ceil(grid / 2) * grid points), taking every
-    defect from the half-lattice's cached monomial table in one
-    contraction (``_kernels.defect_max_batch``).  Points whose defect
-    clears a coarse, grid-spacing-aware threshold are rebuilt from
-    (theta, phi) and refined by Newton projections until the defect falls
-    below ~1e-13 relative to the structure-constant scale (isolated zeros
-    of the adapted form can be quadratically flat, so the refinement
-    target sits well under the 1e-10 acceptance cut).  Refinement is
-    exactly odd, so the refined points and their bitwise negations, with
-    equal defects, are what refining the whole lattice (``_sphere_grid``)
-    would give.  That cloud is merged into clusters and one
-    representative per cluster is returned, sorted by spherical angle, as
-    the rows of an (n, 3) array.  If the whole sphere passes the coarse
-    cut (abelian input), a decimated subset of the whole lattice is
-    returned unrefined.
+    defect from the half-lattice's cached monomial table in one contraction
+    (``_kernels.defect_max_batch``).  Points whose defect clears a coarse,
+    grid-spacing-aware threshold are rebuilt from (theta, phi) and refined
+    by exact roots along the gradient of their worst residual
+    (``_kernels.refine_batch``) until the defect falls below ~1e-13
+    relative to the structure-constant scale (isolated zeros of the adapted
+    form can be quadratically flat, so the refinement target sits well
+    under the 1e-10 acceptance cut).  Refinement is exactly odd, so the
+    refined points and their bitwise negations, with equal defects, are
+    what refining the whole lattice (``_sphere_grid``) would give.  That
+    cloud is merged into clusters and one representative per cluster is
+    returned, sorted by spherical angle, as the rows of an (n, 3) array.
+    If the whole sphere passes the coarse cut (abelian input), a decimated
+    subset of the whole lattice is returned unrefined.
     """
     if grid < 100:
         raise ValueError("grid must be at least 100")

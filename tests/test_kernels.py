@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from contact3 import Metric3, MilnorParameters, enumerate_unit_geodesics, from_functional, from_milnor
+from contact3 import _kernels
 from contact3 import metric_geometry as mg
 from contact3._kernels import BACKEND, defect_max_batch, monomial_table, refine_batch, residual_batch
 from contact3.metric_geometry import _defect_matrices, _sphere_grid
@@ -63,6 +64,48 @@ def test_refine_is_exactly_odd(pqr):
     neg, fneg = refine_batch(M, -X, 3.0 * h, 1e-13 * scale, 80)
     assert np.array_equal(neg, -pts)
     assert np.array_equal(fneg, fr)
+
+
+@pytest.mark.parametrize("p", [1.0, -1.0])
+def test_refine_takes_exact_steps_on_a_double_curve(monkeypatch, p):
+    # on B2 / C2 one residual vanishes to second order along the circle,
+    # where an exact line root lands at once (a Newton step would only
+    # halve the distance)
+    calls = []
+    trial = _kernels._trial
+
+    def counting(*args):
+        calls.append(1)
+        return trial(*args)
+
+    monkeypatch.setattr(_kernels, "_trial", counting)
+    M = _defect_matrices(from_milnor(MilnorParameters.from_pqr(p, 0.0, 1.0)).c, Metric3.identity())
+    scale = np.abs(M).max()
+    h = 2.0 * math.pi / 200
+    X = _sphere_grid(200)
+    X = np.ascontiguousarray(X[defect_max_batch(M, monomial_table(X).T) <= 3.0 * scale * h])
+    _, fr = refine_batch(M, X, 3.0 * h, 1e-13 * scale, 80)
+    assert 0 < len(calls) <= 6
+    assert (fr <= 1e-10 * scale).all()
+
+
+SCALED_SOURCES = {"B2": (1.0, 0.0, 1.0), "B1": (1.0, 0.7, 1.0), "A2": (1.5, 0.5, 1.0), "D": (0.0, 0.8, 1.3)}
+
+
+@pytest.mark.parametrize("lam", [1e-150, 1e-8, 1e8, 1e150])
+@pytest.mark.parametrize("tag", list(SCALED_SOURCES))
+def test_oracle_is_scale_safe(tag, lam):
+    # the geodesic set does not change under c -> lam c, so the scaled
+    # oracle is scored against the unit-scale enumeration
+    p, q, r = SCALED_SOURCES[tag]
+    enum = enumerate_unit_geodesics(MilnorParameters.from_pqr(p, q, r))
+    assert enum.case_tag == tag
+    L = from_milnor(MilnorParameters.from_pqr(lam * p, q, lam * r))
+    with np.errstate(over="raise", invalid="raise"):
+        agr = mg.oracle_match(enum, mg.geodesic_brute_force(L, grid=200), 200)
+    assert agr.agreement <= 1e-5
+    assert agr.counts_match
+    assert agr.family_coverage_gap <= 3.0 * (2.0 * math.pi / 200)
 
 
 def test_residual_shape(problem):

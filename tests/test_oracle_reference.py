@@ -64,7 +64,8 @@ def _reference_merge(points, defects, radius):
 
 def _reference_refine_batch(M, X0, step_cap, target, max_iter=80):
     # the row-wise refinement the column-wise one replaced: residuals by the
-    # per-point quadratic form, the worst one's gradient by einsum
+    # per-point quadratic form, the worst one's gradient by einsum, and the
+    # root nearest 0 of that residual along its gradient
     X = X0.copy()
     V = residual_batch(M, X)
     F = np.abs(V).max(axis=1)
@@ -76,36 +77,30 @@ def _reference_refine_batch(M, X0, step_cap, target, max_iter=80):
         idx = np.nonzero(active)[0]
         Xa, Va = X[idx], V[idx]
         worst = np.argmax(np.abs(Va), axis=1)
-        va = Va[np.arange(len(idx)), worst]
+        rows = np.arange(len(idx))
+        va = Va[rows, worst]
         grad = 2.0 * np.einsum("nij,nj->ni", M[worst], Xa)
         grad -= np.einsum("ni,ni->n", grad, Xa)[:, None] * Xa
         gn2 = np.einsum("ni,ni->n", grad, grad)
         ok = gn2 > 1e-30 * scale * scale
         step = np.zeros_like(Xa)
-        step[ok] = (-va[ok] / gn2[ok])[:, None] * grad[ok]
+        gn = np.sqrt(gn2[ok])
+        unit = grad[ok] / gn[:, None]
+        u = va[ok] / gn2[ok]
+        # x^T M x at x - t grad is va - t gn2 + t^2 gn2 (unit^T M unit)
+        disc = 1.0 - 4.0 * u * np.einsum("ni,nij,nj->n", unit, M[worst[ok]], unit)
+        t = 2.0 * u / (1.0 + np.sqrt(np.where(disc > 1e-12, disc, 0.0)))
+        step[ok] = -t[:, None] * grad[ok]
         lens = np.linalg.norm(step, axis=1)
         clip = lens > step_cap
         step[clip] *= (step_cap / lens[clip])[:, None]
-        newX, newV = Xa.copy(), Va.copy()
-        pending = ok.copy()
-        damp = 1.0
-        for _try in range(4):
-            if not pending.any():
-                break
-            Y = Xa[pending] + damp * step[pending]
-            Y /= np.linalg.norm(Y, axis=1, keepdims=True)
-            VY = residual_batch(M, Y)
-            w = worst[pending]
-            better = np.abs(VY[np.arange(len(w)), w]) < 0.9 * np.abs(Va[pending][np.arange(len(w)), w])
-            rows = np.nonzero(pending)[0][better]
-            newX[rows] = Y[better]
-            newV[rows] = VY[better]
-            pending[rows] = False
-            damp *= 0.5
-        X[idx], V[idx] = newX, newV
-        newF = np.abs(newV).max(axis=1)
-        F[idx] = newF
-        active[idx] = (newF > target) & ~pending & ok
+        Y = Xa + step
+        Y /= np.linalg.norm(Y, axis=1, keepdims=True)
+        VY = residual_batch(M, Y)
+        better = ok & (np.abs(VY[rows, worst]) < 0.9 * np.abs(va))
+        X[idx[better]], V[idx[better]] = Y[better], VY[better]
+        F[idx] = np.abs(V[idx]).max(axis=1)
+        active[idx] = (F[idx] > target) & better
     return X, F
 
 
@@ -277,6 +272,13 @@ def test_oracle_match_matches_dense_reference(tag, L, enum):
     assert agr.max_oracle_to_set == pytest.approx(d_o2s, rel=0, abs=1e-15)
     assert agr.max_isolated_to_oracle == pytest.approx(d_i2o, rel=0, abs=1e-15)
     assert agr.family_coverage_gap == pytest.approx(gap, rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize("tag, L, enum", [s for s in _sources() if s[0] in ("B1", "B2", "C1", "C2")])
+def test_oracle_lands_on_the_circles(tag, L, enum):
+    # each refined point is an exact root along its step, so on the full
+    # circles it sits on the enumerated set to rounding
+    assert oracle_match(enum, geodesic_brute_force(L, grid=200), 200).agreement <= 1e-14
 
 
 def test_oracle_match_lone_point_is_isolated():
