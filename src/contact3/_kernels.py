@@ -6,9 +6,11 @@ a quadratic form, so it is the dot product of the six monomials
 x0^2, x1^2, x2^2, x0 x1, x0 x2, x1 x2 (``monomial_table``) with the
 column k of a (6, 3) coefficient matrix built from M.  The monomials
 depend on the points alone, and they are equal for x and -x: the oracle
-tabulates them once per lattice over one hemisphere and scans any algebra
-with one (6, 3) x (6, n) contraction.  Every contraction here stays off
-the BLAS thread pool (``np.einsum`` without ``optimize``).
+tabulates them once per lattice over one hemisphere, in blocks, and
+scans an algebra with two (6, 3) x (6, n) contractions, one over the
+block centres and one over the blocks a Lipschitz bound keeps.  A point's
+defect takes the same bits in any batch.  Every contraction here stays
+off the BLAS thread pool (``np.einsum`` without ``optimize``).
 
 Refinement moves each point along the tangent-projected gradient g of
 its largest residual q.  Along that line q is exactly the quadratic

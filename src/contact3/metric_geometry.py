@@ -424,12 +424,70 @@ def _hemisphere_points(grid: int, idx: np.ndarray | None = None) -> np.ndarray:
     return np.stack([st[i] * cp[j], st[i] * sp[j], ct[i]], axis=-1)
 
 
+# the coarse scan's blocks of _BLOCK x _BLOCK half-lattice points, and the
+# rounding slack of its prune bound, relative to the bound and to the scale
+_BLOCK = 8
+_PRUNE_RTOL = 1e-9
+
+
 @functools.lru_cache(maxsize=4)
-def _hemisphere_monomials(grid: int) -> np.ndarray:
-    """The (6, n) monomial table of the upper half-lattice (``_kernels.monomial_table``), read-only."""
-    P = _kernels.monomial_table(_hemisphere_points(grid))
-    P.setflags(write=False)
-    return P
+def _block_table(grid: int) -> tuple[np.ndarray, ...]:
+    """The half-lattice in nb blocks of s = _BLOCK^2 points, read-only.
+
+    Monomials (6, nb) of the block centres, unit vectors at the blocks'
+    mid-angles; the block radii about them (nb,); and the point monomials
+    (6, nb, s), with the bits of ``monomial_table``.  Block nbj bi + bj,
+    slot _BLOCK si + sj holds lattice row _BLOCK bi + si and column
+    _BLOCK bj + sj; edge blocks repeat their last row or column.
+    """
+    st, ct, cp, sp = _hemisphere_trig(grid)
+    # each block's lattice rows (columns) in slot order, clipped to the last
+    ic = np.minimum(np.arange(0, len(st), _BLOCK)[:, None] + np.arange(_BLOCK), len(st) - 1)
+    jc = np.minimum(np.arange(0, grid, _BLOCK)[:, None] + np.arange(_BLOCK), grid - 1)
+    # slot (bi, bj, si, sj) holds lattice point (ic[bi, si], jc[bj, sj])
+    rows, cols = ic[:, None, :, None], jc[None, :, None, :]
+    X = np.empty((3, len(ic), len(jc), _BLOCK, _BLOCK))
+    np.multiply(st[rows], cp[cols], out=X[0])
+    np.multiply(st[rows], sp[cols], out=X[1])
+    X[2] = ct[rows]
+    X = X.reshape(3, -1, _BLOCK * _BLOCK)
+    P = np.empty((6,) + X.shape[1:])
+    for m, (a, b) in enumerate(zip(*_kernels._MONOMIALS)):
+        np.multiply(X[a], X[b], out=P[m])
+    th = math.pi * (0.5 * (ic[:, :1] + ic[:, -1:]) + 0.5) / grid
+    ph = math.pi * (jc[:, 0] + jc[:, -1]) / grid
+    c = np.stack(np.broadcast_arrays(np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th))).reshape(3, -1)
+    X -= c[:, :, None]
+    X *= X
+    table = (_kernels.monomial_table(c.T), np.sqrt((X[0] + X[1] + X[2]).max(axis=1)), P)
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
+def _coarse_scan(M: np.ndarray, scale: float, grid: int, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending half-lattice indices of the points with defect <= ``tau``, and their defects.
+
+    For unit x and c, x^T M_k x - c^T M_k c = (x - c)^T M_k (x + c), so the
+    defect moves by at most lip |x - c|, lip = 2 max_k |M_k|_F: only blocks
+    whose centre defect is at most tau + lip * radius are scanned, and the
+    result has the bits of a scan of the whole half-lattice.
+    """
+    centres, radius, P = _block_table(grid)
+    # lip = 2 scale |M_k / scale|_F, with no power of the scale formed
+    lip = 2.0 * scale * float(np.sqrt(np.square(M / scale).sum(axis=(1, 2))).max())
+    bound = (tau + lip * radius) * (1.0 + _PRUNE_RTOL) + _PRUNE_RTOL * scale
+    keep = np.flatnonzero(_kernels.defect_max_batch(M, centres.T) <= bound)
+    F = _kernels.defect_max_batch(M, np.take(P, keep, axis=1).reshape(6, -1).T)
+    hit = np.flatnonzero(F <= tau)
+    # each hit's lattice row and column (``_block_table``) and its index,
+    # -1 on an edge block's repeats, which sort first
+    b, s = np.divmod(hit, _BLOCK * _BLOCK)
+    (bi, bj), (si, sj) = np.divmod(keep[b], -(-grid // _BLOCK)), np.divmod(s, _BLOCK)
+    i, j = _BLOCK * bi + si, _BLOCK * bj + sj
+    idx = np.where((i < (grid + 1) // 2) & (j < grid), i * grid + j, -1)
+    order = np.argsort(idx)[np.count_nonzero(idx < 0) :]
+    return idx[order], F[hit[order]]
 
 
 def _sphere_grid(grid: int) -> np.ndarray:
@@ -546,8 +604,9 @@ def _merge_clusters(points: np.ndarray, defects: np.ndarray, radius: float) -> n
         k = (d2 <= r2) & (cols < rows)
         near.append((rows[k], cols[k], d2[k]))
     rows, cols, d2 = (np.concatenate(x) for x in zip(*near))
-    # candidate visit[n]'s earlier neighbours within radius are cols[ptr[n]:ptr[n + 1]]
-    visit, ptr = np.unique(rows, return_index=True)
+    # candidate visit[n]'s earlier neighbours within radius are cols[ptr[n]:ptr[n + 1]] (rows ascend)
+    ptr = np.flatnonzero(_run_starts(rows))
+    visit = rows[ptr]
     ptr = [*ptr.tolist(), len(rows)]
     cols, d2 = cols.tolist(), d2.tolist()
     holds = np.arange(len(cand))  # the name of the representative a candidate holds, or -1
@@ -583,21 +642,23 @@ def geodesic_brute_force(L: LieAlgebra3, g: Metric3 | None = None, grid: int = 4
 
     The lattice is ``grid`` x ``grid`` points in (theta, phi).  The defect
     is even in x, so the scan covers the upper half of the lattice
-    (``_hemisphere_trig``: ceil(grid / 2) * grid points), taking every
-    defect from the half-lattice's cached monomial table in one contraction
-    (``_kernels.defect_max_batch``).  Points whose defect clears a coarse,
-    grid-spacing-aware threshold are rebuilt from (theta, phi) and refined
-    by exact roots along the gradient of their worst residual
-    (``_kernels.refine_batch``) until the defect falls below ~1e-13
-    relative to the structure-constant scale (isolated zeros of the adapted
-    form can be quadratically flat, so the refinement target sits well
-    under the 1e-10 acceptance cut).  Refinement is exactly odd, so the
-    refined points and their bitwise negations, with equal defects, are
-    what refining the whole lattice (``_sphere_grid``) would give.  That
-    cloud is merged into clusters and one representative per cluster is
-    returned, sorted by spherical angle, as the rows of an (n, 3) array.
-    If the whole sphere passes the coarse cut (abelian input), a decimated
-    subset of the whole lattice is returned unrefined.
+    (``_hemisphere_trig``: ceil(grid / 2) * grid points) from cached
+    monomials, coarse to fine (``_coarse_scan``): at the centre of each
+    block of 8 x 8 points, then in the blocks whose centre is within a
+    Lipschitz bound of the cut, with the survivors of a full scan.  The
+    points whose defect clears that coarse, grid-spacing-aware cut are
+    rebuilt from (theta, phi) and refined by exact roots along the gradient
+    of their worst residual (``_kernels.refine_batch``) until the defect
+    falls below ~1e-13 relative to the structure-constant scale (isolated
+    zeros of the adapted form can be quadratically flat, so the refinement
+    target sits well under the 1e-10 acceptance cut).  Refinement is
+    exactly odd, so the refined points and their bitwise negations, with
+    equal defects, are what refining the whole lattice (``_sphere_grid``)
+    would give.  That cloud is merged into clusters and one representative
+    per cluster is returned, sorted by spherical angle, as the rows of an
+    (n, 3) array.
+    If the structure constants vanish (every vector is geodesic), a
+    decimated subset of the whole lattice is returned unrefined.
     """
     if grid < 100:
         raise ValueError("grid must be at least 100")
@@ -605,15 +666,11 @@ def geodesic_brute_force(L: LieAlgebra3, g: Metric3 | None = None, grid: int = 4
     scale = float(np.abs(M).max())
     if scale == 0.0:
         return _whole_sphere(grid)
-    F = _kernels.defect_max_batch(M, _hemisphere_monomials(grid).T)
     h = 2.0 * math.pi / grid
-    tau = 3.0 * scale * h
-    mask = F <= tau
-    if mask.mean() > 0.5 and F.max() <= _KEEP_RTOL * scale:
-        return _whole_sphere(grid)
-    if not mask.any():
+    idx, _ = _coarse_scan(M, scale, grid, 3.0 * scale * h)
+    if not len(idx):
         return np.zeros((0, 3))
-    seeds = _hemisphere_points(grid, np.flatnonzero(mask))
+    seeds = _hemisphere_points(grid, idx)
     target = 1e-13 * scale
     refined, fr = _kernels.refine_batch(M, seeds, 3.0 * h, target, 80)
     ok = fr <= _KEEP_RTOL * scale

@@ -47,9 +47,41 @@ def test_full_grid_is_hemisphere_then_its_negation(grid):
     assert np.allclose(np.linalg.norm(X, axis=1), 1.0, rtol=0, atol=1e-15)
     # the upper half: z > 0, and the equator row z ~ 0 only for odd grids
     assert (X[:half, 2] > (-1e-15 if grid % 2 else 0.0)).all()
-    assert np.array_equal(mg._hemisphere_monomials(grid), monomial_table(X[:half]))
     idx = np.array([0, half // 3, half - 1])
     assert np.array_equal(mg._hemisphere_points(grid, idx), X[idx])
+
+
+@pytest.mark.parametrize("grid", [100, 101, 203, 400])
+def test_block_table_tiles_the_half_lattice(grid):
+    X = mg._hemisphere_points(grid)
+    B = mg._BLOCK
+    nbi, nbj = math.ceil(math.ceil(grid / 2) / B), math.ceil(grid / B)
+    nb = nbi * nbj
+    centres, radius, P = mg._block_table(grid)
+    assert centres.shape == (6, nb) and radius.shape == (nb,) and P.shape == (6, nb, B * B)
+    # block nbj bi + bj, slot B si + sj holds lattice row B bi + si and
+    # column B bj + sj, where that is on the lattice
+    bi, bj, si, sj = np.meshgrid(np.arange(nbi), np.arange(nbj), np.arange(B), np.arange(B), indexing="ij")
+    i, j = (B * bi + si).reshape(nb, -1), (B * bj + sj).reshape(nb, -1)
+    real = (i < math.ceil(grid / 2)) & (j < grid)
+    slot = i * grid + j
+    # every half-lattice point sits in exactly one unmasked slot, with its
+    # monomial bits; a masked slot repeats a point of its own block
+    assert np.array_equal(np.sort(slot[real]), np.arange(len(X)))
+    assert np.array_equal(P[:, real], monomial_table(X[slot[real]]))
+    for b, s in zip(*np.nonzero(~real)):
+        assert any(np.array_equal(P[:, b, s], P[:, b, t]) for t in np.flatnonzero(real[b]))
+    # a block spans 7 row and 7 column steps: 3.5 of each from its centre
+    assert (radius > 0).all() and radius.max() <= 3.5 * math.pi * math.sqrt(5.0) / grid
+    # the prune bound: each point's defect is within lip * radius of its
+    # block centre's, with lip = 2 max_k |M_k|_F
+    g = Metric3(np.array([[2.0, 0.3, -0.4], [0.3, 1.0, 0.2], [-0.4, 0.2, 0.7]]))
+    for L in (from_milnor((3, 0, 0, -1)), from_functional([0.3, -1.2, 0.8])):
+        M = _defect_matrices(L.c, g)
+        lip = 2.0 * np.linalg.norm(M, axis=(1, 2)).max()
+        Fc = defect_max_batch(M, centres.T)
+        F = defect_max_batch(M, P.reshape(6, -1).T).reshape(nb, -1)
+        assert (np.abs(F - Fc[:, None]).max(axis=1) <= lip * radius).all()
 
 
 @pytest.mark.parametrize("pqr", [(0.7, 0.4, 1.0), (0.0, 0.3, 1.2), (1.0, 0.0, 1.0), (1.0, 0.5, 1.0)])
@@ -144,8 +176,8 @@ def test_odd_grid_oracle_matches_enumeration(grid):
         assert agr.counts_match
 
 
-@pytest.mark.parametrize("grid", [200, 201])
-def test_oracle_scans_one_hemisphere(monkeypatch, grid):
+@pytest.mark.parametrize("grid", [200, 201, 400])
+def test_oracle_scans_block_centres_then_kept_blocks(monkeypatch, grid):
     seen = []
 
     def counting(M, P):
@@ -154,7 +186,12 @@ def test_oracle_scans_one_hemisphere(monkeypatch, grid):
 
     monkeypatch.setattr(mg._kernels, "defect_max_batch", counting)
     mg.geodesic_brute_force(from_milnor((3, 0, 0, -1)), grid=grid)
-    assert seen == [math.ceil(grid / 2) * grid]
+    blocks = math.ceil(math.ceil(grid / 2) / mg._BLOCK) * math.ceil(grid / mg._BLOCK)
+    assert len(seen) == 2 and seen[0] == blocks
+    assert 0 < seen[1] < math.ceil(grid / 2) * grid and seen[1] % mg._BLOCK**2 == 0
+    if grid == 400:
+        # the full half-lattice scan took 80,000 points
+        assert sum(seen) <= 12_000
 
 
 def test_backend_reported():

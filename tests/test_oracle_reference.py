@@ -8,19 +8,25 @@ cells.  The row-wise einsum refinement is the reference of the
 column-wise one on the monomials, and the whole-sphere scan with the
 per-point quadratic-form kernel and that refinement is the reference of
 the hemisphere scan; their arithmetic differs in rounding, so they must
-agree on the isolated count and stay inside the verify gates.
+agree on the isolated count and stay inside the verify gates.  The
+one-contraction scan of the whole half-lattice is the reference of the
+block-pruned coarse scan, which must match it bit for bit.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contact3 import Metric3, from_functional, from_milnor
 from contact3 import metric_geometry as mg
 from contact3._kernels import defect_max_batch, monomial_table, refine_batch, residual_batch
 from contact3.metric_geometry import (
+    _coarse_scan,
     _defect_matrices,
+    _hemisphere_points,
     _merge_clusters,
     _nearest_distance,
     _neighbour_pairs,
@@ -102,6 +108,14 @@ def _reference_refine_batch(M, X0, step_cap, target, max_iter=80):
         F[idx] = np.abs(V[idx]).max(axis=1)
         active[idx] = (F[idx] > target) & better
     return X, F
+
+
+def _reference_coarse_scan(M, grid, tau):
+    # the scan the block prefilter replaced: every half-lattice point in
+    # one defect_max_batch call
+    F = defect_max_batch(M, monomial_table(_hemisphere_points(grid)).T)
+    idx = np.flatnonzero(F <= tau)
+    return idx, F[idx]
 
 
 def _reference_brute_force(L, grid):
@@ -512,3 +526,31 @@ def test_refine_matches_rowwise_reference(tag, L, enum):
     assert not apart.any() or (tag in ("B1", "B2") and (fg[apart] <= keep).all())
     # the defects returned are the scan kernel's on the returned points
     assert np.array_equal(fg, defect_max_batch(M, monomial_table(got).T))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    log_lam=st.floats(-150, 150),
+    grid=st.integers(100, 420),
+    cut=st.floats(0.5, 30.0),
+)
+@example(seed=0, log_lam=0.0, grid=400, cut=3.0)
+@example(seed=1, log_lam=150.0, grid=401, cut=3.0)
+@example(seed=2, log_lam=-150.0, grid=333, cut=3.0)
+@example(seed=3, log_lam=0.0, grid=199, cut=30.0)
+def test_coarse_scan_is_the_full_scan(seed, log_lam, grid, cut):
+    # random antisymmetric structure constants under a random SPD metric,
+    # scaled by lam; the cut is tau = cut * scale * h (the oracle's is 3)
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(3, 3, 3))
+    A = rng.normal(size=(3, 3))
+    g = Metric3(A @ A.T + 0.2 * np.eye(3))
+    with np.errstate(over="raise", invalid="raise"):
+        M = _defect_matrices(10.0**log_lam * (c - c.transpose(1, 0, 2)), g)
+        scale = float(np.abs(M).max())
+        tau = cut * scale * 2.0 * math.pi / grid
+        idx, F = _coarse_scan(M, scale, grid, tau)
+        want, fw = _reference_coarse_scan(M, grid, tau)
+    assert np.array_equal(idx, want)
+    assert np.array_equal(F, fw)
