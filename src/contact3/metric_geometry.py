@@ -499,7 +499,11 @@ def _sphere_grid(grid: int) -> np.ndarray:
 # the offsets (i, j, 0) of the 9 columns of 3 cells around a cell: cells
 # (i, j, k - 1), (i, j, k) and (i, j, k + 1) have consecutive ids
 _COLUMNS = np.array([(i, j, 0) for i in (-1, 0, 1) for j in (-1, 0, 1)])
-# pairs per block of ``_neighbour_pairs``, and per row block of the far scan
+# the forward columns (0, 1, .), (1, -1, .), (1, 0, .) and (1, 1, .): with
+# the (0, 0, 1) neighbour, the neighbours of larger id
+_FORWARD = np.array([(0, 1, 0), (1, -1, 0), (1, 0, 0), (1, 1, 0)])
+# pairs per block of ``_neighbour_pairs`` and per row block of the far
+# scan, both in ``_nearest_distance`` (the merge takes ``_adjacent_pairs``)
 _BLOCK_PAIRS = 1 << 18
 
 
@@ -540,7 +544,8 @@ def _neighbour_pairs(a: np.ndarray, b: np.ndarray, radius: float):
     (e0 e0 + e1 e1) + e2 e2 with e = a[row] - b[col], the bits of
     ``((a[rows] - b[cols]) ** 2).sum(axis=-1)``.  Raises ValueError, on
     the first block, when the cell ids would overflow int64
-    (``_cell_keys``).
+    (``_cell_keys``).  It serves ``_nearest_distance``; the merge, with
+    one point per cell, takes ``_adjacent_pairs``.
     """
     (ka, kb), w = _cell_keys(radius, a, b)
     ids = _cell_ids(kb, w)
@@ -572,39 +577,70 @@ def _angular_order(x: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arctan2(x[:, 1], x[:, 0]), np.arccos(np.clip(x[:, 2], -1, 1))))
 
 
+def _adjacent_pairs(ids: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (i, j), i < j, of the pairs of adjacent cells among distinct ascending ``_cell_ids``.
+
+    Each pair is found once, from its lower id: the (0, 0, 1) neighbour
+    is the next id, and the rest lie in the four ``_FORWARD`` columns of
+    three consecutive ids.  One ``searchsorted`` finds where every column
+    starts and ends, on keys that ascend within each column.
+    """
+    nxt = np.flatnonzero(ids[1:] - ids[:-1] == 1)
+    # a column spans ids centre - 1 to centre + 1, and ids are integers:
+    # it starts at the first id >= centre - 1 and ends before the first >= centre + 2
+    centre = _cell_ids(_FORWARD, w)
+    lo, hi = np.searchsorted(ids, (ids + np.concatenate([centre - 1, centre + 2])[:, None]).ravel()).reshape(2, -1)
+    # the t-th id of each column's range, for t below the range's length
+    t, k = np.nonzero(hi - lo > np.arange(3)[:, None])
+    return np.concatenate([nxt, k % len(ids)]), np.concatenate([nxt + 1, lo[k] + t])
+
+
 def _merge_clusters(points: np.ndarray, defects: np.ndarray, radius: float) -> np.ndarray:
     """One representative per cluster of refined points, sorted by spherical angle.
 
     Cell dedup first (cells of side ``radius``, keeping the best defect per
-    cell), then a greedy pass in angular order: the nearest representative
-    within ``radius`` (the lowest index on a tie) absorbs a candidate and
-    takes its place if the candidate's defect is lower; otherwise the
-    candidate starts a new representative.  A representative is always
-    held by an earlier candidate, so each candidate needs only the earlier
-    candidates within ``radius`` (``_neighbour_pairs``).  A representative
+    cell and the lowest index on a tie), then a greedy pass in angular
+    order: the nearest representative within ``radius`` (the lowest index
+    on a tie) absorbs a candidate and takes its place if the candidate's
+    defect is lower; otherwise the candidate starts a new representative.
+    A representative is always held by an earlier candidate, so each
+    candidate needs only the earlier candidates within ``radius``.  Each
+    cell holds one candidate and has side ``radius``, so these sit in
+    adjacent cells, up to the rounding of points / radius at cell faces;
+    ``_adjacent_pairs`` finds each such pair once.  A representative
     is named by the candidate that started it, so names order like
     indices; a candidate with no earlier one within ``radius`` starts one
     without a look, and the pass visits only the others.
     """
     (keys,), w = _cell_keys(radius, points)
     ids = _cell_ids(keys, w)
-    # per cell (cell ids order like their keys), the first point of lowest
-    # defect: the first point of a stable (key, defect) sort
-    order = np.argsort(ids, kind="stable")
+    # per cell (cell ids order like their keys), the lowest index among the
+    # points of lowest defect
+    order = np.argsort(ids)
     ids, d = ids[order], defects[order]
     start = np.flatnonzero(_run_starts(ids))
     hit = np.flatnonzero(d == np.repeat(np.minimum.reduceat(d, start), np.diff(start, append=len(d))))
-    first = hit[_run_starts(ids[hit])]
-    cand, cd = points[order[first]], d[first]
+    ids = ids[hit]
+    start = np.flatnonzero(_run_starts(ids))
+    first = np.minimum.reduceat(order[hit], start)
+    cand = points[first]
+    i, j = _adjacent_pairs(ids[start], w)
+    # d2 is (e0 e0 + e1 e1) + e2 e2; e's sign does not reach its square
+    ct = cand.T.copy()
+    e = ct[:, j] - ct[:, i]
+    e *= e
+    d2 = (e[0] + e[1]) + e[2]
+    near = d2 <= radius * radius
+    # the candidates in visit (angular) order, and the rank of each in it
     ang = _angular_order(cand)
-    cand, cd = cand[ang], cd[ang].tolist()
-    r2 = radius * radius
-    near = []
-    for rows, cols, d2 in _neighbour_pairs(cand, cand, radius):
-        k = (d2 <= r2) & (cols < rows)
-        near.append((rows[k], cols[k], d2[k]))
-    rows, cols, d2 = (np.concatenate(x) for x in zip(*near))
-    # candidate visit[n]'s earlier neighbours within radius are cols[ptr[n]:ptr[n + 1]] (rows ascend)
+    cand, cd = cand[ang], defects[first[ang]].tolist()
+    rank = np.empty_like(ang)
+    rank[ang] = np.arange(len(ang))
+    i, j = rank[i[near]], rank[j[near]]
+    rows, cols = np.maximum(i, j), np.minimum(i, j)
+    by_row = np.argsort(rows)
+    rows, cols, d2 = rows[by_row], cols[by_row], d2[near][by_row]
+    # candidate visit[n]'s earlier neighbours within radius are cols[ptr[n]:ptr[n + 1]]
     ptr = np.flatnonzero(_run_starts(rows))
     visit = rows[ptr]
     ptr = [*ptr.tolist(), len(rows)]

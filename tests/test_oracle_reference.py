@@ -2,15 +2,18 @@
 
 The references below are the O(n^2) greedy merge and the pairwise-matrix
 scoring that the cell-indexed versions replaced, kept here as independent
-oracles: the merge must match bit for bit, the scoring to 1e-15.  The
-neighbour pairs behind both are checked against a dense scan of the
-cells.  The row-wise einsum refinement is the reference of the
-column-wise one on the monomials, and the whole-sphere scan with the
-per-point quadratic-form kernel and that refinement is the reference of
-the hemisphere scan; their arithmetic differs in rounding, so they must
-agree on the isolated count and stay inside the verify gates.  The
-one-contraction scan of the whole half-lattice is the reference of the
-block-pruned coarse scan, which must match it bit for bit.
+oracles: the merge must match bit for bit, on synthetic clouds and on the
+oracle's own refined clouds, the scoring to 1e-15.  The pairs behind
+both are checked against a dense scan of the cells: the adjacent cells
+of the merge's one candidate per cell, each pair once, and the
+neighbour pairs of the scoring.  The row-wise einsum refinement is the
+reference of the column-wise one on the monomials, and the whole-sphere
+scan with the per-point quadratic-form kernel and that refinement is the
+reference of the hemisphere scan; their arithmetic differs in rounding,
+so they must agree on the isolated count and stay inside the verify
+gates.  The one-contraction scan of the whole half-lattice is the
+reference of the block-pruned coarse scan, which must match it bit for
+bit.
 """
 
 import math
@@ -198,6 +201,18 @@ def _chain(rng, n, spacing):
     return np.cos(t)[:, None] * u + np.sin(t)[:, None] * w
 
 
+def _sources():
+    rng = np.random.default_rng(11)
+    for tag in CASE_TAGS:
+        for _ in range(2):
+            if tag == "E":
+                l = sample_functional(rng)
+                yield tag, from_functional(l), enumerate_unit_geodesics(functional=l)
+            else:
+                params = sample_params(rng, tag)
+                yield tag, from_milnor(params), enumerate_unit_geodesics(params)
+
+
 RADIUS = 1e-3
 
 
@@ -222,6 +237,11 @@ def _clouds():
     corners = RADIUS * (
         np.repeat(rng.integers(-900, 900, (30, 3)), 8, axis=0) + rng.uniform(-0.4, 0.4, (240, 3))
     )
+    # eight distinct points in each of 150 cells of a small box, in shuffled
+    # order: with equal defects each cell keeps its lowest index, which is
+    # rarely its first in any sort by cell
+    cells = rng.choice(np.stack(np.meshgrid(*[np.arange(-6, 7)] * 3), -1).reshape(-1, 3), 150, replace=False)
+    same_cell = rng.permutation(RADIUS * (np.repeat(cells, 8, axis=0) + rng.uniform(0.05, 0.95, (1200, 3))))
     return {
         "tight": tight,
         "corners": corners,
@@ -229,15 +249,48 @@ def _clouds():
         "duplicates": duplicates,
         "ties": ties,
         "single": base[:1],
+        "same-cell": same_cell,
     }
 
 
-@pytest.mark.parametrize("name", ["tight", "corners", "chains", "duplicates", "ties", "single"])
-@pytest.mark.parametrize("defect_kind", ["random", "equal"])
-def test_merge_matches_dense_reference(name, defect_kind):
-    points = _clouds()[name]
+def _oracle_sources():
+    return {f"{tag}-{k % 2}": L for k, (tag, L, _) in enumerate(_sources())}
+
+
+def _oracle_cloud(monkeypatch, L):
+    # the [pts, -pts] cloud and defects that geodesic_brute_force merges at grid 200
+    seen = []
+    merge = mg._merge_clusters
+    monkeypatch.setattr(mg, "_merge_clusters", lambda p, d, r: seen.append((p, d)) or merge(p, d, r))
+    geodesic_brute_force(L, grid=200)
+    return seen[0]
+
+
+@pytest.mark.parametrize(
+    "defect_kind, name",
+    [(k, n) for k in ("equal", "random") for n in ("tight", "corners", "chains", "duplicates", "ties", "single")]
+    + [(k, "same-cell") for k in ("equal", "random")]
+    + [(k, n) for k in ("equal", "oracle") for n in _oracle_sources()],
+)
+def test_merge_matches_dense_reference(monkeypatch, defect_kind, name):
+    sources = _oracle_sources()
+    if name in sources:
+        points, defects = _oracle_cloud(monkeypatch, sources[name])
+        if name[:2] in ("B2", "C2"):
+            # the circles through the axes put coordinates exactly on cell faces
+            assert np.any(points == 0.0) and np.any(np.signbit(points[points == 0.0]))
+    else:
+        points = _clouds()[name]
+    if name == "same-cell":
+        # a pair exactly radius apart may sit two cells apart after rounding
+        # (a known limit of the cell keys); keep such pairs out
+        dist = np.linalg.norm(points[:, None] - points[None], axis=-1)
+        assert not np.any(dist == RADIUS) and not np.any((dist * dist) == RADIUS * RADIUS)
     rng = np.random.default_rng(len(points))
-    defects = rng.random(len(points)) if defect_kind == "random" else np.full(len(points), 1e-12)
+    if defect_kind == "random":
+        defects = rng.random(len(points))
+    elif defect_kind == "equal":
+        defects = np.full(len(points), 1e-12)
     got = _merge_clusters(points, defects, RADIUS)
     assert np.array_equal(got, _reference_merge(points, defects, RADIUS))
 
@@ -263,18 +316,6 @@ def test_nearest_distance_matches_dense_minimum(exclude_self):
     # skip -1 skips no row, also in the scan beyond the cells
     b = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     assert _nearest_distance(np.array([[0.0, 0.0, 2.0]]), b, 0.1, np.array([-1]))[0] == 1.0
-
-
-def _sources():
-    rng = np.random.default_rng(11)
-    for tag in CASE_TAGS:
-        for _ in range(2):
-            if tag == "E":
-                l = sample_functional(rng)
-                yield tag, from_functional(l), enumerate_unit_geodesics(functional=l)
-            else:
-                params = sample_params(rng, tag)
-                yield tag, from_milnor(params), enumerate_unit_geodesics(params)
 
 
 @pytest.mark.parametrize("tag, L, enum", list(_sources()))
@@ -485,6 +526,23 @@ def test_neighbour_pairs_match_dense_scan(monkeypatch, block):
     assert set(zip(*np.nonzero(dense))) <= set(zip(rows, cols))
 
 
+def test_adjacent_pairs_match_dense_scan():
+    # one point per cell, on faces, edges and corners and at negative keys
+    rng = np.random.default_rng(37)
+    radius = 0.05
+    cloud = _cell_cloud(rng, radius)
+    (keys,), w = mg._cell_keys(radius, cloud)
+    keys, first = np.unique(keys, axis=0, return_index=True)
+    ids = mg._cell_ids(keys, w)
+    assert np.all(np.diff(ids) > 0) and keys.min() < 0
+    i, j = mg._adjacent_pairs(ids, w)
+    assert np.all(i < j)
+    pairs = list(zip(i.tolist(), j.tolist()))
+    assert len(pairs) == len(set(pairs))
+    want = {(a, b) for a, b in _dense_pairs(cloud[first], cloud[first], radius) if a < b}
+    assert set(pairs) == want and len(want) > 100
+
+
 def test_neighbour_pairs_of_the_empty_set():
     assert list(_neighbour_pairs(np.zeros((0, 3)), np.ones((4, 3)), 0.1)) == []
 
@@ -495,11 +553,31 @@ def test_neighbour_pairs_overflow_raises():
     # is the first to overflow int64
     fits = np.array([[(2**20 - 3) * r, 0.0, 0.0]])
     assert len(next(_neighbour_pairs(fits, fits, r))[0]) == 1
-    for big in ([[2**20 * r, 0.0, 0.0]], [[0.0, 0.0, -1e6]], [[1e300, 0.0, 0.0]]):
+    # three adjacent pairs of merge candidates at keys of magnitude
+    # 2^20 - 3: the forward column searches reach one cell and two ids past
+    # the largest key without overflow
+    k = 2**20 - 3
+    pts = r * np.array(
+        [
+            [k + 0.1, 0.5, 0.5],
+            [k - 0.3, 0.5, 0.5],
+            [-k + 0.9, -k + 0.9, -k + 0.9],
+            [-k + 1.1, -k + 1.1, -k + 1.1],
+            [k - 1.1, k + 0.1, k - 1.1],
+            [k - 0.9, k + 0.3, k - 0.9],
+        ]
+    )
+    assert np.abs(np.floor(pts / r)).max() == k
+    defects = np.array([2.0, 1.0, 1.0, 2.0, 3.0, 3.0])
+    got = _merge_clusters(pts, defects, r)
+    assert len(got) == 3 and np.array_equal(got, _reference_merge(pts, defects, r))
+    for big in ([[2**20 * r, 0.0, 0.0]], [[0.0, 0.0, -1e6]], [[1e300, 0.0, 0.0]], [[(k + 1) * r, 0.0, 0.0]]):
         with pytest.raises(ValueError):
             list(_neighbour_pairs(np.array(big), np.zeros((1, 3)), r))
         with pytest.raises(ValueError):
             _nearest_distance(np.zeros((1, 3)), np.array(big), r)
+        with pytest.raises(ValueError):
+            _merge_clusters(np.array(big), np.zeros(1), r)
     with pytest.raises(ValueError):
         _merge_clusters(np.array([[1e6, 0.0, 0.0]]), np.zeros(1), r)
 
