@@ -499,11 +499,8 @@ def _sphere_grid(grid: int) -> np.ndarray:
 # the offsets (i, j, 0) of the 9 columns of 3 cells around a cell: cells
 # (i, j, k - 1), (i, j, k) and (i, j, k + 1) have consecutive ids
 _COLUMNS = np.array([(i, j, 0) for i in (-1, 0, 1) for j in (-1, 0, 1)])
-# the forward columns (0, 1, .), (1, -1, .), (1, 0, .) and (1, 1, .): with
-# the (0, 0, 1) neighbour, the neighbours of larger id
-_FORWARD = np.array([(0, 1, 0), (1, -1, 0), (1, 0, 0), (1, 1, 0)])
 # pairs per block of ``_neighbour_pairs`` and per row block of the far
-# scan, both in ``_nearest_distance`` (the merge takes ``_adjacent_pairs``)
+# scan, both in ``_nearest_distance``
 _BLOCK_PAIRS = 1 << 18
 
 
@@ -544,8 +541,7 @@ def _neighbour_pairs(a: np.ndarray, b: np.ndarray, radius: float):
     (e0 e0 + e1 e1) + e2 e2 with e = a[row] - b[col], the bits of
     ``((a[rows] - b[cols]) ** 2).sum(axis=-1)``.  Raises ValueError, on
     the first block, when the cell ids would overflow int64
-    (``_cell_keys``).  It serves ``_nearest_distance``; the merge, with
-    one point per cell, takes ``_adjacent_pairs``.
+    (``_cell_keys``).  It serves ``_nearest_distance``.
     """
     (ka, kb), w = _cell_keys(radius, a, b)
     ids = _cell_ids(kb, w)
@@ -573,104 +569,31 @@ def _neighbour_pairs(a: np.ndarray, b: np.ndarray, radius: float):
         start = stop
 
 
-def _angular_order(x: np.ndarray) -> np.ndarray:
-    return np.lexsort((np.arctan2(x[:, 1], x[:, 0]), np.arccos(np.clip(x[:, 2], -1, 1))))
+def _cell_dedup(points: np.ndarray, defects: np.ndarray, radius: float) -> np.ndarray:
+    """One of ``points`` per occupied cell of side ``radius``, in no promised order.
 
-
-def _adjacent_pairs(ids: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positions (i, j), i < j, of the pairs of adjacent cells among distinct ascending ``_cell_ids``.
-
-    Each pair is found once, from its lower id: the (0, 0, 1) neighbour
-    is the next id, and the rest lie in the four ``_FORWARD`` columns of
-    three consecutive ids.  One ``searchsorted`` finds where every column
-    starts and ends, on keys that ascend within each column.
-    """
-    nxt = np.flatnonzero(ids[1:] - ids[:-1] == 1)
-    # a column spans ids centre - 1 to centre + 1, and ids are integers:
-    # it starts at the first id >= centre - 1 and ends before the first >= centre + 2
-    centre = _cell_ids(_FORWARD, w)
-    lo, hi = np.searchsorted(ids, (ids + np.concatenate([centre - 1, centre + 2])[:, None]).ravel()).reshape(2, -1)
-    # the t-th id of each column's range, for t below the range's length
-    t, k = np.nonzero(hi - lo > np.arange(3)[:, None])
-    return np.concatenate([nxt, k % len(ids)]), np.concatenate([nxt + 1, lo[k] + t])
-
-
-def _merge_clusters(points: np.ndarray, defects: np.ndarray, radius: float) -> np.ndarray:
-    """One representative per cluster of refined points, sorted by spherical angle.
-
-    Cell dedup first (cells of side ``radius``, keeping the best defect per
-    cell and the lowest index on a tie), then a greedy pass in angular
-    order: the nearest representative within ``radius`` (the lowest index
-    on a tie) absorbs a candidate and takes its place if the candidate's
-    defect is lower; otherwise the candidate starts a new representative.
-    A representative is always held by an earlier candidate, so each
-    candidate needs only the earlier candidates within ``radius``.  Each
-    cell holds one candidate and has side ``radius``, so these sit in
-    adjacent cells, up to the rounding of points / radius at cell faces;
-    ``_adjacent_pairs`` finds each such pair once.  A representative
-    is named by the candidate that started it, so names order like
-    indices; a candidate with no earlier one within ``radius`` starts one
-    without a look, and the pass visits only the others.
+    Each cell keeps its point of lowest defect, the lowest index on a tie.
+    Raises ValueError when the cell ids would overflow int64
+    (``_cell_keys``).
     """
     (keys,), w = _cell_keys(radius, points)
     ids = _cell_ids(keys, w)
-    # per cell (cell ids order like their keys), the lowest index among the
-    # points of lowest defect
     order = np.argsort(ids)
     ids, d = ids[order], defects[order]
     start = np.flatnonzero(_run_starts(ids))
     hit = np.flatnonzero(d == np.repeat(np.minimum.reduceat(d, start), np.diff(start, append=len(d))))
-    ids = ids[hit]
-    start = np.flatnonzero(_run_starts(ids))
-    first = np.minimum.reduceat(order[hit], start)
-    cand = points[first]
-    i, j = _adjacent_pairs(ids[start], w)
-    # d2 is (e0 e0 + e1 e1) + e2 e2; e's sign does not reach its square
-    ct = cand.T.copy()
-    e = ct[:, j] - ct[:, i]
-    e *= e
-    d2 = (e[0] + e[1]) + e[2]
-    near = d2 <= radius * radius
-    # the candidates in visit (angular) order, and the rank of each in it
-    ang = _angular_order(cand)
-    cand, cd = cand[ang], defects[first[ang]].tolist()
-    rank = np.empty_like(ang)
-    rank[ang] = np.arange(len(ang))
-    i, j = rank[i[near]], rank[j[near]]
-    rows, cols = np.maximum(i, j), np.minimum(i, j)
-    by_row = np.argsort(rows)
-    rows, cols, d2 = rows[by_row], cols[by_row], d2[near][by_row]
-    # candidate visit[n]'s earlier neighbours within radius are cols[ptr[n]:ptr[n + 1]]
-    ptr = np.flatnonzero(_run_starts(rows))
-    visit = rows[ptr]
-    ptr = [*ptr.tolist(), len(rows)]
-    cols, d2 = cols.tolist(), d2.tolist()
-    holds = np.arange(len(cand))  # the name of the representative a candidate holds, or -1
-    holds[visit] = -1
-    holds = holds.tolist()
-    at = list(range(len(cand)))  # the candidate holding each named representative
-    rep_d = list(cd)
-    for n, i in enumerate(visit.tolist()):
-        best, j = math.inf, -1
-        for p in range(ptr[n], ptr[n + 1]):
-            k = holds[cols[p]]
-            if k >= 0 and (d2[p] < best or (d2[p] == best and k < j)):
-                best, j = d2[p], k
-        if j < 0:
-            holds[i] = i
-        elif cd[i] < rep_d[j]:
-            holds[at[j]], holds[i] = -1, j
-            at[j], rep_d[j] = i, cd[i]
-    names = np.array(holds)
-    reps = np.flatnonzero(names >= 0)
-    out = cand[reps[np.argsort(names[reps])]]
-    return out[_angular_order(out)]
+    return points[np.minimum.reduceat(order[hit], np.flatnonzero(_run_starts(ids[hit])))]
 
 
-# oracle cluster radius, and the defect (relative to the scale of the M_i)
-# below which a refined point is kept
+# the oracle's dedup cell side, and the defect (relative to the scale of
+# the M_i) below which a refined point is kept
 _MERGE_RADIUS = 1e-3
 _KEEP_RTOL = 1e-10
+
+
+def _check_grid(grid: int) -> None:
+    if grid < 100:
+        raise ValueError("grid must be at least 100")
 
 
 def geodesic_brute_force(L: LieAlgebra3, g: Metric3 | None = None, grid: int = 400) -> np.ndarray:
@@ -690,14 +613,14 @@ def geodesic_brute_force(L: LieAlgebra3, g: Metric3 | None = None, grid: int = 4
     target sits well under the 1e-10 acceptance cut).  Refinement is
     exactly odd, so the refined points and their bitwise negations, with
     equal defects, are what refining the whole lattice (``_sphere_grid``)
-    would give.  That cloud is merged into clusters and one representative
-    per cluster is returned, sorted by spherical angle, as the rows of an
-    (n, 3) array.
+    would give.  That cloud is reduced to one point per occupied cell of
+    side ``_MERGE_RADIUS`` (``_cell_dedup``) and returned as the rows of an
+    (n, 3) array, in no promised order; one zero of the defect may give a
+    few nearby points, which ``oracle_match`` counts as one cluster.
     If the structure constants vanish (every vector is geodesic), a
     decimated subset of the whole lattice is returned unrefined.
     """
-    if grid < 100:
-        raise ValueError("grid must be at least 100")
+    _check_grid(grid)
     M = _defect_matrices(L.c, _I3 if g is None else g)
     scale = float(np.abs(M).max())
     if scale == 0.0:
@@ -713,7 +636,7 @@ def geodesic_brute_force(L: LieAlgebra3, g: Metric3 | None = None, grid: int = 4
     if not ok.any():
         return np.zeros((0, 3))
     pts = refined[ok]
-    return _merge_clusters(np.concatenate([pts, -pts]), np.tile(fr[ok], 2), _MERGE_RADIUS)
+    return _cell_dedup(np.concatenate([pts, -pts]), np.tile(fr[ok], 2), _MERGE_RADIUS)
 
 
 def _whole_sphere(grid: int) -> np.ndarray:
@@ -729,7 +652,7 @@ class OracleAgreement:
     max_oracle_to_set: float  # worst oracle point, distance to enumerated set
     max_isolated_to_oracle: float  # worst enumerated isolated point, distance to oracle
     family_coverage_gap: float  # worst gap along full-circle families (grid-limited)
-    n_isolated_oracle: int
+    n_isolated_oracle: int  # isolated clusters of oracle points (``oracle_match``)
     n_isolated_enum: int
 
     @property
@@ -741,20 +664,26 @@ class OracleAgreement:
         return self.n_isolated_oracle == self.n_isolated_enum
 
 
-def _nearest_distance(a: np.ndarray, b: np.ndarray, radius: float, skip: np.ndarray | None = None) -> np.ndarray:
-    """Distance from each row a[i] to the nearest row of b but b[skip[i]] (none if skip[i] < 0; inf if no row).
+def _nearest_distance(
+    a: np.ndarray, b: np.ndarray, radius: float, after: np.ndarray | None = None, within: float = 0.0
+) -> np.ndarray:
+    """Distance from each row a[i] to the nearest row of b (inf if none).
 
-    Exact for any ``radius``, which sets only the cost: rows of b within
-    ``radius`` of a row lie in the 27 cells around it (up to face rounding
-    in ``_cell_keys``), so the minimum over its ``_neighbour_pairs`` finds
-    the nearest one; other rows are scanned against all of b, in blocks of
-    about ``_BLOCK_PAIRS`` pairs, never len(a) x len(b).  Each distance is
-    sqrt(sum((a_i - b_j)^2)), the arithmetic of ``np.linalg.norm``.
+    With ``after``, a[i] ignores the rows b[j] with j >= after[i] that lie
+    within ``within`` of it (d2 <= within^2); after[i] = len(b) ignores
+    none.  Exact for any ``radius``, which sets only the cost: rows of b
+    within ``radius`` of a row lie in the 27 cells around it (up to face
+    rounding in ``_cell_keys``), so the minimum over its
+    ``_neighbour_pairs`` finds the nearest one; other rows are scanned
+    against all of b, in blocks of about ``_BLOCK_PAIRS`` pairs, never
+    len(a) x len(b).  Each distance is sqrt(sum((a_i - b_j)^2)), the
+    arithmetic of ``np.linalg.norm``.
     """
     best = np.full(len(a), math.inf)
+    w2 = within * within
     for rows, cols, d2 in _neighbour_pairs(a, b, radius):
-        if skip is not None:
-            d2[cols == skip[rows]] = math.inf
+        if after is not None:
+            d2[(cols >= after[rows]) & (d2 <= w2)] = math.inf
         if len(rows):
             starts = np.flatnonzero(_run_starts(rows))
             best[rows[starts]] = np.minimum.reduceat(d2, starts)
@@ -763,8 +692,8 @@ def _nearest_distance(a: np.ndarray, b: np.ndarray, radius: float, skip: np.ndar
     for s in range(0, len(far), step):
         i = far[s : s + step]
         d2 = ((a[i, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
-        if skip is not None:
-            d2[np.arange(len(b)) == skip[i, None]] = math.inf
+        if after is not None:
+            d2[(np.arange(len(b)) >= after[i, None]) & (d2 <= w2)] = math.inf
         best[i] = d2.min(axis=1, initial=math.inf)
     return np.sqrt(best)
 
@@ -772,28 +701,46 @@ def _nearest_distance(a: np.ndarray, b: np.ndarray, radius: float, skip: np.ndar
 def oracle_match(enum: GeodesicEnumeration, points: np.ndarray, grid: int) -> OracleAgreement:
     """Score oracle output against the enumeration.
 
-    ``points`` holds the oracle's unit vectors as rows, the (n, 3) array
-    ``geodesic_brute_force`` returns.  An oracle point counts as isolated
-    when no other oracle point lies within 3.5 lattice spacings
-    h = 2 pi / grid (a lone point is isolated); along full circles the
-    representatives chain at lattice density, so the two populations
-    separate cleanly.  Points sharing a cell of side 1.75 h are within
-    3.5 h of each other, so only the points alone in their cell are
-    searched, with the enumerated isolated points in one
-    ``_nearest_distance`` call.  The family coverage gap is the worst
-    distance from 720 samples of each full circle to the nearest oracle
-    point, searched in cells of side h / 2.  Memory is linear.
+    ``points`` holds the oracle's unit vectors as rows (or one 3-vector),
+    as ``geodesic_brute_force`` returns them: one point per occupied cell
+    of side ``_MERGE_RADIUS``, so one zero of the defect may show as a
+    few nearby points.  With h = 2 pi / grid the lattice spacing, the
+    isolated oracle points are counted as clusters: point i counts when
+    no point of lower index lies within 3.5 h and no point lies at a
+    distance in (2 ``_MERGE_RADIUS``, 3.5 h].  Equivalently, its nearest
+    point is farther than 3.5 h once the points j >= i within
+    2 ``_MERGE_RADIUS`` of it are ignored.  A lone cluster is counted
+    once, at its lowest index; along full circles the points chain at
+    lattice density, so the two populations separate cleanly.  A
+    counted point's cell of side 1.75 h holds only points within 3.5 h of
+    it, hence within 2 ``_MERGE_RADIUS``, so only the points of cells that
+    span at most 4 ``_MERGE_RADIUS`` in each coordinate are searched,
+    with the enumerated isolated points, in one ``_nearest_distance``
+    call.  The family coverage gap is the worst distance from 720 samples
+    of each full circle to the nearest oracle point, searched in cells of
+    side h / 2.  Memory is linear.  Raises ValueError for a grid that
+    ``geodesic_brute_force`` rejects and for malformed or empty
+    ``points``.
     """
-    pts = np.asarray(points, dtype=float)
+    _check_grid(grid)
+    pts = _points(points).reshape(-1, 3)
     if len(pts) == 0:
         raise ValueError("oracle returned no points")
     h = 2.0 * math.pi / grid
     d_o2s = float(enum.distance_to_set(pts).max())
     iso = np.array(enum.isolated_points()).reshape(-1, 3)
     (keys,), w = _cell_keys(1.75 * h, pts)
-    _, cell, size = np.unique(_cell_ids(keys, w), return_inverse=True, return_counts=True)
-    lone = np.flatnonzero(size[cell] == 1)
-    d = _nearest_distance(np.concatenate([iso, pts[lone]]), pts, 3.5 * h, np.append(np.full(len(iso), -1), lone))
+    ids = _cell_ids(keys, w)
+    order = np.argsort(ids)
+    start = np.flatnonzero(_run_starts(ids[order]))
+    by_cell = pts[order]
+    span = np.maximum.reduceat(by_cell, start) - np.minimum.reduceat(by_cell, start)
+    # 1e-9 of slack for the rounding of the spans and of the distances
+    tight = (span <= 4.0 * _MERGE_RADIUS * (1.0 + 1e-9)).all(axis=1)
+    rows = order[np.repeat(tight, np.diff(start, append=len(pts)))]
+    # the enumerated points ignore no oracle point (after = len(pts))
+    after = np.append(np.full(len(iso), len(pts)), rows)
+    d = _nearest_distance(np.concatenate([iso, pts[rows]]), pts, 3.5 * h, after, 2.0 * _MERGE_RADIUS)
     d_i2o = float(d[: len(iso)].max(initial=0.0))
     n_iso = int((d[len(iso) :] > 3.5 * h).sum())
     ts = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)[:, None]

@@ -500,6 +500,25 @@ def test_flags_invariant_under_scale(tag, seed, log_lam):
     assert [key(r) for r in scaled] == [key(r) for r in base]
 
 
+# Scale pins for the open scale-relative tolerance policy: each fails today
+# as marked, and strict xfail flags the change that mends it.
+_A2 = MilnorParameters(3.0, 0.0, 0.0, -1.0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="absolute enumeration check rejects the rescaled A2")
+def test_a2_classifies_at_scale_1e9():
+    key = lambda r: (r.family, r.geodesic_case, r.contact_form, r.normal)
+    want = [key(r) for r in classify_representatives(_A2)]
+    assert [key(r) for r in classify_representatives(_rescaled(_A2, 1e9))] == want
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError, reason="absolute unimodularity test: 'algebra is unimodular'")
+def test_a2_classifies_at_scale_1e_12():
+    key = lambda r: (r.family, r.geodesic_case, r.contact_form, r.normal)
+    want = [key(r) for r in classify_representatives(_A2)]
+    assert [key(r) for r in classify_representatives(_rescaled(_A2, 1e-12))] == want
+
+
 def test_contact_metric_after_rescale():
     t = math.pi / 3
     xi = np.array([0.0, math.cos(t), math.sin(t)])

@@ -31,6 +31,15 @@ def test_classify_auto_three_records(capsys):
     assert not any(r["normal"] for r in records)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="family A check floors its scale at 1: exits 2")
+def test_classify_tiny_functional(capsys):
+    # the functional (1e-200, 0, 0) is (1, 0, 0) rescaled, a normal family-A structure
+    code, out, err = run_cli(capsys, "classify", "--l", "1e-200,0,0", "--xi", "auto")
+    assert code == 0, err
+    (rec,) = [json.loads(line) for line in out.strip().splitlines()]
+    assert rec["family"] == "A" and rec["normal"] is True
+
+
 def test_classify_normal_key(capsys):
     # p = 0: the axis structure is normal
     code, out, _ = run_cli(capsys, "classify", "--p", "0", "--q", "0.5", "--r", "1", "--xi", "auto")

@@ -220,6 +220,29 @@ def test_brute_force_grid_validation():
         geodesic_brute_force(from_milnor((1, 0, 0, 1)), grid=50)
 
 
+@pytest.mark.parametrize("grid", [0, -200, 50])
+def test_oracle_match_rejects_the_grids_the_oracle_rejects(grid):
+    enum = enumerate_unit_geodesics((3, 0, 0, -1))
+    pts = geodesic_brute_force(from_milnor((3, 0, 0, -1)), grid=200)
+    with pytest.raises(ValueError, match="grid must be at least 100"):
+        geodesic_brute_force(from_milnor((3, 0, 0, -1)), grid=grid)
+    with pytest.raises(ValueError, match="grid must be at least 100"):
+        oracle_match(enum, pts, grid)
+
+
+def test_oracle_match_takes_a_single_vector_as_one_point():
+    enum = enumerate_unit_geodesics(functional=[1.0, 0.0, 0.0])
+    one = oracle_match(enum, np.array([-1.0, 0.0, 0.0]), 200)
+    assert one == oracle_match(enum, np.array([[-1.0, 0.0, 0.0]]), 200)
+    assert one.n_isolated_oracle == 1
+
+
+@pytest.mark.parametrize("points", [[], [1.0, 0.0], [[1.0, 0.0, math.nan]], np.zeros((0, 3)), np.zeros((2, 2, 3))])
+def test_oracle_match_rejects_malformed_points(points):
+    with pytest.raises(ValueError):
+        oracle_match(enumerate_unit_geodesics(functional=[1.0, 0.0, 0.0]), points, 200)
+
+
 def test_brute_force_abelian_whole_sphere():
     L = LieAlgebra3(np.zeros((3, 3, 3)))
     pts = geodesic_brute_force(L, grid=100)

@@ -1,17 +1,18 @@
 """The oracle's layers against their reference forms.
 
-The references below are the O(n^2) greedy merge and the pairwise-matrix
-scoring that the cell-indexed versions replaced, kept here as independent
-oracles: the merge must match bit for bit, on synthetic clouds and on the
-oracle's own refined clouds, the scoring to 1e-15.  The pairs behind
-both are checked against a dense scan of the cells: the adjacent cells
-of the merge's one candidate per cell, each pair once, and the
-neighbour pairs of the scoring.  The row-wise einsum refinement is the
-reference of the column-wise one on the monomials, and the whole-sphere
-scan with the per-point quadratic-form kernel and that refinement is the
-reference of the hemisphere scan; their arithmetic differs in rounding,
-so they must agree on the isolated count and stay inside the verify
-gates.  The one-contraction scan of the whole half-lattice is the
+The references below are dense: a per-point loop over the cells for the
+oracle's dedup to one point per cell, and pairwise-matrix forms of the
+scoring, its isolated-cluster count included.  The dedup must match bit
+for bit, on synthetic clouds and on the oracle's own refined clouds; the
+count must match exactly, also for zeros split across a cell face,
+duplicates and clusters at the cluster width; the distances to 1e-15.
+The neighbour pairs behind the scoring are checked against a dense scan
+of the cells.  The row-wise einsum refinement is the reference of the
+column-wise one on the monomials, and the whole-sphere scan with the
+per-point quadratic-form kernel, that refinement and the dense dedup is
+the reference of the hemisphere scan; their arithmetic differs in
+rounding, so they must agree on the isolated count and stay inside the
+verify gates.  The one-contraction scan of the whole half-lattice is the
 reference of the block-pruned coarse scan, which must match it bit for
 bit.
 """
@@ -30,7 +31,7 @@ from contact3.metric_geometry import (
     _coarse_scan,
     _defect_matrices,
     _hemisphere_points,
-    _merge_clusters,
+    _cell_dedup,
     _nearest_distance,
     _neighbour_pairs,
     _sphere_grid,
@@ -41,34 +42,18 @@ from contact3.metric_geometry import (
 from contact3.verify import CASE_TAGS, sample_functional, sample_params
 
 
-def _reference_merge(points, defects, radius):
-    keys = np.floor(points / radius).astype(np.int64)
-    order = np.lexsort((defects, keys[:, 2], keys[:, 1], keys[:, 0]))
-    keys_sorted = keys[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = np.any(keys_sorted[1:] != keys_sorted[:-1], axis=1)
-    cand = points[order[first]]
-    cd = defects[order[first]]
-    ang = np.lexsort((np.arctan2(cand[:, 1], cand[:, 0]), np.arccos(np.clip(cand[:, 2], -1, 1))))
-    cand, cd = cand[ang], cd[ang]
-    reps = np.empty_like(cand)
-    reps_d = np.empty(len(cand))
-    r2 = radius * radius
-    n = 0
-    for x, d in zip(cand, cd):
-        if n:
-            d2 = ((reps[:n] - x) ** 2).sum(axis=1)
-            j = int(np.argmin(d2))
-            if d2[j] <= r2:
-                if d < reps_d[j]:
-                    reps[j], reps_d[j] = x, d
-                continue
-        reps[n] = x
-        reps_d[n] = d
-        n += 1
-    out = reps[:n]
-    srt = np.lexsort((np.arctan2(out[:, 1], out[:, 0]), np.arccos(np.clip(out[:, 2], -1, 1))))
-    return out[srt]
+def _reference_dedup(points, defects, radius):
+    # per cell of side radius, the first point of lowest defect in index order
+    best = {}
+    for i, key in enumerate(map(tuple, np.floor(points / radius).tolist())):
+        if key not in best or defects[i] < defects[best[key]]:
+            best[key] = i
+    return points[sorted(best.values())]
+
+
+def _canonical(points):
+    # rows in lexicographic order, for comparing clouds with no promised order
+    return points[np.lexsort(points.T[::-1])]
 
 
 def _reference_refine_batch(M, X0, step_cap, target, max_iter=80):
@@ -135,7 +120,7 @@ def _reference_brute_force(L, grid):
     seeds = np.ascontiguousarray(X[F <= 3.0 * scale * h])
     refined, fr = _reference_refine_batch(M, seeds, 3.0 * h, 1e-13 * scale, 80)
     ok = fr <= 1e-10 * scale
-    return list(_merge_clusters(refined[ok], fr[ok], 1e-3))
+    return _reference_dedup(refined[ok], fr[ok], 1e-3)
 
 
 def _reference_circle_distance(fam, x):
@@ -160,14 +145,17 @@ def _reference_distance_to_set(enum, x):
     return best
 
 
-def _reference_isolated_count(pts, radius):
-    # rows with no other row within radius, from the dense distance matrix
-    # (built in row chunks to bound memory)
+def _reference_cluster_count(pts, radius, within=2.0 * mg._MERGE_RADIUS):
+    # rows with no lower row within radius and no row at a distance in
+    # (within, radius], from the dense distance matrix (built in row
+    # chunks to bound memory); "within" compares d2 with within^2, as the
+    # scoring does
     n = 0
     for s in range(0, len(pts), 256):
-        dm = np.linalg.norm(pts[s : s + 256, None, :] - pts[None, :, :], axis=-1)
-        dm[np.arange(len(dm)), np.arange(s, s + len(dm))] = np.inf
-        n += int((dm.min(axis=1) > radius).sum())
+        d2 = ((pts[s : s + 256, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
+        near = np.sqrt(d2) <= radius
+        lower = np.arange(len(pts)) < np.arange(s, s + len(d2))[:, None]
+        n += int((~(near & (lower | (d2 > within * within)))).all(axis=1).sum())
     return n
 
 
@@ -178,7 +166,7 @@ def _reference_oracle_match(enum, points, grid):
     d_i2o = 0.0
     for p in iso:
         d_i2o = max(d_i2o, float(np.linalg.norm(pts - p, axis=1).min()))
-    n_iso = _reference_isolated_count(pts, 3.5 * (2.0 * math.pi / grid))
+    n_iso = _reference_cluster_count(pts, 3.5 * (2.0 * math.pi / grid))
     gap = 0.0
     for fam in enum.families:
         if fam.angles is not None:
@@ -228,8 +216,8 @@ def _clouds():
     )
     base = _unit_rows(rng.standard_normal((50, 3)))
     duplicates = np.concatenate([base, base, base[::2]])
-    # two representatives mirrored in x, 1.2 radius apart, then a candidate
-    # (lower z, so visited later) exactly equidistant from both: a tie
+    # points mirrored across the cell face x = 0, 1.2 radius apart, and
+    # points on that face
     y, z = rng.uniform(0.1, 0.6, 20), rng.uniform(0.1, 0.7, 20)
     a = np.stack([np.full(20, 0.6 * RADIUS), y, z], axis=1)
     ties = np.concatenate([a, a * [-1.0, 1.0, 1.0], a * [0.0, 1.0, 1.0] - [0.0, 0.0, 0.5 * RADIUS]])
@@ -258,10 +246,10 @@ def _oracle_sources():
 
 
 def _oracle_cloud(monkeypatch, L):
-    # the [pts, -pts] cloud and defects that geodesic_brute_force merges at grid 200
+    # the [pts, -pts] cloud and defects that geodesic_brute_force dedups at grid 200
     seen = []
-    merge = mg._merge_clusters
-    monkeypatch.setattr(mg, "_merge_clusters", lambda p, d, r: seen.append((p, d)) or merge(p, d, r))
+    dedup = mg._cell_dedup
+    monkeypatch.setattr(mg, "_cell_dedup", lambda p, d, r: seen.append((p, d)) or dedup(p, d, r))
     geodesic_brute_force(L, grid=200)
     return seen[0]
 
@@ -281,41 +269,47 @@ def test_merge_matches_dense_reference(monkeypatch, defect_kind, name):
             assert np.any(points == 0.0) and np.any(np.signbit(points[points == 0.0]))
     else:
         points = _clouds()[name]
-    if name == "same-cell":
-        # a pair exactly radius apart may sit two cells apart after rounding
-        # (a known limit of the cell keys); keep such pairs out
-        dist = np.linalg.norm(points[:, None] - points[None], axis=-1)
-        assert not np.any(dist == RADIUS) and not np.any((dist * dist) == RADIUS * RADIUS)
     rng = np.random.default_rng(len(points))
     if defect_kind == "random":
         defects = rng.random(len(points))
     elif defect_kind == "equal":
         defects = np.full(len(points), 1e-12)
-    got = _merge_clusters(points, defects, RADIUS)
-    assert np.array_equal(got, _reference_merge(points, defects, RADIUS))
+    got = _cell_dedup(points, defects, RADIUS)
+    want = _reference_dedup(points, defects, RADIUS)
+    assert _canonical(got).tobytes() == _canonical(want).tobytes()
 
 
-@pytest.mark.parametrize("exclude_self", [False, True])
-def test_nearest_distance_matches_dense_minimum(exclude_self):
+@pytest.mark.parametrize("exclude", [False, True])
+def test_nearest_distance_matches_dense_minimum(exclude):
     rng = np.random.default_rng(5)
     b = _unit_rows(rng.standard_normal((600, 3)))
-    # excluding self: a is every other row of b, and row i skips b[skip[i]],
-    # except every fifth row, whose skip is -1 (none): it finds itself
-    skip = np.arange(0, 600, 2) if exclude_self else None
-    a = b[skip] if exclude_self else _unit_rows(rng.standard_normal((400, 3)))
+    a = _unit_rows(rng.standard_normal((400, 3)))
     dense = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
-    if exclude_self:
-        dense[np.arange(len(a)), skip] = np.inf
-        dense[np.arange(0, len(a), 5), skip[::5]] = 0.0
-        skip[::5] = -1
     # nearest distances here spread across 0.5 to 3 radii: both the cell
     # index and the exhaustive scan answer some rows
     radius = float(np.median(dense.min(axis=1)))
-    assert np.array_equal(_nearest_distance(a, b, radius, skip), dense.min(axis=1))
+    after, within = None, 0.0
+    if exclude:
+        # a is every other row of b; row i ignores the rows j >= after[i]
+        # within `within` of it, itself included, except every fifth row,
+        # whose after is len(b): it finds itself
+        a = b[::2]
+        after = np.arange(0, 600, 2)
+        after[::5] = len(b)
+        within = 0.8 * radius
+        d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
+        d2[(np.arange(len(b)) >= after[:, None]) & (d2 <= within * within)] = np.inf
+        dense = np.sqrt(d2)
+        assert np.all(dense[::5].min(axis=1) == 0.0) and np.isinf(dense.min(axis=1)).sum() == 0
+    assert np.array_equal(_nearest_distance(a, b, radius, after, within), dense.min(axis=1))
     assert _nearest_distance(b[:1], b[:1], radius, np.zeros(1, dtype=int))[0] == math.inf
-    # skip -1 skips no row, also in the scan beyond the cells
-    b = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    assert _nearest_distance(np.array([[0.0, 0.0, 2.0]]), b, 0.1, np.array([-1]))[0] == 1.0
+    # after = len(b) ignores no row, also in the scan beyond the cells, and
+    # the rows ignored there are only those within `within`
+    b = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 2.5]])
+    far = np.array([[0.0, 0.0, 2.0]])
+    assert _nearest_distance(far, b, 0.1, np.array([3]), 0.6)[0] == 0.5
+    assert _nearest_distance(far, b, 0.1, np.array([1]), 0.6)[0] == 1.0
+    assert _nearest_distance(far, b, 0.1, np.array([1]), 1.5)[0] == 2.0
 
 
 @pytest.mark.parametrize("tag, L, enum", list(_sources()))
@@ -380,6 +374,12 @@ def _isolated_clouds():
     corners = 4.0 * r * rng.permutation(np.stack(np.meshgrid(*[np.arange(-3, 4)] * 3), -1).reshape(-1, 3))[:40]
     corners += 0.001 * r
     diagonals = np.concatenate([corners, corners + r * np.repeat([0.75, 0.58, 0.49], [15, 10, 15])[:, None]])
+    # clusters at the cluster width 2 _MERGE_RADIUS, 4 radii apart: three
+    # points just under it across (one cluster each), two just over it (none)
+    sites = 4.0 * r * rng.permutation(np.stack(np.meshgrid(*[np.arange(-3, 4)] * 3), -1).reshape(-1, 3))[:40]
+    u = _unit_rows(rng.standard_normal((40, 3)))
+    width = 2.0 * mg._MERGE_RADIUS * np.repeat([1.0 - 1e-6, 1.0 + 1e-6], 20)[:, None]
+    wide = rng.permutation(np.concatenate([sites, sites + width * u, sites[:20] + 0.5 * width[:20] * u[:20]]))
     base = _unit_rows(np.random.default_rng(24).standard_normal((40, 3)))
     return {
         "faces": faces,
@@ -389,18 +389,30 @@ def _isolated_clouds():
         "single": base[:1],
         "duplicates": np.concatenate([base, base[:10], base[5:25]]),
         "cell-cloud": _cell_cloud(rng, r / 2),
+        "axis-zeros": _axis_zeros(),
+        "wide-clusters": wide,
     }
 
 
+def _axis_zeros():
+    # each of +-e_k as 4 points 2e-19 apart, split by the cell faces at 0 of
+    # the two other coordinates, as the oracle's dedup leaves an axis zero
+    s = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]]) * 1e-19
+    return np.concatenate([np.insert(s, k, sign, axis=1) for k in range(3) for sign in (1.0, -1.0)])
+
+
 @pytest.mark.parametrize(
-    "name", ["faces", "diagonals", "lone-by-chains", "chains", "single", "duplicates", "cell-cloud"]
+    "name",
+    ["faces", "diagonals", "lone-by-chains", "chains", "single", "duplicates", "cell-cloud"]
+    + ["axis-zeros", "wide-clusters"],
 )
 def test_isolated_count_matches_dense_reference(name):
     pts = _isolated_clouds()[name]
-    want = _reference_isolated_count(pts, ISO_RADIUS)
+    want = _reference_cluster_count(pts, ISO_RADIUS)
     assert _isolated_count(pts) == want
-    # each kind of cloud exercises what its name says
-    expected = {"diagonals": 50, "chains": 0, "single": 1, "duplicates": 15}
+    # each kind of cloud exercises what its name says; exact duplicates
+    # and the points of one axis zero count once
+    expected = {"diagonals": 50, "chains": 0, "single": 1, "duplicates": 40, "axis-zeros": 6, "wide-clusters": 20}
     if name in expected:
         assert want == expected[name]
     else:
@@ -412,7 +424,26 @@ def test_isolated_count_of_the_pair_two_cells_apart():
     for z, want in ((ISO_RADIUS, 0), (np.nextafter(ISO_RADIUS, 1.0), 2)):
         pts = np.array([[0.0, 0.0, -5e-324], [0.0, 0.0, z]])
         assert np.linalg.norm(pts[0] - pts[1]) == z
-        assert _isolated_count(pts) == _reference_isolated_count(pts, ISO_RADIUS) == want
+        assert _isolated_count(pts) == _reference_cluster_count(pts, ISO_RADIUS) == want
+
+
+def test_cluster_counted_at_its_centre_spans_twice_the_cluster_width():
+    # three points on a line in one cell of side 1.75 h, the ends just
+    # under 2 _MERGE_RADIUS from the centre: the centre counts when it has
+    # the lowest index, and nothing counts when an end has it
+    w = 2.0 * mg._MERGE_RADIUS * (1.0 - 1e-6)
+    centre = 1.75 * (2.0 * math.pi / ISO_GRID) * np.array([10.5, 3.5, -2.5])
+    pts = centre + np.array([[0.0, 0.0, 0.0], [-w, 0.0, 0.0], [w, 0.0, 0.0]])
+    for order, want in (([0, 1, 2], 1), ([1, 0, 2], 0)):
+        assert _isolated_count(pts[order]) == _reference_cluster_count(pts[order], ISO_RADIUS) == want
+
+
+def test_axis_zeros_survive_the_dedup_as_one_cluster_each():
+    # the raw cloud holds each split point three times, with random defects
+    pts = np.tile(_axis_zeros(), (3, 1))
+    cloud = _cell_dedup(pts, np.random.default_rng(41).random(len(pts)), mg._MERGE_RADIUS)
+    assert len(cloud) == 24
+    assert _isolated_count(cloud) == _reference_cluster_count(cloud, ISO_RADIUS) == 6
 
 
 def _circle_source_400():
@@ -426,7 +457,7 @@ def test_isolated_count_on_a_grid_400_circle_source():
     pts = np.array(geodesic_brute_force(L, grid=400))
     assert len(pts) > 1000
     radius = 3.5 * (2.0 * math.pi / 400)
-    assert _isolated_count(pts, 400) == _reference_isolated_count(pts, radius)
+    assert _isolated_count(pts, 400) == _reference_cluster_count(pts, radius)
 
 
 def _gap_probes(enum, pts, rng):
@@ -526,23 +557,6 @@ def test_neighbour_pairs_match_dense_scan(monkeypatch, block):
     assert set(zip(*np.nonzero(dense))) <= set(zip(rows, cols))
 
 
-def test_adjacent_pairs_match_dense_scan():
-    # one point per cell, on faces, edges and corners and at negative keys
-    rng = np.random.default_rng(37)
-    radius = 0.05
-    cloud = _cell_cloud(rng, radius)
-    (keys,), w = mg._cell_keys(radius, cloud)
-    keys, first = np.unique(keys, axis=0, return_index=True)
-    ids = mg._cell_ids(keys, w)
-    assert np.all(np.diff(ids) > 0) and keys.min() < 0
-    i, j = mg._adjacent_pairs(ids, w)
-    assert np.all(i < j)
-    pairs = list(zip(i.tolist(), j.tolist()))
-    assert len(pairs) == len(set(pairs))
-    want = {(a, b) for a, b in _dense_pairs(cloud[first], cloud[first], radius) if a < b}
-    assert set(pairs) == want and len(want) > 100
-
-
 def test_neighbour_pairs_of_the_empty_set():
     assert list(_neighbour_pairs(np.zeros((0, 3)), np.ones((4, 3)), 0.1)) == []
 
@@ -553,9 +567,8 @@ def test_neighbour_pairs_overflow_raises():
     # is the first to overflow int64
     fits = np.array([[(2**20 - 3) * r, 0.0, 0.0]])
     assert len(next(_neighbour_pairs(fits, fits, r))[0]) == 1
-    # three adjacent pairs of merge candidates at keys of magnitude
-    # 2^20 - 3: the forward column searches reach one cell and two ids past
-    # the largest key without overflow
+    # three pairs of points in adjacent cells, and a seventh point in the
+    # sixth one's cell, at keys of magnitude 2^20 - 3
     k = 2**20 - 3
     pts = r * np.array(
         [
@@ -565,21 +578,22 @@ def test_neighbour_pairs_overflow_raises():
             [-k + 1.1, -k + 1.1, -k + 1.1],
             [k - 1.1, k + 0.1, k - 1.1],
             [k - 0.9, k + 0.3, k - 0.9],
+            [k - 0.8, k + 0.4, k - 0.8],
         ]
     )
     assert np.abs(np.floor(pts / r)).max() == k
-    defects = np.array([2.0, 1.0, 1.0, 2.0, 3.0, 3.0])
-    got = _merge_clusters(pts, defects, r)
-    assert len(got) == 3 and np.array_equal(got, _reference_merge(pts, defects, r))
+    defects = np.array([2.0, 1.0, 1.0, 2.0, 3.0, 3.0, 3.0])
+    got = _cell_dedup(pts, defects, r)
+    assert len(got) == 6 and np.array_equal(_canonical(got), _canonical(_reference_dedup(pts, defects, r)))
     for big in ([[2**20 * r, 0.0, 0.0]], [[0.0, 0.0, -1e6]], [[1e300, 0.0, 0.0]], [[(k + 1) * r, 0.0, 0.0]]):
         with pytest.raises(ValueError):
             list(_neighbour_pairs(np.array(big), np.zeros((1, 3)), r))
         with pytest.raises(ValueError):
             _nearest_distance(np.zeros((1, 3)), np.array(big), r)
         with pytest.raises(ValueError):
-            _merge_clusters(np.array(big), np.zeros(1), r)
+            _cell_dedup(np.array(big), np.zeros(1), r)
     with pytest.raises(ValueError):
-        _merge_clusters(np.array([[1e6, 0.0, 0.0]]), np.zeros(1), r)
+        _cell_dedup(np.array([[1e6, 0.0, 0.0]]), np.zeros(1), r)
 
 
 @pytest.mark.parametrize("tag, L, enum", list(_sources()))
