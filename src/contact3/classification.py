@@ -66,6 +66,7 @@ from .lie_core import (
     LinearFunctional,
     MilnorParameters,
     _as_vector,
+    _unit,
     bracket,
     from_functional,
     from_milnor,
@@ -208,7 +209,11 @@ class PhiBasisStructure:
         return dict(zip(FAMILY_PARAM_NAMES[self.family], self.params))
 
     def structure(self, g: Metric3 = _I3) -> AlmostContactStructure:
-        return structure_from_basis(g, self.basis.xi, self.basis.e, self.basis.phi_e)
+        b = self.basis
+        if g is not _I3:
+            return structure_from_basis(g, b.xi, b.e, b.phi_e)
+        # structure_from_basis's arithmetic without its frame test, which PhiBasis passed at the same FRAME_TOL
+        return AlmostContactStructure(np.outer(b.phi_e, g.g @ b.e) - np.outer(b.e, g.g @ b.phi_e), b.xi, g.g @ b.xi)
 
     def normal_form_constants(self) -> np.ndarray:
         return _normal_form_constants(self.family, self.params)
@@ -333,10 +338,9 @@ def construct_case4(params, theta: float) -> PhiBasisStructure:
 
 def _unit_xi(xi) -> Vector:
     x = _as_vector(xi)
-    nx = np.linalg.norm(x)
-    if nx == 0.0:
+    if not x.any():
         raise NotGeodesicError("xi must be nonzero")
-    return x / nx
+    return _unit(x)
 
 
 def construct_case5(params, xi) -> PhiBasisStructure:
@@ -447,7 +451,7 @@ def _canonical_sign(x: Vector) -> Vector:
     raise ValueError("zero vector")
 
 
-def _report(source_tag: str, ps: PhiBasisStructure, extra_notes: tuple[str, ...], D: float) -> ClassificationReport:
+def _report(source_tag: str, ps: PhiBasisStructure, extra_notes: tuple[str, ...]) -> ClassificationReport:
     L = ps.algebra
     s = ps.structure()
     if not xi_in_ker_deta(L, s):
@@ -456,7 +460,7 @@ def _report(source_tag: str, ps: PhiBasisStructure, extra_notes: tuple[str, ...]
     return ClassificationReport(
         family=ps.family,
         params=ps.params_dict,
-        D=D,
+        D=invariant_D(L),
         geodesic_case=source_tag,
         contact_form=contact_form,
         contact_metric=contact_metric,
@@ -471,7 +475,8 @@ def resolve_source(source) -> tuple[MilnorParameters | LinearFunctional, LieAlge
     """(functional or parameters, algebra, geodesic enumeration) for a classification source.
 
     A LinearFunctional or a plain 3-vector is a functional; anything else
-    must give adapted-form parameters (AdmissibilityError otherwise).
+    must give adapted-form parameters (AdmissibilityError otherwise).  The
+    enumeration and ``_route``'s branch share the algebra kept on that object.
     """
     if isinstance(source, LinearFunctional) or (
         not isinstance(source, MilnorParameters) and np.ndim(source) == 1 and len(np.asarray(source)) == 3
@@ -494,7 +499,7 @@ def classify(source, xi) -> ClassificationReport:
     """
     x = _unit_xi(xi)
     source, L, enum = resolve_source(source)
-    return _report(*_route(source, L, enum, x), invariant_D(L))
+    return _report(*_route(source, L, enum, x))
 
 
 def _route(
@@ -594,8 +599,7 @@ def _representatives(source, L: LieAlgebra3, enum: GeodesicEnumeration) -> list[
         xis.extend(np.array([0.0, math.cos(t), math.sin(t)]) for t in enum.inplane_angles())
         xis.extend((E1 + fam.v) / math.sqrt(2.0) for fam in enum.families if fam.angles is None)
     routes = [_route(source, L, enum, x / np.linalg.norm(x)) for x in xis]
-    D = invariant_D(L)
-    return [_report(*route, D) for route in routes]
+    return [_report(*route) for route in routes]
 
 
 # -- isomorphism ----------------------------------------------------------
@@ -608,9 +612,8 @@ _DFT = np.exp(-1j * np.outer(np.arange(-2, 3), _SAMPLE_ANGLES)) / 5
 _FREQS = np.arange(-4, 5)
 
 
-def _frames(rhos: np.ndarray, conj: bool) -> np.ndarray:
-    """Candidate maps in adapted coordinates: xi fixed, ker eta rotated by rho (then conjugated)."""
-    sig = -1.0 if conj else 1.0
+def _frames(rhos: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """Candidate maps in adapted coordinates: xi fixed, ker eta rotated by rho, conjugated where sig = -1."""
     cr, sr = np.cos(rhos), np.sin(rhos)
     F = np.zeros((len(rhos), 3, 3))
     F[:, 0, 0] = 1.0
@@ -626,16 +629,16 @@ def _residuals(c1: np.ndarray, c2: np.ndarray, F: np.ndarray) -> np.ndarray:
     return lhs - rhs
 
 
-def _stationary_angles(c1: np.ndarray, c2: np.ndarray, conj: bool) -> np.ndarray:
-    """Every stationary point of |R(rho)|^2 for one orientation.
+def _stationary_angles(R: np.ndarray) -> np.ndarray:
+    """Every stationary point of |R(rho)|^2 for one orientation, from R at ``_SAMPLE_ANGLES``.
 
     Each entry of R is a trigonometric polynomial of degree <= 2 in rho,
-    so five samples give its Fourier coefficients and |R|^2 is one of
+    so the five samples give its Fourier coefficients and |R|^2 is one of
     degree 4.  Its derivative times z^4 is a degree-8 polynomial in
     z = e^{i rho}; the arguments of its roots, polished by Newton's method
     on the derivative, are the candidate angles.
     """
-    r = _DFT @ _residuals(c1, c2, _frames(_SAMPLE_ANGLES, conj)).reshape(5, -1)
+    r = _DFT @ R.reshape(5, -1)
     M = r @ r.T
     p = np.zeros(9, dtype=complex)  # coefficients of e^{i k rho}, k = -4..4
     for n in range(5):
@@ -669,11 +672,11 @@ def is_isomorphic(s1: PhiBasisStructure, s2: PhiBasisStructure, tol: float = PRE
     The intertwining residual R(rho) = f([x, y]_1) - [f x, f y]_2 has
     entries that are trigonometric polynomials of degree <= 2 in rho, so
     the candidate angles are solved exactly: the stationary points of
-    |R|^2 for each orientation.  rho = 0 without conjugation is scored
-    first and a candidate replaces the best one only on a strictly smaller
-    max-abs residual, so a self pair maps by the identity.  Equality of
-    the algebra invariant D is necessary and checked first.  Returns the
-    map in ambient coordinates when the best residual is within
+    |R|^2 for each orientation, sampled and then scored for both at once:
+    rho = 0 and the angles unconjugated, then the same conjugated.  The
+    first of equal minima wins, so a self pair maps by the identity.
+    Equality of the algebra invariant D is necessary and checked first.
+    Returns the map in ambient coordinates when the best residual is within
     ``tol`` times the largest structure constant, or None.
     """
     D1, D2 = s1.invariant_D(), s2.invariant_D()
@@ -682,14 +685,11 @@ def is_isomorphic(s1: PhiBasisStructure, s2: PhiBasisStructure, tol: float = PRE
     c1 = s1.raw_basis_constants()
     c2 = s2.raw_basis_constants()
     scale = max(1.0, float(np.abs(c1).max()), float(np.abs(c2).max()))
-    best = (math.inf, None)
-    for conj in (False, True):
-        rhos = np.concatenate(([0.0], _stationary_angles(c1, c2, conj)))
-        F = _frames(rhos, conj)
-        res = np.abs(_residuals(c1, c2, F)).reshape(len(rhos), -1).max(axis=1)
-        i = int(np.argmin(res))  # first of equal minima
-        if res[i] < best[0]:
-            best = (res[i], F[i])
-    if best[0] > tol * scale:
+    R = _residuals(c1, c2, _frames(np.tile(_SAMPLE_ANGLES, 2), np.repeat([1.0, -1.0], 5)))
+    rhos = [np.concatenate(([0.0], _stationary_angles(R[k : k + 5]))) for k in (0, 5)]
+    F = _frames(np.concatenate(rhos), np.repeat([1.0, -1.0], [len(r) for r in rhos]))
+    res = np.abs(_residuals(c1, c2, F)).reshape(len(F), -1).max(axis=1)
+    i = int(np.argmin(res))  # first of equal minima
+    if res[i] > tol * scale:
         return None
-    return s2.basis.matrix @ best[1] @ s1.basis.matrix.T
+    return s2.basis.matrix @ F[i] @ s1.basis.matrix.T

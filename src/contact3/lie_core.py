@@ -14,6 +14,7 @@ rank-one form ``[x, y] = l(x) y - l(y) x`` for a nonzero covector ``l``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +56,8 @@ class LieAlgebra3:
     @property
     def scale(self) -> float:
         return float(np.abs(self.c).max())
+
+    _D = functools.cached_property(lambda self: _invariant_D(self))  # ``invariant_D``, computed once
 
 
 @dataclass(frozen=True)
@@ -106,6 +109,16 @@ class MilnorParameters:
     def scale(self) -> float:
         return max(abs(self.alpha), abs(self.beta), abs(self.gamma), abs(self.delta))
 
+    @functools.cached_property
+    def _algebra(self) -> LieAlgebra3:  # ``from_milnor``, built once
+        a, b, g, d = self.alpha, self.beta, self.gamma, self.delta
+        c = np.zeros((3, 3, 3))
+        c[0, 1] = (0.0, a, b)
+        c[1, 0] = (0.0, -a, -b)
+        c[0, 2] = (0.0, g, d)
+        c[2, 0] = (0.0, -g, -d)
+        return LieAlgebra3(c)
+
 
 @dataclass(frozen=True)
 class LinearFunctional:
@@ -130,7 +143,12 @@ class LinearFunctional:
     @property
     def dual(self) -> Vector:
         """Unit vector metrically dual to l (identity metric)."""
-        return self.l / self.norm
+        return _unit(self.l)
+
+    @functools.cached_property
+    def _algebra(self) -> LieAlgebra3:  # ``from_functional``, built once
+        eye = np.eye(3)
+        return LieAlgebra3(np.einsum("i,jk->ijk", self.l, eye) - np.einsum("j,ik->ijk", self.l, eye))
 
 
 def bracket(L: LieAlgebra3, x, y) -> Vector:
@@ -161,6 +179,12 @@ def _norm(v: Vector) -> float:
     if m > 1e150 or 0.0 < m < 1e-150:
         return m * float(np.linalg.norm(v / m))
     return float(np.linalg.norm(v))
+
+
+def _unit(v: Vector) -> Vector:
+    """``v / np.linalg.norm(v)`` for nonzero v, bit for bit where finite; else v is scaled by 2^k first."""
+    e = np.frexp(np.abs(v).max())[1]  # max |v_i| = f 2^e with f in [1/2, 1)
+    return _unit(np.ldexp(v, -e)) if abs(e) > 500 else v / np.linalg.norm(v)
 
 
 def _trace_form(L: LieAlgebra3) -> Vector:
@@ -199,26 +223,17 @@ def unimodular_kernel(L: LieAlgebra3) -> list[Vector]:
 
 
 def from_milnor(params: MilnorParameters | tuple) -> LieAlgebra3:
-    """Algebra in the adapted form; always non-unimodular with Jacobi = 0."""
+    """Algebra in the adapted form; always non-unimodular with Jacobi = 0.  Built once per params."""
     if not isinstance(params, MilnorParameters):
         params = MilnorParameters(*params)
-    a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
-    c = np.zeros((3, 3, 3))
-    c[0, 1] = (0.0, a, b)
-    c[1, 0] = (0.0, -a, -b)
-    c[0, 2] = (0.0, g, d)
-    c[2, 0] = (0.0, -g, -d)
-    return LieAlgebra3(c)
+    return params._algebra
 
 
 def from_functional(l: LinearFunctional | np.ndarray) -> LieAlgebra3:
-    """Algebra with [x, y] = l(x) y - l(y) x; trace ad(x) = 2 l(x)."""
+    """Algebra with [x, y] = l(x) y - l(y) x; trace ad(x) = 2 l(x).  Built once per l."""
     if not isinstance(l, LinearFunctional):
         l = LinearFunctional(np.asarray(l, dtype=float))
-    lv = l.l
-    eye = np.eye(3)
-    c = np.einsum("i,jk->ijk", lv, eye) - np.einsum("j,ik->ijk", lv, eye)
-    return LieAlgebra3(c)
+    return l._algebra
 
 
 def pqr_from_milnor(alpha: float, beta: float, gamma: float, delta: float):
@@ -281,8 +296,12 @@ def invariant_D(L: LieAlgebra3) -> float:
     """Basis-free D: 4 det / trace^2 of ad(x0) on the unimodular kernel.
 
     Independent of the choice of x0 with trace ad(x0) != 0; agrees with
-    ``milnor_invariant_D`` on adapted-form algebras.
+    ``milnor_invariant_D`` on adapted-form algebras.  Kept on the algebra.
     """
+    return L._D
+
+
+def _invariant_D(L: LieAlgebra3) -> float:
     T = _trace_form(L)
     tn = _norm(T)
     if tn <= UNIMODULAR_TOL * max(L.scale, 1.0):

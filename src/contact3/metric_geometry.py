@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,7 +199,7 @@ class CircleFamily:
     def __post_init__(self):
         u = _as_vector(self.u)
         v = _as_vector(self.v)
-        n = np.cross(u, v)
+        n = np.array([u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]])
         for name, a in (("u", u), ("v", v), ("normal", n)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -360,9 +361,9 @@ def enumerate_unit_geodesics(
     (B2/C2); p = 0 leaves only +-e1 (tag D); the rank-one functional
     algebra leaves only the dual direction (tag E).
 
-    Every returned vector satisfies the geodesic predicate; the published
-    case lists for B1/C1/D/E disagree with that predicate and are not
-    reproduced (see the brute-force oracle for the cross-check).
+    Every returned vector satisfies the geodesic predicate on the algebra
+    kept on the input; the published case lists for B1/C1/D/E disagree with
+    that predicate and are not reproduced (see the brute-force oracle).
     """
     if (params is None) == (functional is None):
         raise ValueError("provide exactly one of params or functional")
@@ -592,8 +593,8 @@ _KEEP_RTOL = 1e-10
 
 
 def _check_grid(grid: int) -> None:
-    if grid < 100:
-        raise ValueError("grid must be at least 100")
+    if not isinstance(grid, numbers.Integral) or isinstance(grid, bool) or grid < 100:
+        raise ValueError(f"grid must be at least 100 and an integer, not {grid!r}")
 
 
 def geodesic_brute_force(L: LieAlgebra3, g: Metric3 | None = None, grid: int = 400) -> np.ndarray:

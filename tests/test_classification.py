@@ -26,6 +26,7 @@ from contact3 import (
     is_contact_metric,
     is_isomorphic,
     nijenhuis_normality_residual,
+    structure_from_basis,
 )
 from contact3.classification import PhiBasisStructure, _normal_form_constants, _structure_flags
 from contact3.contact_structures import PhiBasis
@@ -529,3 +530,87 @@ def test_contact_metric_after_rescale():
     assert scaled.params["B"] == pytest.approx(1.0, abs=1e-12)
     assert scaled.contact_form and scaled.contact_metric and not scaled.normal
     assert is_contact_metric(scaled.structure.algebra, scaled.structure.structure(), I3)
+
+
+# -- one algebra and one D per call ---------------------------------------
+
+
+def _report_fields(rep):
+    fields = {k: v for k, v in vars(rep).items() if k != "structure"}
+    return fields, rep.structure.basis.matrix.tobytes(), rep.structure.params
+
+
+@pytest.mark.parametrize("s", [1e300, 1e-320])
+@pytest.mark.parametrize("src, xi", [((3, 0, 0, -1), (1.0, 0.0, 0.0)), ((1, 3, -6, 2), (0.0, 1.0, 1.0))], ids=["axis", "A2-root"])
+def test_classify_is_invariant_under_scaling_xi(src, xi, s):
+    # xi is normalised by the scaled norm: s * xi neither overflows nor underflows
+    ref = classify(src, xi)
+    assert ref.family == ("A" if xi[0] else "B") and "snapped" not in " ".join(ref.errata_notes)
+    assert _report_fields(classify(src, s * np.array(xi))) == _report_fields(ref)
+
+
+def _counting(monkeypatch, counts):
+    import contact3.lie_core as lc
+
+    def wrap(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(lc.LieAlgebra3, "__post_init__", wrap("algebra", lc.LieAlgebra3.__post_init__))
+    monkeypatch.setattr(lc, "_invariant_D", wrap("D", lc._invariant_D))
+
+
+@pytest.mark.parametrize("tag", CASE_TAGS)
+def test_one_algebra_and_one_D_per_call(tag, monkeypatch):
+    rng = np.random.default_rng([23, CASE_TAGS.index(tag)])
+    src = sample_functional(rng) if tag == "E" else sample_params(rng, tag)
+    raw = src.l.copy() if tag == "E" else (src.alpha, src.beta, src.gamma, src.delta)  # converted afresh per call
+    counts = {"algebra": 0, "D": 0}
+    _counting(monkeypatch, counts)
+    reps = classify_representatives(raw)
+    assert counts == {"algebra": 1, "D": 1}
+    assert all(r.structure.algebra is reps[0].structure.algebra for r in reps)
+    for r in reps:
+        counts.update(algebra=0, D=0)
+        plus = classify(raw, r.structure.basis.xi)
+        minus = classify(raw, -r.structure.basis.xi)
+        assert counts == {"algebra": 2, "D": 2}
+        assert is_isomorphic(plus.structure, minus.structure) is not None
+        assert counts == {"algebra": 2, "D": 2}
+    # a parameters or functional object keeps its algebra, and the algebra its D, across calls
+    obj = LinearFunctional(raw) if tag == "E" else MilnorParameters(*raw)
+    counts.update(algebra=0, D=0)
+    classify_representatives(obj)
+    for r in reps:
+        classify(obj, r.structure.basis.xi)
+    assert counts == {"algebra": 1, "D": 1}
+
+
+def _signed_permutation_frames():
+    """Orthonormal frames of signed unit axes whose zeros carry every sign (all 48 frames)."""
+    rng = np.random.default_rng(31)
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            B = np.zeros((3, 3))
+            B[list(perm), [0, 1, 2]] = signs
+            B[B == 0] = rng.choice([0.0, -0.0], size=6)
+            yield B
+
+
+def test_identity_metric_structure_matches_structure_from_basis():
+    structures = []
+    for tag in CASE_TAGS:
+        rng = np.random.default_rng([29, CASE_TAGS.index(tag)])
+        src = sample_functional(rng) if tag == "E" else sample_params(rng, tag)
+        structures += [rep.structure for rep in classify_representatives(src)]
+    L = LieAlgebra3(np.zeros((3, 3, 3)))  # abelian: every frame presents it with zero coefficients
+    structures += [PhiBasisStructure(None, (0.0,) * 5, PhiBasis(*B.T), None, L) for B in _signed_permutation_frames()]
+    for ps in structures:
+        b = ps.basis
+        want = structure_from_basis(I3, b.xi, b.e, b.phi_e)
+        for got in (ps.structure(), ps.structure(I3)):
+            for name in ("phi", "xi", "eta"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name

@@ -191,11 +191,26 @@ def test_functional_norm_and_dual_beyond_the_float_range_of_its_square(l1):
     assert np.array_equal(l.dual, [math.copysign(1.0, l1), 0.0, 0.0])
 
 
+@pytest.mark.parametrize("s", [1e300, 1e-320])
+def test_functional_dual_is_invariant_under_scaling_l(s):
+    # off the axes, dividing by a subnormal |l| would keep only a few bits of the dual
+    for v in ((1.0, 1.0, 0.0), (1.0, -0.5, 0.25)):
+        want = LinearFunctional(np.array(v)).dual
+        np.testing.assert_allclose(LinearFunctional(s * np.array(v)).dual, want, rtol=2 * np.finfo(float).eps, atol=0)
+
+
 @pytest.mark.parametrize("v", [(0.3, -1.2, 2.5), (1e-140, 2e-141, 0.0), (4e140, 0.0, -3e139)])
 def test_functional_norm_is_numpys_in_the_normal_range(v):
     l = LinearFunctional(np.array(v))
     assert l.norm == float(np.linalg.norm(v))
     assert np.array_equal(l.dual, np.array(v) / np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("s", [1.0, 1e152, 1e-152])
+def test_dual_is_numpys_quotient_wherever_that_is_finite(s):
+    # 1e+-152 take the power-of-two scaling, where |l|^2 is still in range
+    for v in np.random.default_rng(37).standard_normal((50, 3)) * s:
+        assert LinearFunctional(v).dual.tobytes() == (v / np.linalg.norm(v)).tobytes()
 
 
 @settings(max_examples=200, deadline=None)

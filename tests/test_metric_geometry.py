@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contact3 import (
+    CircleFamily,
     LieAlgebra3,
     LinearFunctional,
     Metric3,
@@ -220,7 +221,7 @@ def test_brute_force_grid_validation():
         geodesic_brute_force(from_milnor((1, 0, 0, 1)), grid=50)
 
 
-@pytest.mark.parametrize("grid", [0, -200, 50])
+@pytest.mark.parametrize("grid", [0, -200, 50, 400.0, 400.5, True])
 def test_oracle_match_rejects_the_grids_the_oracle_rejects(grid):
     enum = enumerate_unit_geodesics((3, 0, 0, -1))
     pts = geodesic_brute_force(from_milnor((3, 0, 0, -1)), grid=200)
@@ -290,3 +291,9 @@ def test_case_d_constant_curvature():
     ]
     assert np.std(Ks) <= 1e-9
     assert np.mean(Ks) == pytest.approx(-params.r**2, abs=1e-9)
+
+
+def test_circle_normal_is_numpys_cross_product():
+    rng = np.random.default_rng(31)
+    for u, v in rng.normal(size=(200, 2, 3)) * 10.0 ** rng.uniform(-100, 100, size=(200, 2, 1)):
+        assert np.array_equal(CircleFamily(u, v).normal, np.cross(u, v))
