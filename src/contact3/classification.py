@@ -65,6 +65,7 @@ from .lie_core import (
     LieAlgebra3,
     LinearFunctional,
     MilnorParameters,
+    _as_milnor,
     _as_vector,
     _unit,
     bracket,
@@ -75,6 +76,7 @@ from .lie_core import (
 from .metric_geometry import (
     GeodesicEnumeration,
     Metric3,
+    _atan2,
     _regime,
     _shear_directions,
     enumerate_unit_geodesics,
@@ -137,14 +139,16 @@ def _structure_flags(ps: PhiBasisStructure) -> tuple[bool, bool, bool]:
     times the algebra's scale; contact metric is the normalisation w = 1,
     held to PREDICATE_TOL itself, so it is not invariant under c -> lambda c.
     """
-    c = ps.normal_form_constants()
-    a, b, g, d, w = c[0, 1, 1], c[0, 1, 2], c[0, 2, 1], c[0, 2, 2], c[1, 2, 0]
-    bound = PREDICATE_TOL * ps.algebra.scale
-    return (
-        bool(max(abs(a - d), abs(b + g), abs(w)) <= bound),
-        bool(abs(w) > bound),
-        bool(abs(1.0 - w) <= PREDICATE_TOL),
-    )
+    normal, contact_form, contact_metric = _flags(ps.normal_form_constants(), ps.algebra.scale)
+    return bool(normal), bool(contact_form), bool(contact_metric)
+
+
+def _flags(c: np.ndarray, scale) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_structure_flags`` over a leading axis of normal-form constants c (..., 3, 3, 3) and scales."""
+    a, b, g, d, w = c[..., 0, 1, 1], c[..., 0, 1, 2], c[..., 0, 2, 1], c[..., 0, 2, 2], c[..., 1, 2, 0]
+    bound = PREDICATE_TOL * scale
+    normal = (abs(a - d) <= bound) & (abs(b + g) <= bound) & (abs(w) <= bound)
+    return normal, abs(w) > bound, abs(1.0 - w) <= PREDICATE_TOL
 
 
 def _basis_constants(c: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -165,6 +169,33 @@ def _basis_constants(c: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("...abk,...kc->...abc", t, B)
 
 
+def _family_gates(family: str | None, params) -> list[tuple[np.ndarray, str]]:
+    """The parameter checks of ``family`` as (pass, message) pairs, elementwise.
+
+    ``params`` are numbers, or arrays of one shape.  Each test is relative
+    to s = max(1, max |param|), alpha gamma + beta delta to s^2 (divided
+    by s first, so that it cannot overflow); a NaN fails it.
+    """
+    if family is None:
+        return []
+    s = np.abs(params).max(axis=0, initial=1.0)
+    if family == "A":
+        a, b, g, d = params
+        return [
+            (abs(a + d) > IDENTITY_RTOL * s, "family A requires alpha + delta != 0"),
+            (abs(a / s * g + b / s * d) <= FAMILY_A_TOL * s, "family A requires alpha*gamma + beta*delta = 0"),
+        ]
+    if family == "B":
+        return [(abs(params[0]) > IDENTITY_RTOL * s, "family B requires A != 0")]
+    return [(np.hypot(*params) > IDENTITY_RTOL * s, "family C requires Abar^2 + Bbar^2 != 0")]
+
+
+def _normal_form_check(raw: np.ndarray, nf: np.ndarray, scale):
+    """(max |raw - nf|, whether it is within NORMAL_FORM_TOL max(1, scale)) over a leading axis."""
+    residual = np.abs(raw - nf).max(axis=(-3, -2, -1))
+    return residual, residual <= NORMAL_FORM_TOL * np.maximum(1.0, scale)
+
+
 @dataclass(frozen=True)
 class PhiBasisStructure:
     """A structure presented in an adapted basis with its normal form.
@@ -181,27 +212,21 @@ class PhiBasisStructure:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if self.family not in FAMILY_PARAM_NAMES:
+            raise ValueError(f"unknown family {self.family!r}")
         n_expected = len(FAMILY_PARAM_NAMES[self.family])
         if len(self.params) != n_expected:
             raise ValueError(f"family {self.family!r} takes {n_expected} parameters")
         p = tuple(float(v) for v in self.params)
-        scale = max(1.0, max(abs(v) for v in p) if p else 1.0)
-        if self.family == "A":
-            a, b, g, d = p
-            if abs(a + d) <= IDENTITY_RTOL * scale:
-                raise ValueError("family A requires alpha + delta != 0")
-            if abs(a * g + b * d) > FAMILY_A_TOL * scale * scale:
-                raise ValueError("family A requires alpha*gamma + beta*delta = 0")
-        elif self.family == "B":
-            if abs(p[0]) <= IDENTITY_RTOL * scale:
-                raise ValueError("family B requires A != 0")
-        elif self.family == "C":
-            if math.hypot(p[0], p[1]) <= IDENTITY_RTOL * scale:
-                raise ValueError("family C requires Abar^2 + Bbar^2 != 0")
+        if not all(map(math.isfinite, p)):
+            raise ValueError(f"family {self.family!r} parameters must be finite")
+        for ok, message in _family_gates(self.family, p):
+            if not ok:
+                raise ValueError(message)
         object.__setattr__(self, "params", p)
         object.__setattr__(self, "notes", tuple(self.notes))
-        res = self.normal_form_residual()
-        if res > NORMAL_FORM_TOL * max(1.0, self.algebra.scale):
+        res, ok = _normal_form_check(self.raw_basis_constants(), self.normal_form_constants(), self.algebra.scale)
+        if not ok:
             raise AssertionError(f"normal form does not match raw brackets (residual {res!r})")
 
     @property
@@ -227,18 +252,18 @@ class PhiBasisStructure:
         return _basis_constants(self.algebra.c, self.basis.matrix)
 
     def normal_form_residual(self) -> float:
-        return float(np.abs(self.raw_basis_constants() - self.normal_form_constants()).max())
+        residual, _ = _normal_form_check(self.raw_basis_constants(), self.normal_form_constants(), self.algebra.scale)
+        return float(residual)
 
     def invariant_D(self) -> float:
         return invariant_D(self.algebra)
 
 
 def _as_params(params) -> MilnorParameters:
-    if isinstance(params, MilnorParameters):
-        return params
+    # ``_as_milnor``, with its rejections raised as AdmissibilityError
     try:
-        return MilnorParameters(*params)
-    except (TypeError, ValueError) as exc:
+        return _as_milnor(params)
+    except ValueError as exc:
         raise AdmissibilityError(str(exc)) from exc
 
 
@@ -263,24 +288,34 @@ def construct_case2(params, theta: float) -> PhiBasisStructure:
     with the three quadratic-form coefficients below and A = alpha + delta.
     """
     params = _as_params(params)
-    a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
     ct, st = math.cos(theta), math.sin(theta)
-    eq = a * ct * ct + (b + g) * st * ct + d * st * st
-    if abs(eq) > INPLANE_TOL * max(1.0, params.scale):
+    a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
+    eq, ok, (A, B, C), xi, e, phi_e = _case2_form(a, b, g, d, params.scale, ct, st)
+    if not ok:
         raise NotGeodesicError(
             f"angle {theta!r} violates the in-plane geodesic equation (residual {eq!r})"
         )
-    A = d * ct * ct - (b + g) * st * ct + a * st * st
-    B = -(g * ct * ct + (d - a) * st * ct - b * st * st)
-    C = b * ct * ct + (d - a) * st * ct - g * st * st
-    xi = np.array([0.0, ct, st])
-    phi_e = np.array([0.0, st, -ct])
     notes = []
     if abs(C) <= 1e-12 * max(1.0, params.scale) and abs(B) <= 1e-12 * max(1.0, params.scale):
         notes.append("degenerate point: also admits a family C presentation (Abar=0)")
     return PhiBasisStructure(
-        "B", (A, B, C), PhiBasis(xi, E1, phi_e), 2, from_milnor(params), tuple(notes)
+        "B", (A, B, C), PhiBasis(xi, e, phi_e), 2, from_milnor(params), tuple(notes)
     )
+
+
+def _case2_form(a, b, g, d, scale, ct, st):
+    """Branch 2 at the angle t with cos t = ct and sin t = st, elementwise over numbers or arrays.
+
+    Returns the in-plane equation's residual, whether it is within
+    INPLANE_TOL max(1, scale), (A, B, C) and the frame (xi, e1, phi_e).
+    """
+    eq = a * ct * ct + (b + g) * st * ct + d * st * st
+    A = d * ct * ct - (b + g) * st * ct + a * st * st
+    B = -(g * ct * ct + (d - a) * st * ct - b * st * st)
+    C = b * ct * ct + (d - a) * st * ct - g * st * st
+    zero = ct - ct  # +0.0 in ct's shape
+    ok = abs(eq) <= INPLANE_TOL * np.maximum(1.0, scale)
+    return eq, ok, (A, B, C), np.array([zero, ct, st]).T, E1, np.array([zero, st, -ct]).T
 
 
 def construct_case3(params) -> PhiBasisStructure:
@@ -295,16 +330,19 @@ def construct_case3(params) -> PhiBasisStructure:
     tag = _regime(params)
     if tag not in ("B1", "C1"):
         raise AdmissibilityError(f"branch 3 needs p = +-r and q != 0, not regime {tag}")
-    u, w = _shear_directions(params.q)
+    abc, xi, e, phi_e = _case3_form(params.alpha, params.beta, params.gamma, params.delta, params.q, tag == "B1")
     if tag == "B1":
-        basis = PhiBasis(u, E1, w)
-        abc = (params.alpha, 0.0, -params.beta)
         notes = ("left-handed adapted frame (conjugate orientation)",)
     else:
-        basis = PhiBasis(w, E1, u)
-        abc = (params.delta, 0.0, -params.gamma)
         notes = ("mirror of the p = r branch",)
-    return PhiBasisStructure("B", abc, basis, 3, from_milnor(params), notes)
+    return PhiBasisStructure("B", abc, PhiBasis(xi, e, phi_e), 3, from_milnor(params), notes)
+
+
+def _case3_form(a, b, g, d, q, on_b):
+    """Branch 3 on p = r (where on_b) or p = -r, elementwise: ((A, B, C), xi, e1, phi_e)."""
+    u, w = _shear_directions(q)
+    pick = np.asarray(on_b)[..., None]
+    return (np.where(on_b, a, d), q - q, np.where(on_b, -b, -g)), np.where(pick, u, w), E1, np.where(pick, w, u)
 
 
 def construct_case4(params, theta: float) -> PhiBasisStructure:
@@ -322,18 +360,19 @@ def construct_case4(params, theta: float) -> PhiBasisStructure:
         raise AdmissibilityError(f"branch 4 needs p = +-r and q = 0, not regime {tag}")
     theta = theta % math.pi
     ct, st = math.cos(theta), math.sin(theta)
-    if tag == "B2":
-        xi = np.array([ct, 0.0, st])
-        basis = PhiBasis(xi, E2, np.array([-st, 0.0, ct]))
-        ab = (params.alpha * ct, params.alpha * st)
-    else:
-        xi = np.array([ct, st, 0.0])
-        basis = PhiBasis(xi, E3, np.array([st, -ct, 0.0]))
-        ab = (params.delta * ct, -params.delta * st)
+    ab, xi, e, phi_e = _case4_form(params.alpha, params.delta, ct, st, tag == "B2")
     notes = []
     if abs(st) <= 1e-12:
         notes.append("t = 0 point: coincides with the diagonal family A normal form")
-    return PhiBasisStructure("C", ab, basis, 4, from_milnor(params), tuple(notes))
+    return PhiBasisStructure("C", ab, PhiBasis(xi, e, phi_e), 4, from_milnor(params), tuple(notes))
+
+
+def _case4_form(a, d, ct, st, on_b):
+    """Branch 4 at cos t = ct, sin t = st on p = r (where on_b) or p = -r, elementwise: ((Abar, Bbar), xi, e, phi_e)."""
+    zero, pick = ct - ct, np.asarray(on_b)[..., None]
+    xi = np.where(pick, np.array([ct, zero, st]).T, np.array([ct, st, zero]).T)
+    phi_e = np.where(pick, np.array([-st, zero, ct]).T, np.array([st, -ct, zero]).T)
+    return (np.where(on_b, a, d) * ct, np.where(on_b, a, -d) * st), xi, np.where(pick, E2, E3), phi_e
 
 
 def _unit_xi(xi) -> Vector:
@@ -400,32 +439,38 @@ def construct_case6(l, xi) -> PhiBasisStructure:
 
 
 def _reduce_outside(L: LieAlgebra3, xi: Vector) -> PhiBasisStructure:
-    """Adapted frame for a geodesic xi whose brackets fit no family.
-
-    The frame rotation is fixed by putting the kernel of ad(xi)|ker eta
-    along phi_e (the image of ad is one-dimensional on these algebras), so
-    [xi, phi_e] = 0 and the remaining five coefficients are reported.
-    """
-    u, v = _adapted_frame(_I3, xi)
-    M = _basis_constants(L.c, np.column_stack([xi, u, v]))[0, 1:, 1:].T  # M[w, z] = w . [xi, z]
-    if np.abs(M).max() <= NULL_AD_TOL * max(1.0, L.scale):
-        rho = 0.0
-    else:
-        # kernel direction of M (det M = 0 here): null right-singular vector
-        _, _, Vt = np.linalg.svd(M)
-        k1, k2 = Vt[-1]
-        rho = math.atan2(-k1, k2) % math.pi
-    e = math.cos(rho) * u + math.sin(rho) * v
-    fe = -math.sin(rho) * u + math.cos(rho) * v
-    c = _basis_constants(L.c, np.column_stack([xi, e, fe]))
+    """Adapted frame for a geodesic xi whose brackets fit no family (``_outside_form``)."""
+    params, xi, e, fe = _outside_form(L.c, L.scale, xi)
     return PhiBasisStructure(
         None,
-        (c[0, 1, 1], c[0, 1, 2], c[1, 2, 1], c[1, 2, 2], c[1, 2, 0]),
+        params,
         PhiBasis(xi, e, fe),
         None,
         L,
         ("brackets match none of the A/B/C normal forms; frame fixed by [xi, phi_e] = 0",),
     )
+
+
+def _outside_form(c: np.ndarray, scale, xi: np.ndarray):
+    """The five reduced bracket coefficients and the frame (xi, e, phi_e), over a leading axis.
+
+    c holds structure constants (..., 3, 3, 3), xi unit vectors (..., 3).
+    The frame rotation is fixed by putting the kernel of ad(xi)|ker eta
+    along phi_e (the image of ad is one-dimensional on these algebras), so
+    [xi, phi_e] = 0; ad(xi) within NULL_AD_TOL max(1, scale) of zero
+    keeps the rotation at 0.
+    """
+    u, v = _adapted_frame(_I3, xi)
+    M = np.swapaxes(_basis_constants(c, np.stack([xi, u, v], axis=-1))[..., 0, 1:, 1:], -1, -2)  # M[w, z] = w . [xi, z]
+    small = np.abs(M).max(axis=(-2, -1)) <= NULL_AD_TOL * np.maximum(1.0, scale)
+    # kernel direction of M (det M = 0 here): null right-singular vector;
+    # a non-finite M fails the caller's checks, only the SVD must not see it
+    k = np.linalg.svd(np.where(np.isfinite(M), M, 0.0))[2][..., -1, :]
+    rho = np.where(small, 0.0, _atan2(-k[..., 0], k[..., 1]) % math.pi)[..., None]
+    cr, sr = np.cos(rho), np.sin(rho)
+    e, fe = cr * u + sr * v, -sr * u + cr * v
+    raw = _basis_constants(c, np.stack([xi, e, fe], axis=-1))
+    return tuple(raw[..., i, j, k] for i, j, k in _NORMAL_FORM_SLOTS[None]), xi, e, fe
 
 
 @dataclass(frozen=True)
@@ -444,11 +489,14 @@ class ClassificationReport:
     structure: PhiBasisStructure = field(repr=False)
 
 
-def _canonical_sign(x: Vector) -> Vector:
-    for comp in x:
-        if abs(comp) > SIGN_TOL:
-            return x if comp > 0 else -x
-    raise ValueError("zero vector")
+def _canonical_sign(x: np.ndarray) -> np.ndarray:
+    """x or -x, whichever has its first component of magnitude above SIGN_TOL positive, over a leading axis.
+
+    A row with no such component is NaN.
+    """
+    big = np.abs(x) > SIGN_TOL
+    lead = np.take_along_axis(x, np.argmax(big, axis=-1)[..., None], axis=-1)
+    return np.where(big.any(axis=-1, keepdims=True), np.where(lead > 0, x, -x), np.nan)
 
 
 def _report(source_tag: str, ps: PhiBasisStructure, extra_notes: tuple[str, ...]) -> ClassificationReport:

@@ -29,7 +29,7 @@ from .classification import (
     classify_representatives,
     resolve_source,
 )
-from .lie_core import LinearFunctional, MilnorParameters, _milnor_D
+from .lie_core import LinearFunctional, MilnorParameters, _adapted_coefficients, _milnor_D
 from .metric_geometry import geodesic_brute_force, oracle_match
 from .verify import GROUPS, run_groups
 
@@ -148,13 +148,14 @@ def atlas_rows(p_values, q_values, r_value):
     """One row per (p, q) grid point, in row-major order.
 
     Each block of ``_BLOCK_ROWS`` grid points is classified in one array
-    pass, ``_batched._representative_summary``.  It makes the checks
-    of the scalar path, ``resolve_source`` then ``_representatives`` per
-    point (as ``classify_representatives``), at the same gates, and must
-    agree with it: the same case tag, isolated count and contact flag,
-    and the minimum normality residual to rounding.  A point that fails a
-    check is computed by the scalar path, which raises its error.  Delta
-    and D are computed per point in Python floats (``milnor_invariant_D``).
+    pass, ``_batched._representative_summary``.  It calls the closed forms
+    and checks of the scalar path, ``resolve_source`` then
+    ``_representatives`` per point (as ``classify_representatives``), over
+    a leading axis, and must agree with it: the same case tag, isolated
+    count and contact flag, and the minimum normality residual to
+    rounding.  A point that fails a check is computed by the scalar path,
+    which raises its error.  Delta and D are computed per point in Python
+    floats (``milnor_invariant_D``).
     """
     # imported here: every subcommand imports this module, only atlas needs the array pass
     from ._batched import _representative_summary
@@ -189,7 +190,7 @@ def _scalar_atlas_row(p: float, q: float, r: float) -> dict:
 
 
 def _atlas_row(p: float, q: float, r: float, tag: str, n_isolated: int, contact: bool, residual: float) -> dict:
-    a, b, g, d = r + p, (r + p) * q, -(r - p) * q, r - p  # MilnorParameters.from_pqr
+    a, b, g, d = _adapted_coefficients(p, q, r)  # MilnorParameters.from_pqr
     return {
         "p": p,
         "q": q,

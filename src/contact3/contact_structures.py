@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lie_core import LieAlgebra3, _as_vector, bracket
-from .metric_geometry import Metric3, _dot
+from .metric_geometry import _I3, Metric3, _dot
 from .tolerances import FRAME_TOL, IDENTITY_RTOL, PREDICATE_TOL
 
 Vector = np.ndarray
@@ -63,20 +63,40 @@ class AlmostContactStructure:
         eta = _as_vector(self.eta)
         if phi.shape != (3, 3):
             raise ValueError("phi must be a 3x3 matrix")
-        scale = max(1.0, np.abs(phi).max())
-        if abs(eta @ xi - 1.0) > IDENTITY_RTOL:
-            raise ValueError("eta(xi) must equal 1")
-        if np.abs(phi @ xi).max() > IDENTITY_RTOL * scale:
-            raise ValueError("phi(xi) must vanish")
-        if np.abs(eta @ phi).max() > IDENTITY_RTOL * scale:
-            raise ValueError("eta o phi must vanish")
-        if np.abs(phi @ phi + np.eye(3) - np.outer(xi, eta)).max() > IDENTITY_RTOL * scale**2:
-            raise ValueError("phi^2 must equal -Id + xi (x) eta")
+        if not np.isfinite(phi).all():
+            raise ValueError("phi must be finite")
+        for ok, message in _structure_axioms(phi, xi, eta):
+            if not ok:
+                raise ValueError(message)
         for a in (phi, xi, eta):
             a.setflags(write=False)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "eta", eta)
+
+
+def _structure_axioms(phi: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> list[tuple[np.ndarray, str]]:
+    """The axioms as (pass, message) pairs over a leading axis.
+
+    Each holds to IDENTITY_RTOL, times max(1, max |phi|) (squared for
+    phi^2) where phi enters; a NaN fails it.
+    """
+    scale = np.abs(phi).max(axis=(-2, -1), initial=1.0)
+    tol = IDENTITY_RTOL * scale
+    return [
+        (abs((eta * xi).sum(axis=-1) - 1.0) <= IDENTITY_RTOL, "eta(xi) must equal 1"),
+        (np.abs(phi @ xi[..., None]).max(axis=(-2, -1)) <= tol, "phi(xi) must vanish"),
+        (np.abs(eta[..., None, :] @ phi).max(axis=(-2, -1)) <= tol, "eta o phi must vanish"),
+        (
+            np.abs(phi @ phi + _I3.g - xi[..., :, None] * eta[..., None, :]).max(axis=(-2, -1)) <= tol * scale,
+            "phi^2 must equal -Id + xi (x) eta",
+        ),
+    ]
+
+
+def _orthonormal(B: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """|B^T G B - I| within FRAME_TOL, over a leading axis of the frames B (..., 3, 3); a NaN fails."""
+    return np.abs(B.swapaxes(-1, -2) @ G @ B - _I3.g).max(axis=(-2, -1)) <= FRAME_TOL
 
 
 @dataclass(frozen=True)
@@ -92,8 +112,7 @@ class PhiBasis:
             v = _as_vector(getattr(self, name))
             v.setflags(write=False)
             object.__setattr__(self, name, v)
-        B = self.matrix
-        if np.abs(B.T @ B - np.eye(3)).max() > FRAME_TOL:
+        if not _orthonormal(self.matrix, _I3.g):
             raise ValueError("phi-basis must be orthonormal")
 
     @property
@@ -138,8 +157,7 @@ def build_structure(g: Metric3, xi, orientation: int = +1) -> AlmostContactStruc
 def structure_from_basis(g: Metric3, xi, e, phi_e) -> AlmostContactStructure:
     """Structure determined by an explicit adapted basis (either handedness)."""
     xi, e, phi_e = (_as_vector(w) for w in (xi, e, phi_e))
-    B = np.column_stack([xi, e, phi_e])
-    if np.abs(B.T @ g.g @ B - np.eye(3)).max() > FRAME_TOL:
+    if not _orthonormal(np.column_stack([xi, e, phi_e]), g.g):
         raise ValueError("basis must be g-orthonormal")
     phi = np.outer(phi_e, g.g @ e) - np.outer(e, g.g @ phi_e)
     return AlmostContactStructure(phi, xi, g.g @ xi)
@@ -190,17 +208,23 @@ def xi_in_ker_deta(L: LieAlgebra3, s: AlmostContactStructure, tol: float = PREDI
     """True iff d_eta(xi, e_i) vanishes for all i.
 
     Computed both as xi contracted into the d_eta matrix and as the Lie
-    derivative L_xi eta = -eta o ad(xi).  The two routes contract in
-    different orders, so they are held to agree to rounding
-    (IDENTITY_RTOL relative to the data) rather than on the boolean, which
-    can differ when a value sits within rounding of ``tol``; the decision
-    is the d_eta route's.
+    derivative L_xi eta = -eta o ad(xi) (``_ker_deta``).  The two routes
+    contract in different orders, so they are held to agree to rounding
+    rather than on the boolean, which can differ when a value sits within
+    rounding of ``tol``; the decision is the d_eta route's.
     """
-    via_deta, via_lie = _ker_deta_routes(L.c, s.xi, s.eta)
-    scale = max(1.0, L.scale) * max(1.0, np.abs(s.xi).max()) * max(1.0, np.abs(s.eta).max())
-    if np.abs(via_deta - via_lie).max() > IDENTITY_RTOL * scale:
+    agree, in_kernel = _ker_deta(L.c, L.scale, s.xi, s.eta, tol)
+    if not agree:
         raise AssertionError("d_eta and Lie-derivative predicates disagree")
-    return bool(np.all(np.abs(via_deta) <= tol))
+    return bool(in_kernel)
+
+
+def _ker_deta(c: np.ndarray, scale, xi: np.ndarray, eta: np.ndarray, tol: float = PREDICATE_TOL):
+    """(the two routes agree to IDENTITY_RTOL relative to the data, xi in ker d_eta at tol), over a leading axis."""
+    via_deta, via_lie = _ker_deta_routes(c, xi, eta)
+    size = np.maximum(1.0, scale) * np.abs(xi).max(axis=-1, initial=1.0) * np.abs(eta).max(axis=-1, initial=1.0)
+    agree = np.abs(via_deta - via_lie).max(axis=-1) <= IDENTITY_RTOL * size
+    return agree, np.all(np.abs(via_deta) <= tol, axis=-1)
 
 
 def check_ker_condition(L: LieAlgebra3, s: AlmostContactStructure, tol: float = PREDICATE_TOL) -> bool:
@@ -239,14 +263,21 @@ def nijenhuis_normality_residual(L: LieAlgebra3, s: AlmostContactStructure) -> f
     N(X, Y) = phi^2 [X,Y] + [phi X, phi Y] - phi [phi X, Y] - phi [X, phi Y]
               + 2 d_eta(X, Y) xi;
     the structure is normal when the residual vanishes.  N is evaluated on
-    every basis pair at once (``_nijenhuis``); its antisymmetry is asserted
+    every basis pair at once (``_normality``); its antisymmetry is asserted
     as an internal consistency check.
     """
-    N = _nijenhuis(L.c, s.phi, s.xi, s.eta)
-    sym_scale = max(1.0, L.scale) * max(1.0, np.abs(s.phi).max()) ** 2
-    if np.abs(N[_UPPER] + N[_UPPER[::-1]]).max() > IDENTITY_RTOL * sym_scale:
+    antisymmetric, residual = _normality(L.c, L.scale, s.phi, s.xi, s.eta)
+    if not antisymmetric:
         raise AssertionError("normality tensor is not antisymmetric")
-    return float(np.abs(N[_UPPER]).max())
+    return float(residual)
+
+
+def _normality(c: np.ndarray, scale, phi: np.ndarray, xi: np.ndarray, eta: np.ndarray):
+    """(N antisymmetric to IDENTITY_RTOL relative to the data, max |N(e_i, e_j)| over i < j), over a leading axis."""
+    N = _nijenhuis(c, phi, xi, eta)
+    upper, lower = N[..., _UPPER[0], _UPPER[1], :], N[..., _UPPER[1], _UPPER[0], :]
+    size = np.maximum(1.0, scale) * np.abs(phi).max(axis=(-2, -1), initial=1.0) ** 2
+    return np.abs(upper + lower).max(axis=(-2, -1)) <= IDENTITY_RTOL * size, np.abs(upper).max(axis=(-2, -1))
 
 
 def _nijenhuis(c: np.ndarray, phi: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:

@@ -15,6 +15,8 @@ rank-one form ``[x, y] = l(x) y - l(y) x`` for a nonzero covector ``l``.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +62,33 @@ class LieAlgebra3:
     _D = functools.cached_property(lambda self: _invariant_D(self))  # ``invariant_D``, computed once
 
 
+def _real(name: str, v) -> float:
+    if not isinstance(v, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {type(v).__name__}")
+    return float(v)
+
+
+def _adapted_coefficients(p, q, r):
+    """(alpha, beta, gamma, delta) = (r + p, (r + p) q, -(r - p) q, r - p), elementwise."""
+    return r + p, (r + p) * q, -(r - p) * q, r - p
+
+
+def _milnor_gates(a, b, g, d):
+    """(scale, scale > 0, column orthogonality, alpha + delta != 0), elementwise; a NaN fails all.
+
+    The last two are relative to the scale max |coefficient|, which divides
+    alpha gamma + beta delta first so that it cannot overflow.
+    """
+    scale = np.abs((a, b, g, d)).max(axis=0)
+    orthogonal = abs(a / scale * g + b / scale * d) <= IDENTITY_RTOL * scale
+    return scale, scale > 0.0, orthogonal, abs(a + d) > IDENTITY_RTOL * scale
+
+
+def _non_unimodular(trace, scale):
+    """The unimodularity test, elementwise: |trace ad| above UNIMODULAR_TOL max(scale, 1)."""
+    return trace > UNIMODULAR_TOL * np.maximum(scale, 1.0)
+
+
 @dataclass(frozen=True)
 class MilnorParameters:
     """Coefficients (alpha, beta, gamma, delta) of the adapted bracket form.
@@ -77,18 +106,19 @@ class MilnorParameters:
     r: float = field(init=False)
 
     def __post_init__(self):
-        a, b, g, d = (float(v) for v in (self.alpha, self.beta, self.gamma, self.delta))
-        for name, v in (("alpha", a), ("beta", b), ("gamma", g), ("delta", d)):
-            if not np.isfinite(v):
+        names = ("alpha", "beta", "gamma", "delta")
+        a, b, g, d = (_real(name, getattr(self, name)) for name in names)
+        for name, v in zip(names, (a, b, g, d)):
+            if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite")
-        scale = max(abs(a), abs(b), abs(g), abs(d))
-        if scale == 0.0:
+        _, nonzero, orthogonal, non_unimodular = _milnor_gates(a, b, g, d)
+        if not nonzero:
             raise ValueError("all coefficients are zero (abelian, hence unimodular)")
-        if abs(a * g + b * d) > IDENTITY_RTOL * scale * scale:
+        if not orthogonal:
             raise ValueError(
                 f"column-orthogonality violated: alpha*gamma + beta*delta = {a * g + b * d!r}"
             )
-        if abs(a + d) <= IDENTITY_RTOL * scale:
+        if not non_unimodular:
             raise ValueError("alpha + delta = 0: the algebra would be unimodular")
         p, q, r = pqr_from_milnor(a, b, g, d)
         object.__setattr__(self, "alpha", a)
@@ -96,14 +126,15 @@ class MilnorParameters:
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "delta", d)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", float(q))
         object.__setattr__(self, "r", r)
 
     @classmethod
     def from_pqr(cls, p: float, q: float, r: float) -> "MilnorParameters":
+        p, q, r = (_real(name, v) for name, v in zip("pqr", (p, q, r)))
         if r == 0.0:
             raise ValueError("r = 0 gives alpha + delta = 0 (unimodular)")
-        return cls(r + p, (r + p) * q, -(r - p) * q, r - p)
+        return cls(*_adapted_coefficients(p, q, r))
 
     @property
     def scale(self) -> float:
@@ -193,10 +224,9 @@ def _trace_form(L: LieAlgebra3) -> Vector:
 
 
 def is_unimodular(L: LieAlgebra3, tol: float | None = None) -> bool:
-    """True iff trace ad(e_i) vanishes for every basis vector."""
-    if tol is None:
-        tol = UNIMODULAR_TOL * max(L.scale, 1.0)
-    return bool(np.abs(_trace_form(L)).max() <= tol)
+    """True iff trace ad(e_i) vanishes for every basis vector (``_non_unimodular`` unless tol is given)."""
+    trace = np.abs(_trace_form(L)).max()
+    return bool(not _non_unimodular(trace, L.scale) if tol is None else trace <= tol)
 
 
 def unimodular_kernel(L: LieAlgebra3) -> list[Vector]:
@@ -222,11 +252,18 @@ def unimodular_kernel(L: LieAlgebra3) -> list[Vector]:
     return basis
 
 
+def _as_milnor(params: MilnorParameters | tuple) -> MilnorParameters:
+    """params as MilnorParameters, from an instance or four coefficients; ValueError otherwise."""
+    if isinstance(params, MilnorParameters):
+        return params
+    if np.ndim(params) != 1 or len(params) != 4:
+        raise ValueError(f"expected MilnorParameters or (alpha, beta, gamma, delta), got {params!r}")
+    return MilnorParameters(*params)
+
+
 def from_milnor(params: MilnorParameters | tuple) -> LieAlgebra3:
     """Algebra in the adapted form; always non-unimodular with Jacobi = 0.  Built once per params."""
-    if not isinstance(params, MilnorParameters):
-        params = MilnorParameters(*params)
-    return params._algebra
+    return _as_milnor(params)._algebra
 
 
 def from_functional(l: LinearFunctional | np.ndarray) -> LieAlgebra3:
@@ -236,20 +273,16 @@ def from_functional(l: LinearFunctional | np.ndarray) -> LieAlgebra3:
     return l._algebra
 
 
-def pqr_from_milnor(alpha: float, beta: float, gamma: float, delta: float):
-    """Solve alpha = r+p, delta = r-p, beta = (r+p)q, gamma = -(r-p)q.
+def pqr_from_milnor(alpha, beta, gamma, delta):
+    """Solve alpha = r+p, delta = r-p, beta = (r+p)q, gamma = -(r-p)q, elementwise.
 
     q comes from whichever of alpha, delta is away from zero; under the
     column-orthogonality constraint both branches agree where both apply.
     """
-    scale = max(abs(alpha), abs(beta), abs(gamma), abs(delta), 1e-300)
-    r = 0.5 * (alpha + delta)
-    p = 0.5 * (alpha - delta)
-    if abs(alpha) > IDENTITY_RTOL * scale:
-        q = beta / alpha
-    else:
-        q = -gamma / delta
-    return p, q, r
+    scale = np.maximum(np.abs((alpha, beta, gamma, delta)).max(axis=0), 1e-300)
+    use_alpha = abs(alpha) > IDENTITY_RTOL * scale
+    q = np.where(use_alpha, beta, -gamma) / np.where(use_alpha, alpha, delta)
+    return 0.5 * (alpha - delta), q[()], 0.5 * (alpha + delta)
 
 
 # beyond these magnitudes of alpha + delta, the squares and products in
@@ -259,8 +292,7 @@ _D_DIRECT_RANGE = (1e-140, 1e140)
 
 def milnor_invariant_D(params: MilnorParameters | tuple) -> float:
     """Complete isomorphism invariant D = 4(alpha*delta - beta*gamma)/(alpha+delta)^2."""
-    if not isinstance(params, MilnorParameters):
-        params = MilnorParameters(*params)
+    params = _as_milnor(params)
     return _milnor_D(params.alpha, params.beta, params.gamma, params.delta)
 
 
@@ -285,8 +317,7 @@ def canonical_L_action(params: MilnorParameters | tuple) -> np.ndarray:
 
     The returned 2x2 matrix has trace 2 and determinant equal to D.
     """
-    if not isinstance(params, MilnorParameters):
-        params = MilnorParameters(*params)
+    params = _as_milnor(params)
     a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
     M = np.array([[a, g], [b, d]])
     return (2.0 / (a + d)) * M
@@ -304,7 +335,7 @@ def invariant_D(L: LieAlgebra3) -> float:
 def _invariant_D(L: LieAlgebra3) -> float:
     T = _trace_form(L)
     tn = _norm(T)
-    if tn <= UNIMODULAR_TOL * max(L.scale, 1.0):
+    if not _non_unimodular(tn, L.scale):
         raise ValueError("algebra is unimodular: D is undefined")
     u1, u2 = unimodular_kernel(L)
     x0 = T / tn  # trace ad(x0) = tn > 0

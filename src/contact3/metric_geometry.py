@@ -28,6 +28,7 @@ from .lie_core import (
     LieAlgebra3,
     LinearFunctional,
     MilnorParameters,
+    _as_milnor,
     _as_vector,
     bracket,
     from_functional,
@@ -140,17 +141,51 @@ def is_geodesic_vector(L: LieAlgebra3, g: Metric3, x, tol: float = PREDICATE_TOL
     against each other.
     """
     x = _as_vector(x)
-    nx2 = g.inner(x, x)
-    if nx2 == 0.0:
+    if g.inner(x, x) == 0.0:
         raise ValueError("the zero vector cannot be a geodesic vector")
-    return geodesic_defect(L, g, x) <= tol * nx2
+    return bool(_geodesic(L.c, g, x, tol))
 
 
-def _fold(t: float) -> float:
-    # angle modulo pi; tiny negative angles round to pi under the modulo,
-    # which is the same line as 0
+def _geodesic(c: np.ndarray, g: Metric3, x: np.ndarray, tol: float = PREDICATE_TOL) -> np.ndarray:
+    """The geodesic test |g([x, e_i], x)| <= tol * |x|^2 over a leading axis of c (..., 3, 3, 3) and x (..., 3)."""
+    defect = np.abs(_kernels.residual_batch(_defect_matrices(c, g), x[..., None, :])[..., 0, :]).max(axis=-1)
+    return defect <= tol * _dot(x @ g.g, x)
+
+
+def _fold(t):
+    # angle modulo pi, elementwise; tiny negative angles round to pi under
+    # the modulo, which is the same line as 0
     t = t % math.pi
-    return 0.0 if t >= math.pi else t
+    return t * (t < math.pi)
+
+
+def _atan2(y, x):
+    # math.atan2 elementwise over numbers or arrays of one shape: numpy's
+    # arctan2 can differ from it in the last bit
+    if np.ndim(y) == 0:
+        return math.atan2(y, x)
+    return np.array(list(map(math.atan2, np.ravel(y).tolist(), np.ravel(x).tolist()))).reshape(np.shape(y))
+
+
+def _inplane_roots(a: float, h: float, d: float, scale: float) -> tuple[list[float], bool]:
+    """(``inplane_geodesic_angles`` of alpha, h = (beta+gamma)/2 and delta, whether they pass the residual check).
+
+    The batched atlas pass maps it over its rows, whose alpha + delta must
+    be nonzero, as for any MilnorParameters.
+    """
+    det = a * d - h * h
+    if det > 0.0:
+        return [], True
+    mean = 0.5 * (a + d)  # nonzero: alpha + delta != 0
+    big = mean + math.copysign(math.hypot(0.5 * (a - d), h), mean)
+    lam_plus, lam_minus = (big, det / big) if big > 0.0 else (det / big, big)
+    phi = 0.5 * math.atan2(2.0 * h, a - d)
+    psi = math.atan2(math.sqrt(lam_plus), math.sqrt(-lam_minus))
+    roots = sorted({_fold(phi + psi), _fold(phi - psi)})
+    if len(roots) == 2 and min(roots[1] - roots[0], math.pi - roots[1] + roots[0]) <= ROOT_MERGE_TOL:
+        del roots[1]
+    residuals = [a * math.cos(t) ** 2 + 2.0 * h * math.sin(t) * math.cos(t) + d * math.sin(t) ** 2 for t in roots]
+    return roots, all(abs(res) <= IDENTITY_RTOL * scale for res in residuals)
 
 
 def inplane_geodesic_angles(params: MilnorParameters | tuple) -> list[float]:
@@ -160,27 +195,22 @@ def inplane_geodesic_angles(params: MilnorParameters | tuple) -> list[float]:
     h = (beta+gamma)/2: phi +- atan2(sqrt(lam_plus), sqrt(-lam_minus)), with
     phi the angle of the lam_plus eigenvector.  The eigenvalue of smaller
     magnitude is det S / (the larger one), which avoids the cancellation
-    of the quadratic formula.  Empty when det S > 0.
+    of the quadratic formula.  Empty when det S > 0; roots within
+    ROOT_MERGE_TOL are one, and each must solve the equation to
+    IDENTITY_RTOL times the scale (ArithmeticError otherwise).
     """
-    if not isinstance(params, MilnorParameters):
-        params = MilnorParameters(*params)
-    a, h, d = params.alpha, 0.5 * (params.beta + params.gamma), params.delta
-    det = a * d - h * h
-    if det > 0.0:
-        return []
-    mean = 0.5 * (a + d)  # nonzero: alpha + delta != 0
-    big = mean + math.copysign(math.hypot(0.5 * (a - d), h), mean)
-    lam_plus, lam_minus = (big, det / big) if big > 0.0 else (det / big, big)
-    phi = 0.5 * math.atan2(2.0 * h, a - d)
-    psi = math.atan2(math.sqrt(lam_plus), math.sqrt(-lam_minus))
-    roots = sorted({_fold(phi + psi), _fold(phi - psi)})
-    if len(roots) == 2 and min(roots[1] - roots[0], math.pi - roots[1] + roots[0]) <= ROOT_MERGE_TOL:
-        del roots[1]
-    for t in roots:
-        res = abs(a * math.cos(t) ** 2 + 2.0 * h * math.sin(t) * math.cos(t) + d * math.sin(t) ** 2)
-        if res > IDENTITY_RTOL * params.scale:
-            raise ArithmeticError(f"root t={t!r} has residual {res!r}")
+    params = _as_milnor(params)
+    roots, ok = _inplane_roots(params.alpha, 0.5 * (params.beta + params.gamma), params.delta, params.scale)
+    if not ok:
+        raise ArithmeticError(f"in-plane roots {roots!r} miss the residual check")
     return roots
+
+
+def _line_angle(y, z):
+    """The angle in [0, pi) of the line through y e2 + z e3, elementwise over numbers or arrays."""
+    # flipping the sign into the upper half plane, unlike adding pi after atan2, loses no bits
+    sign = 2.0 * (z >= 0.0) - 1.0
+    return _fold(_atan2(sign * z, sign * y))
 
 
 @dataclass(frozen=True)
@@ -259,10 +289,7 @@ class GeodesicEnumeration:
             return list(self.families[0].angles)
         if self.case_tag[0] not in "BC":
             return []
-        # flipping the sign into the upper half plane, unlike adding pi
-        # after atan2, loses no bits of the angle
-        lines = [x if x[2] >= 0.0 else -x for x in (self.families[0].v, *self.discrete[:1])]
-        return sorted(_fold(math.atan2(x[2], x[1])) for x in lines)
+        return sorted(_line_angle(*x[1:].tolist()) for x in (self.families[0].v, *self.discrete[:1]))
 
     def distance_to_set(self, x) -> float | np.ndarray:
         """Euclidean distance from unit x to the enumerated geodesic set.
@@ -375,8 +402,7 @@ def enumerate_unit_geodesics(
         _check_enumeration(from_functional(functional), enum)
         return enum
 
-    if not isinstance(params, MilnorParameters):
-        params = MilnorParameters(*params)
+    params = _as_milnor(params)
     tag = _regime(params)
     if tag == "D":
         enum = GeodesicEnumeration("D", (E1, -E1), ())

@@ -3,9 +3,11 @@
 Predicates (geodesic, ker d_eta, contact, normal, isomorphic) decide at
 ``PREDICATE_TOL``.  Exact algebraic identities are held to
 ``IDENTITY_RTOL`` relative to the size of the data entering them.  The
-other constants are gates that the batched atlas pass (``_batched``)
-repeats from the scalar path; each has one name here so the two paths
-move together, and each call site keeps the scaling noted beside it.
+other constants are the gates of single checks, each with the scaling
+noted beside it.  Each check is one function, which the scalar
+classification path and the batched atlas pass (``_batched``) both
+call, over a leading axis or row by row; ``_batched`` takes no name
+from here.
 """
 
 # residual allowed on identities that hold exactly in real arithmetic

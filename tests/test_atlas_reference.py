@@ -10,16 +10,16 @@ reproduced.
 """
 
 import ast
-import math
 import os
 
 import numpy as np
 import pytest
 
 from contact3 import _batched, cli, inplane_geodesic_angles
-from contact3._batched import _inplane_roots, _representative_summary
+from contact3._batched import _representative_summary
 from contact3.classification import _representatives, resolve_source
 from contact3.lie_core import MilnorParameters, milnor_invariant_D
+from contact3.metric_geometry import _inplane_roots
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "atlas_reference.csv")
 # the atlas calls (p range, q range, r) whose rows, in this order, make up GOLDEN
@@ -152,24 +152,27 @@ def test_inplane_roots_match_the_scalar_solver():
     cases = [MilnorParameters.from_pqr(*pqr) for pqr in rng.uniform(-3, 3, (300, 3))]
     # double roots (det S = 0) and the p = +-r lines
     cases += [MilnorParameters.from_pqr(0.5, 0.75, 0.625), MilnorParameters(2, 2, 0, 0), MilnorParameters(0, 0, -2, 2)]
+    # the atlas pass's arguments: arrays over the algebras, as it builds them
     a, b, g, d, scale = (np.array([getattr(c, k) for c in cases]) for k in ("alpha", "beta", "gamma", "delta", "scale"))
-    t0, t1, n, bad = _inplane_roots(a, 0.5 * (b + g), d, scale)
-    assert not bad.any()
-    for i, params in enumerate(cases):
-        roots = inplane_geodesic_angles(params)
-        assert n[i] == len(roots)
-        np.testing.assert_allclose([t0[i], t1[i]][: n[i]], roots, rtol=0, atol=4 * math.ulp(math.pi))
+    for params, args in zip(cases, zip(*(v.tolist() for v in (a, 0.5 * (b + g), d, scale)))):
+        assert _inplane_roots(*args) == (inplane_geodesic_angles(params), True)
 
 
 def test_batched_gates_are_imported():
     # a gate written out in _batched could move apart from its scalar twin and
-    # send rows to the scalar path unnoticed; only the routing-tie margin,
-    # which has no scalar twin, may be a literal
+    # send rows to the scalar path unnoticed: _batched takes no tolerance from
+    # contact3.tolerances, and only the routing-tie margin, which has no
+    # scalar twin, may be a small literal
     with open(_batched.__file__) as fh:
         tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert not (node.module or "").endswith("tolerances"), ast.dump(node)
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.endswith("tolerances") for alias in node.names), ast.dump(node)
     small = {
         node.value
         for node in ast.walk(tree)
         if isinstance(node, ast.Constant) and isinstance(node.value, float) and 0.0 < node.value <= 1e-8
     }
-    assert small <= {1e-11}
+    assert small == {1e-11}

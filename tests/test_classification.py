@@ -28,15 +28,59 @@ from contact3 import (
     nijenhuis_normality_residual,
     structure_from_basis,
 )
-from contact3.classification import PhiBasisStructure, _normal_form_constants, _structure_flags
-from contact3.contact_structures import PhiBasis
-from contact3.lie_core import LieAlgebra3
+from contact3.classification import (
+    PhiBasisStructure,
+    _case2_form,
+    _family_gates,
+    _flags,
+    _normal_form_check,
+    _normal_form_constants,
+    _structure_flags,
+)
+from contact3.contact_structures import PhiBasis, _ker_deta, _normality, _orthonormal, _structure_axioms
+from contact3.lie_core import LieAlgebra3, _milnor_gates, _non_unimodular
+from contact3.metric_geometry import _geodesic, _inplane_roots
 from contact3.verify import CASE_TAGS, sample_functional, sample_params
 
 E = np.eye(3)
 I3 = Metric3.identity()
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
+
+
+@pytest.mark.parametrize(
+    "family,params", [("A", (math.nan, 0.0, 0.0, 1.0)), ("B", (math.nan, 0.0, 0.0)), ("C", (math.inf, 0.0))]
+)
+def test_structure_rejects_non_finite_params(family, params):
+    with pytest.raises(ValueError, match="finite"):
+        PhiBasisStructure(family, params, PhiBasis(E[0], E[1], E[2]), None, from_milnor((1.0, 0.0, 0.0, 1.0)))
+
+
+def test_shared_gates_fail_closed_on_nan():
+    # every check the scalar path and the atlas pass share fails on NaN data
+    # instead of letting it through
+    nan3, nan33, c = np.full(3, np.nan), np.full((3, 3), np.nan), np.full((3, 3, 3), np.nan)
+    families = (("A", (math.nan, 0.0, 0.0, 1.0)), ("B", (math.nan, 0.0, 0.0)), ("C", (math.nan, 0.0)))
+    gates = [
+        *_milnor_gates(math.nan, 0.0, 0.0, 1.0)[1:],
+        _non_unimodular(math.nan, 1.0),
+        *(ok for family, params in families for ok, _ in _family_gates(family, params)),
+        _normal_form_check(c, c, 1.0)[1],
+        *(ok for ok, _ in _structure_axioms(nan33, nan3, nan3)),
+        _orthonormal(nan33, E),
+        *_ker_deta(c, 1.0, nan3, nan3),
+        _normality(c, 1.0, nan33, nan3, nan3)[0],
+        _case2_form(math.nan, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0)[1],
+        _inplane_roots(math.nan, 0.0, 1.0, 1.0)[1],
+        _geodesic(c, I3, nan3),
+        *_flags(c, 1.0),
+    ]
+    assert not any(bool(ok) for ok in gates)
+
+
+def test_structure_rejects_unknown_family():
+    with pytest.raises(ValueError, match="unknown family"):
+        PhiBasisStructure("Z", (1.0,), PhiBasis(E[0], E[1], E[2]), None, from_milnor((1.0, 0.0, 0.0, 1.0)))
 
 
 def brackets_in_basis(ps):

@@ -22,6 +22,7 @@ from contact3 import (
     xi_in_ker_deta,
 )
 from contact3.contact_structures import (
+    AlmostContactStructure,
     KerConditionViolation,
     compatibility_residual,
     eta_wedge_deta,
@@ -83,6 +84,12 @@ def test_structure_axioms_random_xi(raw, orientation):
     assert np.abs(s.eta @ s.phi).max() <= 1e-12
     assert np.abs(s.phi @ s.phi + np.eye(3) - np.outer(s.xi, s.eta)).max() <= 1e-12
     assert compatibility_residual(s, I3) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.full((3, 3), np.nan), np.diag([0.0, np.inf, 0.0])], ids=["all-nan", "inf-entry"])
+def test_structure_rejects_non_finite_phi(bad):
+    with pytest.raises(ValueError, match="finite"):
+        AlmostContactStructure(bad, E[0], E[0])
 
 
 def test_structure_with_non_identity_metric():

@@ -14,6 +14,7 @@ from contact3 import (
     canonical_L_action,
     from_functional,
     from_milnor,
+    inplane_geodesic_angles,
     invariant_D,
     is_unimodular,
     jacobi_residual,
@@ -120,6 +121,22 @@ def test_from_milnor_rejects_bad_params():
         MilnorParameters(1, 0, 0, -1)
     with pytest.raises(ValueError, match="orthogonality"):
         MilnorParameters(1, 1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: from_milnor(3.0),
+        lambda: from_milnor((1, 2, 3)),
+        lambda: inplane_geodesic_angles((1, 2)),
+        lambda: MilnorParameters(None, 0, 0, 1),
+        lambda: MilnorParameters.from_pqr(0, 0, "1"),
+    ],
+    ids=["number", "three-coefficients", "two-coefficients", "none-coefficient", "string-r"],
+)
+def test_malformed_milnor_input_raises_value_error(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 @pytest.mark.parametrize(
