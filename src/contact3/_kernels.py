@@ -32,10 +32,9 @@ from __future__ import annotations
 
 import numpy as np
 
-BACKEND = "numpy"
-
 _STALL2 = 1e-30  # squared-gradient floor, relative to scale^2
 _DOUBLE_ROOT = 1e-12  # a discriminant 1 - k below this is rounding: a double root
+_MAX_STEPS = 80  # line steps per point at most
 
 # the (i, j) index pairs of the monomials x_i x_j, in table order
 _MONOMIALS = (np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2]))
@@ -83,13 +82,7 @@ def _trial(C: np.ndarray, X: np.ndarray, step: np.ndarray, pick: np.ndarray, thr
     return Y, V, np.abs(np.take(V, pick)) < thr
 
 
-def refine_batch(
-    M: np.ndarray,
-    X0: np.ndarray,
-    step_cap: float,
-    target: float,
-    max_iter: int = 80,
-) -> tuple[np.ndarray, np.ndarray]:
+def refine_batch(M: np.ndarray, X0: np.ndarray, step_cap: float, target: float) -> tuple[np.ndarray, np.ndarray]:
     """Drive the defect below ``target`` by exact line roots of the worst residual.
 
     X0 holds one point per row, shape (n, 3); the result is the refined
@@ -97,7 +90,7 @@ def refine_batch(
     kept column-wise, (3, m), and compacted as points stop: at ``target``,
     at a vanishing gradient, or when the step (to the nearest root of the
     worst residual along its gradient, at most ``step_cap`` long) does not
-    take a tenth off that residual.
+    take a tenth off that residual, or after ``_MAX_STEPS`` steps.
     """
     C = _coefficients(M)
     G = 2.0 * M.reshape(9, 3)  # rows 3k, 3k + 1, 3k + 2: the gradient 2 M_k x
@@ -107,7 +100,7 @@ def refine_batch(
     F = np.abs(V).max(axis=0)
     live = np.flatnonzero(F > target)
     Xa, Va = np.take(X, live, axis=1), np.take(V, live, axis=1)
-    for _ in range(max_iter):
+    for _ in range(_MAX_STEPS):
         m = len(live)
         if not m:
             break

@@ -55,7 +55,6 @@ from .contact_structures import (
     PhiBasis,
     _adapted_frame,
     nijenhuis_normality_residual,
-    structure_from_basis,
     xi_in_ker_deta,
 )
 from .lie_core import (
@@ -202,6 +201,8 @@ class PhiBasisStructure:
 
     ``basis`` holds the adapted frame in ambient coordinates on the stored
     algebra; ``params`` are the normal-form coefficients of ``family``.
+    The raw and normal-form constants that validation compares are kept,
+    read-only, for the accessors below.
     """
 
     family: str | None
@@ -225,23 +226,26 @@ class PhiBasisStructure:
                 raise ValueError(message)
         object.__setattr__(self, "params", p)
         object.__setattr__(self, "notes", tuple(self.notes))
-        res, ok = _normal_form_check(self.raw_basis_constants(), self.normal_form_constants(), self.algebra.scale)
+        raw, nf = _basis_constants(self.algebra.c, self.basis.matrix), _normal_form_constants(self.family, p)
+        res, ok = _normal_form_check(raw, nf, self.algebra.scale)
         if not ok:
             raise AssertionError(f"normal form does not match raw brackets (residual {res!r})")
+        for name, a in (("_raw", raw), ("_nf", nf)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def params_dict(self) -> dict[str, float]:
         return dict(zip(FAMILY_PARAM_NAMES[self.family], self.params))
 
-    def structure(self, g: Metric3 = _I3) -> AlmostContactStructure:
-        b = self.basis
-        if g is not _I3:
-            return structure_from_basis(g, b.xi, b.e, b.phi_e)
+    def structure(self) -> AlmostContactStructure:
+        """The structure at the identity metric, the one metric in which ``basis`` is orthonormal."""
+        b, G = self.basis, _I3.g
         # structure_from_basis's arithmetic without its frame test, which PhiBasis passed at the same FRAME_TOL
-        return AlmostContactStructure(np.outer(b.phi_e, g.g @ b.e) - np.outer(b.e, g.g @ b.phi_e), b.xi, g.g @ b.xi)
+        return AlmostContactStructure(np.outer(b.phi_e, G @ b.e) - np.outer(b.e, G @ b.phi_e), b.xi, G @ b.xi)
 
     def normal_form_constants(self) -> np.ndarray:
-        return _normal_form_constants(self.family, self.params)
+        return self._nf
 
     def raw_basis_constants(self) -> np.ndarray:
         """Ambient structure constants re-expressed in the adapted basis.
@@ -249,11 +253,10 @@ class PhiBasisStructure:
         c'[a, b] = B^T [B_a, B_b] with B_a the columns of the orthonormal
         frame matrix B, contracted by ``_basis_constants``.
         """
-        return _basis_constants(self.algebra.c, self.basis.matrix)
+        return self._raw
 
     def normal_form_residual(self) -> float:
-        residual, _ = _normal_form_check(self.raw_basis_constants(), self.normal_form_constants(), self.algebra.scale)
-        return float(residual)
+        return float(_normal_form_check(self._raw, self._nf, self.algebra.scale)[0])
 
     def invariant_D(self) -> float:
         return invariant_D(self.algebra)
@@ -269,14 +272,13 @@ def _as_params(params) -> MilnorParameters:
 
 def construct_case1(params) -> PhiBasisStructure:
     """Branch 1: xi = +-e1 (folded to +e1); family A with the raw parameters."""
-    params = _as_params(params)
-    return PhiBasisStructure(
-        "A",
-        (params.alpha, params.beta, params.gamma, params.delta),
-        PhiBasis(E1, E2, E3),
-        1,
-        from_milnor(params),
-    )
+    return _on_axis(_as_params(params), 1, ())
+
+
+def _on_axis(params: MilnorParameters, branch: int, notes: tuple[str, ...]) -> PhiBasisStructure:
+    # the family A structure at xi = e1, which branches 1 and 5 both report
+    p = (params.alpha, params.beta, params.gamma, params.delta)
+    return PhiBasisStructure("A", p, PhiBasis(E1, E2, E3), branch, from_milnor(params), notes)
 
 
 def construct_case2(params, theta: float) -> PhiBasisStructure:
@@ -404,11 +406,10 @@ def construct_case5(params, xi) -> PhiBasisStructure:
             "xi is admissible only along +-e1 when p = 0: "
             f"[xi, X] leaves ker(eta) for X in ker(eta) (eta([xi, X]) = {resid!r})"
         )
-    out = construct_case1(params)
     notes = ("only +-e1 is geodesic when p = 0",)
     if x[0] < 0:
         notes = notes + ("xi folded to the +e1 representative",)
-    return PhiBasisStructure("A", out.params, out.basis, 5, out.algebra, notes)
+    return _on_axis(params, 5, notes)
 
 
 def construct_case6(l, xi) -> PhiBasisStructure:
@@ -712,7 +713,7 @@ def _stationary_angles(R: np.ndarray) -> np.ndarray:
     return rhos
 
 
-def is_isomorphic(s1: PhiBasisStructure, s2: PhiBasisStructure, tol: float = PREDICATE_TOL):
+def is_isomorphic(s1: PhiBasisStructure, s2: PhiBasisStructure):
     """Search for a structure-preserving isometry intertwining the brackets.
 
     Candidate maps send xi to xi and rotate the ker-eta plane by an angle
@@ -725,7 +726,7 @@ def is_isomorphic(s1: PhiBasisStructure, s2: PhiBasisStructure, tol: float = PRE
     first of equal minima wins, so a self pair maps by the identity.
     Equality of the algebra invariant D is necessary and checked first.
     Returns the map in ambient coordinates when the best residual is within
-    ``tol`` times the largest structure constant, or None.
+    PREDICATE_TOL times the largest structure constant, or None.
     """
     D1, D2 = s1.invariant_D(), s2.invariant_D()
     if abs(D1 - D2) > 1e-6 * max(1.0, abs(D1), abs(D2)):
@@ -738,6 +739,6 @@ def is_isomorphic(s1: PhiBasisStructure, s2: PhiBasisStructure, tol: float = PRE
     F = _frames(np.concatenate(rhos), np.repeat([1.0, -1.0], [len(r) for r in rhos]))
     res = np.abs(_residuals(c1, c2, F)).reshape(len(F), -1).max(axis=1)
     i = int(np.argmin(res))  # first of equal minima
-    if res[i] > tol * scale:
+    if res[i] > PREDICATE_TOL * scale:
         return None
     return s2.basis.matrix @ F[i] @ s1.basis.matrix.T

@@ -204,47 +204,47 @@ def _ker_deta_routes(c: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> tuple[np
     return via_deta, via_lie
 
 
-def xi_in_ker_deta(L: LieAlgebra3, s: AlmostContactStructure, tol: float = PREDICATE_TOL) -> bool:
-    """True iff d_eta(xi, e_i) vanishes for all i.
+def xi_in_ker_deta(L: LieAlgebra3, s: AlmostContactStructure) -> bool:
+    """True iff |d_eta(xi, e_i)| <= PREDICATE_TOL for all i.
 
     Computed both as xi contracted into the d_eta matrix and as the Lie
     derivative L_xi eta = -eta o ad(xi) (``_ker_deta``).  The two routes
     contract in different orders, so they are held to agree to rounding
     rather than on the boolean, which can differ when a value sits within
-    rounding of ``tol``; the decision is the d_eta route's.
+    rounding of PREDICATE_TOL; the decision is the d_eta route's.
     """
-    agree, in_kernel = _ker_deta(L.c, L.scale, s.xi, s.eta, tol)
+    agree, in_kernel = _ker_deta(L.c, L.scale, s.xi, s.eta)
     if not agree:
         raise AssertionError("d_eta and Lie-derivative predicates disagree")
     return bool(in_kernel)
 
 
-def _ker_deta(c: np.ndarray, scale, xi: np.ndarray, eta: np.ndarray, tol: float = PREDICATE_TOL):
-    """(the two routes agree to IDENTITY_RTOL relative to the data, xi in ker d_eta at tol), over a leading axis."""
+def _ker_deta(c: np.ndarray, scale, xi: np.ndarray, eta: np.ndarray):
+    """(the two routes agree to IDENTITY_RTOL relative to the data, xi in ker d_eta), over a leading axis."""
     via_deta, via_lie = _ker_deta_routes(c, xi, eta)
     size = np.maximum(1.0, scale) * np.abs(xi).max(axis=-1, initial=1.0) * np.abs(eta).max(axis=-1, initial=1.0)
     agree = np.abs(via_deta - via_lie).max(axis=-1) <= IDENTITY_RTOL * size
-    return agree, np.all(np.abs(via_deta) <= tol, axis=-1)
+    return agree, np.all(np.abs(via_deta) <= PREDICATE_TOL, axis=-1)
 
 
-def check_ker_condition(L: LieAlgebra3, s: AlmostContactStructure, tol: float = PREDICATE_TOL) -> bool:
+def check_ker_condition(L: LieAlgebra3, s: AlmostContactStructure) -> bool:
     """Verify eta([xi, X]) = 0 for X in ker eta.
 
     This restates the precondition xi in ker d_eta: X = Y - eta(Y) xi runs
     over ker eta, and eta([xi, X]) = eta([xi, Y]) = -d_eta(xi, Y) because
-    [xi, xi] = 0.  So the check is ``xi_in_ker_deta`` at ``tol``: it
-    returns True, or raises KerConditionViolation where xi is not in
+    [xi, xi] = 0.  So the check is ``xi_in_ker_deta``, at PREDICATE_TOL:
+    it returns True, or raises KerConditionViolation where xi is not in
     ker d_eta.
     """
-    if not xi_in_ker_deta(L, s, tol):
+    if not xi_in_ker_deta(L, s):
         raise KerConditionViolation("precondition failed: xi is not in ker d_eta")
     return True
 
 
-def is_contact_metric(L: LieAlgebra3, s: AlmostContactStructure, g: Metric3, tol: float = PREDICATE_TOL) -> bool:
-    """True iff d_eta(X, Y) = Phi(X, Y) on all basis pairs, i.e. the d_eta matrix equals g phi."""
+def is_contact_metric(L: LieAlgebra3, s: AlmostContactStructure, g: Metric3) -> bool:
+    """True iff d_eta(X, Y) = Phi(X, Y) on all basis pairs, i.e. the d_eta matrix equals g phi, to PREDICATE_TOL."""
     gap = _deta_matrix(L.c, s.eta) - g.g @ s.phi
-    return bool(np.abs(gap[_UPPER]).max() <= tol)
+    return bool(np.abs(gap[_UPPER]).max() <= PREDICATE_TOL)
 
 
 def eta_wedge_deta(L: LieAlgebra3, s: AlmostContactStructure) -> float:
@@ -252,9 +252,9 @@ def eta_wedge_deta(L: LieAlgebra3, s: AlmostContactStructure) -> float:
     return float(0.5 * np.einsum("ijk,i,jk->", _LEVI_CIVITA, s.eta, _deta_matrix(L.c, s.eta)))
 
 
-def is_contact_form(L: LieAlgebra3, s: AlmostContactStructure, tol: float = PREDICATE_TOL) -> bool:
-    """True iff the 3-form eta ^ d_eta is nonzero."""
-    return abs(eta_wedge_deta(L, s)) > tol
+def is_contact_form(L: LieAlgebra3, s: AlmostContactStructure) -> bool:
+    """True iff the 3-form eta ^ d_eta is nonzero: |(eta ^ d_eta)(e1, e2, e3)| above PREDICATE_TOL."""
+    return abs(eta_wedge_deta(L, s)) > PREDICATE_TOL
 
 
 def nijenhuis_normality_residual(L: LieAlgebra3, s: AlmostContactStructure) -> float:

@@ -223,10 +223,9 @@ def _trace_form(L: LieAlgebra3) -> Vector:
     return np.einsum("ijj->i", L.c)
 
 
-def is_unimodular(L: LieAlgebra3, tol: float | None = None) -> bool:
-    """True iff trace ad(e_i) vanishes for every basis vector (``_non_unimodular`` unless tol is given)."""
-    trace = np.abs(_trace_form(L)).max()
-    return bool(not _non_unimodular(trace, L.scale) if tol is None else trace <= tol)
+def is_unimodular(L: LieAlgebra3) -> bool:
+    """True iff trace ad(e_i) vanishes for every basis vector, to UNIMODULAR_TOL max(scale, 1) (``_non_unimodular``)."""
+    return bool(not _non_unimodular(np.abs(_trace_form(L)).max(), L.scale))
 
 
 def unimodular_kernel(L: LieAlgebra3) -> list[Vector]:

@@ -133,8 +133,8 @@ def geodesic_defect(L: LieAlgebra3, g: Metric3, x) -> float | np.ndarray:
     return _scalar_or_array(d.reshape(x.shape[:-1]))
 
 
-def is_geodesic_vector(L: LieAlgebra3, g: Metric3, x, tol: float = PREDICATE_TOL) -> bool:
-    """True iff |g([x, e_i], x)| <= tol * |x|^2 for every basis vector.
+def is_geodesic_vector(L: LieAlgebra3, g: Metric3, x) -> bool:
+    """True iff |g([x, e_i], x)| <= PREDICATE_TOL * |x|^2 for every basis vector.
 
     Equivalent to nabla_x x = 0; the connection-based restatement is kept
     as a separate code path (``levi_civita``) so the two can be checked
@@ -143,13 +143,13 @@ def is_geodesic_vector(L: LieAlgebra3, g: Metric3, x, tol: float = PREDICATE_TOL
     x = _as_vector(x)
     if g.inner(x, x) == 0.0:
         raise ValueError("the zero vector cannot be a geodesic vector")
-    return bool(_geodesic(L.c, g, x, tol))
+    return bool(_geodesic(L.c, g, x))
 
 
-def _geodesic(c: np.ndarray, g: Metric3, x: np.ndarray, tol: float = PREDICATE_TOL) -> np.ndarray:
-    """The geodesic test |g([x, e_i], x)| <= tol * |x|^2 over a leading axis of c (..., 3, 3, 3) and x (..., 3)."""
+def _geodesic(c: np.ndarray, g: Metric3, x: np.ndarray) -> np.ndarray:
+    """``is_geodesic_vector``'s test over a leading axis of c (..., 3, 3, 3) and x (..., 3)."""
     defect = np.abs(_kernels.residual_batch(_defect_matrices(c, g), x[..., None, :])[..., 0, :]).max(axis=-1)
-    return defect <= tol * _dot(x @ g.g, x)
+    return defect <= PREDICATE_TOL * _dot(x @ g.g, x)
 
 
 def _fold(t):
@@ -266,17 +266,16 @@ class GeodesicEnumeration:
     families: tuple[CircleFamily, ...]
 
     def isolated_points(self) -> list[Vector]:
-        """All isolated unit geodesic vectors, antipodes listed separately."""
+        """All isolated unit geodesic vectors, antipodes listed separately.
+
+        These are ``discrete`` and both signs of each admissible angle; only
+        A2 has admissible angles, and A2 has no full circle to absorb them.
+        """
         pts = [np.array(p) for p in self.discrete]
-        full = [f for f in self.families if f.angles is None]
         for fam in self.families:
-            if fam.angles is None:
-                continue
-            for t in fam.angles:
-                for sgn in (1.0, -1.0):
-                    x = sgn * fam.point(t)
-                    if all(f.distance(x) > 1e-9 for f in full):
-                        pts.append(x)
+            if fam.angles is not None:
+                for x in map(fam.point, fam.angles):
+                    pts += [x, -x]
         return pts
 
     def inplane_angles(self) -> list[float]:
@@ -658,7 +657,7 @@ def geodesic_brute_force(L: LieAlgebra3, g: Metric3 | None = None, grid: int = 4
         return np.zeros((0, 3))
     seeds = _hemisphere_points(grid, idx)
     target = 1e-13 * scale
-    refined, fr = _kernels.refine_batch(M, seeds, 3.0 * h, target, 80)
+    refined, fr = _kernels.refine_batch(M, seeds, 3.0 * h, target)
     ok = fr <= _KEEP_RTOL * scale
     if not ok.any():
         return np.zeros((0, 3))

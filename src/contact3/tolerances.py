@@ -7,7 +7,8 @@ other constants are the gates of single checks, each with the scaling
 noted beside it.  Each check is one function, which the scalar
 classification path and the batched atlas pass (``_batched``) both
 call, over a leading axis or row by row; ``_batched`` takes no name
-from here.
+from here.  No public function takes a tolerance: each gate reads its
+constant here when it runs, so a gate changes in one place.
 """
 
 # residual allowed on identities that hold exactly in real arithmetic

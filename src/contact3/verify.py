@@ -247,10 +247,10 @@ def check_ker_bracket(seed: int = 42, n: int = 1000) -> GroupResult:
             xi = np.linalg.solve(g.g, _trace_form(L)) if i % 2 == 0 else _unit(rng)
             xi = xi / g.norm(xi)
         s = build_structure(g, xi)
-        want = all(abs(s.eta @ bracket(L, s.xi, x)) <= 1e-9 for x in s.phi.T)
-        ok = xi_in_ker_deta(L, s, tol=1e-9) == want
+        want = all(abs(s.eta @ bracket(L, s.xi, x)) <= PREDICATE_TOL for x in s.phi.T)
+        ok = xi_in_ker_deta(L, s) == want
         try:
-            ok &= check_ker_condition(L, s, tol=1e-9) and want
+            ok &= check_ker_condition(L, s) and want
         except KerConditionViolation:
             ok &= not want
         agree += ok

@@ -8,7 +8,7 @@ import pytest
 from contact3 import Metric3, MilnorParameters, enumerate_unit_geodesics, from_functional, from_milnor
 from contact3 import _kernels
 from contact3 import metric_geometry as mg
-from contact3._kernels import BACKEND, defect_max_batch, monomial_table, refine_batch, residual_batch
+from contact3._kernels import defect_max_batch, monomial_table, refine_batch, residual_batch
 from contact3.metric_geometry import _defect_matrices, _sphere_grid
 
 
@@ -92,8 +92,8 @@ def test_refine_is_exactly_odd(pqr):
     X = _sphere_grid(200)
     X = np.ascontiguousarray(X[defect_max_batch(M, monomial_table(X).T) <= 3.0 * scale * h])
     assert len(X) > 50
-    pts, fr = refine_batch(M, X, 3.0 * h, 1e-13 * scale, 80)
-    neg, fneg = refine_batch(M, -X, 3.0 * h, 1e-13 * scale, 80)
+    pts, fr = refine_batch(M, X, 3.0 * h, 1e-13 * scale)
+    neg, fneg = refine_batch(M, -X, 3.0 * h, 1e-13 * scale)
     assert np.array_equal(neg, -pts)
     assert np.array_equal(fneg, fr)
 
@@ -116,7 +116,7 @@ def test_refine_takes_exact_steps_on_a_double_curve(monkeypatch, p):
     h = 2.0 * math.pi / 200
     X = _sphere_grid(200)
     X = np.ascontiguousarray(X[defect_max_batch(M, monomial_table(X).T) <= 3.0 * scale * h])
-    _, fr = refine_batch(M, X, 3.0 * h, 1e-13 * scale, 80)
+    _, fr = refine_batch(M, X, 3.0 * h, 1e-13 * scale)
     assert 0 < len(calls) <= 6
     assert (fr <= 1e-10 * scale).all()
 
@@ -152,7 +152,7 @@ def test_refine_lands_on_closed_form_roots(problem):
     seeds = np.ascontiguousarray(X[F <= 0.2][:200])
     cap = 3.0 * 2.0 * math.pi / 100
     target = 1e-13 * np.abs(M).max()
-    pts, fr = refine_batch(M, seeds, cap, target, 80)
+    pts, fr = refine_batch(M, seeds, cap, target)
     assert (fr <= 1e-10 * np.abs(M).max()).mean() > 0.95
     # +-e1 and the in-plane roots pi/3, 2pi/3 of (3, 0, 0, -1)
     enum_pts = np.array(
@@ -192,7 +192,3 @@ def test_oracle_scans_block_centres_then_kept_blocks(monkeypatch, grid):
     if grid == 400:
         # the full half-lattice scan took 80,000 points
         assert sum(seen) <= 12_000
-
-
-def test_backend_reported():
-    assert BACKEND == "numpy"

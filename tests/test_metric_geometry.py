@@ -82,7 +82,7 @@ def test_geodesic_predicate_matches_connection():
         )
         x = rng.standard_normal(3)
         x /= np.linalg.norm(x)
-        via_defect = is_geodesic_vector(L, I3, x, tol=1e-9)
+        via_defect = is_geodesic_vector(L, I3, x)
         via_nabla = np.linalg.norm(levi_civita(L, I3, x, x)) <= 1e-9
         assert via_defect == via_nabla
 
@@ -173,11 +173,11 @@ def test_enumeration_vectors_are_geodesic():
         L = from_milnor(params)
         for v in enum.discrete:
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
-            assert is_geodesic_vector(L, I3, v, tol=1e-9)
+            assert is_geodesic_vector(L, I3, v)
         for fam in enum.families:
             ts = fam.angles if fam.angles is not None else np.linspace(0, 2 * math.pi, 37)
             for t in ts:
-                assert is_geodesic_vector(L, I3, fam.point(t), tol=1e-9)
+                assert is_geodesic_vector(L, I3, fam.point(t))
 
 
 def test_enumeration_a2_circle_points():
@@ -198,7 +198,7 @@ def test_enumeration_b1_true_solution_set():
     assert geodesic_defect(L, I3, E[1]) == pytest.approx(2.0)
     mixed = np.array([1.0, -1.0, 1.0]) / math.sqrt(3.0)
     assert enum.distance_to_set(mixed) <= 1e-12
-    assert is_geodesic_vector(L, I3, mixed, tol=1e-12)
+    assert geodesic_defect(L, I3, mixed) <= 1e-12
 
 
 def test_enumeration_functional():

@@ -56,7 +56,7 @@ def _canonical(points):
     return points[np.lexsort(points.T[::-1])]
 
 
-def _reference_refine_batch(M, X0, step_cap, target, max_iter=80):
+def _reference_refine_batch(M, X0, step_cap, target):
     # the row-wise refinement the column-wise one replaced: residuals by the
     # per-point quadratic form, the worst one's gradient by einsum, and the
     # root nearest 0 of that residual along its gradient
@@ -65,7 +65,7 @@ def _reference_refine_batch(M, X0, step_cap, target, max_iter=80):
     F = np.abs(V).max(axis=1)
     scale = max(float(np.abs(M).max()), 1e-300)
     active = F > target
-    for _ in range(max_iter):
+    for _ in range(80):
         if not active.any():
             break
         idx = np.nonzero(active)[0]
@@ -118,7 +118,7 @@ def _reference_brute_force(L, grid):
     F = np.abs(np.einsum("ni,kij,nj->nk", X, M, X)).max(axis=1)
     h = 2.0 * math.pi / grid
     seeds = np.ascontiguousarray(X[F <= 3.0 * scale * h])
-    refined, fr = _reference_refine_batch(M, seeds, 3.0 * h, 1e-13 * scale, 80)
+    refined, fr = _reference_refine_batch(M, seeds, 3.0 * h, 1e-13 * scale)
     ok = fr <= 1e-10 * scale
     return _reference_dedup(refined[ok], fr[ok], 1e-3)
 
@@ -604,7 +604,7 @@ def test_refine_matches_rowwise_reference(tag, L, enum):
     h = 2.0 * math.pi / grid
     X = _sphere_grid(grid)
     seeds = np.ascontiguousarray(X[defect_max_batch(M, monomial_table(X).T) <= 3.0 * scale * h])
-    args = (3.0 * h, 1e-13 * scale, 80)
+    args = (3.0 * h, 1e-13 * scale)
     got, fg = refine_batch(M, seeds, *args)
     want, fw = _reference_refine_batch(M, seeds, *args)
     assert got.shape == want.shape and got.flags.c_contiguous
