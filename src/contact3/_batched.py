@@ -20,7 +20,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .classification import (
-    _I3,
     _basis_constants,
     _canonical_sign,
     _case2_form,
@@ -36,8 +35,10 @@ from .contact_structures import _ker_deta, _normality, _orthonormal, _structure_
 from .lie_core import E1, E2, E3, _adapted_coefficients, _milnor_gates, _non_unimodular, pqr_from_milnor
 from .metric_geometry import (
     _CIRCLE_PROBES,
+    _I3,
     _REGIMES,
     _atan2,
+    _defect_matrices,
     _dot,
     _geodesic,
     _inplane_roots,
@@ -130,7 +131,8 @@ def _representative_summary(p: np.ndarray, q: np.ndarray, r: float):
         ct, st = np.cos(_CIRCLE_PROBES)[:, None], np.sin(_CIRCLE_PROBES)[:, None]
         pair = np.where(shear[:, None, None], np.stack([iso, -iso], axis=1), E1)
         circle_probes = np.concatenate([pair, ct * E1 + st * v[:, None, :]], axis=1)
-        not_unit, not_geodesic = _probe_faults(c, np.where(circle[:, None, None], circle_probes, axis_probes))
+        probes = np.where(circle[:, None, None], circle_probes, axis_probes)
+        not_unit, not_geodesic = _probe_faults(_defect_matrices(c, _I3), probes)
         ok &= ~not_unit & ~not_geodesic
         ok &= ~(two & (np.minimum(t1 - t0, math.pi - t1 + t0) < _TIE))
         ok &= ~(shear & (np.abs(q_) < _TIE))
@@ -192,7 +194,7 @@ def _report_checks(c: np.ndarray, scale: np.ndarray, branches: list[_Branch]):
     cr, sr = c[rows], scale[rows]
     F = np.stack([xi, e, fe], axis=-1)
     phi = fe[:, :, None] * e[:, None, :] - e[:, :, None] * fe[:, None, :]
-    ok &= _geodesic(cr, _I3, x) & _orthonormal(F, _I3.g)
+    ok &= _geodesic(_defect_matrices(cr, _I3), _I3, x) & _orthonormal(F, _I3.g)
     ok &= _passes(_structure_axioms(phi, xi, xi))
     ok &= _normal_form_check(_basis_constants(cr, F), nf, sr)[1]
     ok &= np.logical_and.reduce(_ker_deta(cr, sr, xi, xi))

@@ -45,6 +45,7 @@ classify(xi) and classify(-xi) agree.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -73,8 +74,8 @@ from .lie_core import (
     invariant_D,
 )
 from .metric_geometry import (
+    _I3,
     GeodesicEnumeration,
-    Metric3,
     _atan2,
     _regime,
     _shear_directions,
@@ -85,8 +86,6 @@ from .metric_geometry import (
 from .tolerances import FAMILY_A_TOL, IDENTITY_RTOL, INPLANE_TOL, NORMAL_FORM_TOL, NULL_AD_TOL, PREDICATE_TOL, SIGN_TOL
 
 Vector = np.ndarray
-
-_I3 = Metric3.identity()
 
 FAMILY_PARAM_NAMES = {
     "A": ("alpha", "beta", "gamma", "delta"),
@@ -260,6 +259,14 @@ class PhiBasisStructure:
 
     def invariant_D(self) -> float:
         return invariant_D(self.algebra)
+
+    @functools.cached_property
+    def _checks(self) -> tuple[bool, bool, bool, float]:
+        """(normal, contact_form, contact_metric, N residual) of ``_report``, after its ker d_eta check; computed once."""
+        L, s = self.algebra, self.structure()
+        if not xi_in_ker_deta(L, s):
+            raise AssertionError("constructed structure lost the ker d_eta condition")
+        return (*_structure_flags(self), nijenhuis_normality_residual(L, s))
 
 
 def _as_params(params) -> MilnorParameters:
@@ -501,20 +508,16 @@ def _canonical_sign(x: np.ndarray) -> np.ndarray:
 
 
 def _report(source_tag: str, ps: PhiBasisStructure, extra_notes: tuple[str, ...]) -> ClassificationReport:
-    L = ps.algebra
-    s = ps.structure()
-    if not xi_in_ker_deta(L, s):
-        raise AssertionError("constructed structure lost the ker d_eta condition")
-    normal, contact_form, contact_metric = _structure_flags(ps)
+    normal, contact_form, contact_metric, residual = ps._checks
     return ClassificationReport(
         family=ps.family,
         params=ps.params_dict,
-        D=invariant_D(L),
+        D=invariant_D(ps.algebra),
         geodesic_case=source_tag,
         contact_form=contact_form,
         contact_metric=contact_metric,
         normal=normal,
-        normality_residual=nijenhuis_normality_residual(L, s),
+        normality_residual=residual,
         errata_notes=ps.notes + extra_notes,
         structure=ps,
     )
@@ -525,7 +528,8 @@ def resolve_source(source) -> tuple[MilnorParameters | LinearFunctional, LieAlge
 
     A LinearFunctional or a plain 3-vector is a functional; anything else
     must give adapted-form parameters (AdmissibilityError otherwise).  The
-    enumeration and ``_route``'s branch share the algebra kept on that object.
+    algebra and the enumeration are those kept on that object, built and
+    checked once per object; a tuple or array source builds a fresh one.
     """
     if isinstance(source, LinearFunctional) or (
         not isinstance(source, MilnorParameters) and np.ndim(source) == 1 and len(np.asarray(source)) == 3
@@ -545,6 +549,12 @@ def classify(source, xi) -> ClassificationReport:
     closed-form geodesic enumeration and routed to the branch that covers
     it, folding xi to the canonical sign representative.  The geodesic
     test on xi and the report's flags decide at ``PREDICATE_TOL``.
+
+    A MilnorParameters or LinearFunctional source keeps its enumeration
+    and the structures of the discrete branches (1, 2, 3, 5 and 6, by the
+    exact bits of what each branch reads), each built and checked once,
+    so repeated calls on one object share them; a structure keeps its
+    report checks.  The reports' notes are made per call.
     """
     x = _unit_xi(xi)
     source, L, enum = resolve_source(source)
@@ -567,7 +577,7 @@ def _route(
             )
         )
     if functional:
-        return enum.case_tag, construct_case6(source, x), ()
+        return enum.case_tag, _kept(source, (6, x.tobytes()), construct_case6, source, x), ()
 
     params, tag = source, enum.case_tag
 
@@ -601,19 +611,19 @@ def _route(
     if kind == "axis":
         if tag == "D":
             xi_exact = x if not snapped else (E1 if x[0] > 0 else -E1)
-            return tag, construct_case5(params, xi_exact), extra
+            return tag, _kept(params, (5, xi_exact.tobytes()), construct_case5, params, xi_exact), extra
         if x[0] < 0:
             extra = extra + ("xi folded to the +e1 representative",)
-        return tag, construct_case1(params), extra
+        return tag, _kept(params, (1,), construct_case1, params), extra
     if kind == "special":
         if np.linalg.norm(x - payload) > np.linalg.norm(x + payload):
             extra = extra + ("xi folded to the canonical sign representative",)
-        return tag, construct_case3(params), extra
+        return tag, _kept(params, (3,), construct_case3, params), extra
     if kind == "root":
         rep = np.array([0.0, math.cos(payload), math.sin(payload)])
         if np.linalg.norm(x - rep) > 1e-3:
             extra = extra + ("xi folded to the angle representative in [0, pi)",)
-        return tag, construct_case2(params, payload), extra
+        return tag, _kept(params, (2, float(payload).hex()), construct_case2, params, payload), extra
 
     # on the geodesic circle: project, then fold the angle to [0, pi)
     fam = payload
@@ -626,6 +636,27 @@ def _route(
             extra = extra + ("xi folded to the angle representative in [0, pi)",)
         return tag, construct_case4(params, theta % math.pi), extra
     return tag, _reduce_outside(L, _canonical_sign(proj)), extra
+
+
+# the most structures one source object keeps (``_kept``)
+_KEPT = 8
+
+
+def _kept(source: MilnorParameters | LinearFunctional, key: tuple, construct, *args) -> PhiBasisStructure:
+    """``construct(*args)``, kept on the source object under ``key``.
+
+    The key is the branch and the exact bits of the payload its
+    constructor reads besides the source, so a kept structure is the one
+    ``construct`` would build again.  Past ``_KEPT`` keys, structures are
+    built and not kept.
+    """
+    kept = source._structures
+    ps = kept.get(key)
+    if ps is None:
+        ps = construct(*args)
+        if len(kept) < _KEPT:
+            kept[key] = ps
+    return ps
 
 
 def classify_representatives(source) -> list[ClassificationReport]:

@@ -25,7 +25,7 @@ conditions on the ambient tensors and serve as the cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,24 +101,26 @@ def _orthonormal(B: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhiBasis:
-    """Orthonormal adapted basis {xi, e, phi_e} with phi_e = phi(e)."""
+    """Orthonormal adapted basis {xi, e, phi_e} with phi_e = phi(e).
+
+    ``matrix`` has the columns (xi, e, phi_e); it and the vectors are read-only.
+    """
 
     xi: np.ndarray
     e: np.ndarray
     phi_e: np.ndarray
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("xi", "e", "phi_e"):
             v = _as_vector(getattr(self, name))
             v.setflags(write=False)
             object.__setattr__(self, name, v)
-        if not _orthonormal(self.matrix, _I3.g):
+        B = np.column_stack([self.xi, self.e, self.phi_e])
+        B.setflags(write=False)
+        object.__setattr__(self, "matrix", B)
+        if not _orthonormal(B, _I3.g):
             raise ValueError("phi-basis must be orthonormal")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Columns are (xi, e, phi_e)."""
-        return np.column_stack([self.xi, self.e, self.phi_e])
 
 
 def _adapted_frame(g: Metric3, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,14 +129,16 @@ def _adapted_frame(g: Metric3, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e is the coordinate axis least aligned with xi (the first on a tie),
     projected off xi and normalised; f = sqrt(det g) g^-1 (xi x e) is the
     g-cross product of xi and e (``np.cross(xi, e)`` for the identity
-    metric).  xi is one vector or a stack of them, shape (..., 3).
+    metric, which skips the determinant and the solve).  xi is one vector
+    or a stack of them, shape (..., 3).
     """
     G = g.g
     axis = np.eye(3)[np.argmin(np.abs(xi), axis=-1)]
     e = axis - _dot(xi @ G, axis)[..., None] * xi
     e = e / np.sqrt(np.maximum(_dot(e @ G, e), 0.0))[..., None]
-    f = math.sqrt(np.linalg.det(G)) * np.linalg.solve(G, np.cross(xi, e)[..., None])[..., 0]
-    return e, f
+    if g is _I3:
+        return e, np.cross(xi, e)
+    return e, math.sqrt(np.linalg.det(G)) * np.linalg.solve(G, np.cross(xi, e)[..., None])[..., 0]
 
 
 def build_structure(g: Metric3, xi, orientation: int = +1) -> AlmostContactStructure:

@@ -25,7 +25,10 @@ from .tolerances import IDENTITY_RTOL, UNIMODULAR_TOL
 
 Vector = np.ndarray
 
-E1, E2, E3 = np.eye(3)
+# the basis vectors, shared by every caller and by the enumerations, hence read-only
+_EYE = np.eye(3)
+_EYE.setflags(write=False)
+E1, E2, E3 = _EYE
 
 
 def _as_vector(x) -> Vector:
@@ -60,6 +63,15 @@ class LieAlgebra3:
         return float(np.abs(self.c).max())
 
     _D = functools.cached_property(lambda self: _invariant_D(self))  # ``invariant_D``, computed once
+    # ``_defect_matrices`` at the identity metric, built once, read-only
+    _defect = functools.cached_property(lambda self: _geometry()._identity_defect_matrices(self))
+
+
+def _geometry():
+    # ``metric_geometry`` imports this module, so it is imported on first use
+    from . import metric_geometry
+
+    return metric_geometry
 
 
 def _real(name: str, v) -> float:
@@ -150,6 +162,11 @@ class MilnorParameters:
         c[2, 0] = (0.0, -g, -d)
         return LieAlgebra3(c)
 
+    # ``enumerate_unit_geodesics``, built and checked once
+    _enumeration = functools.cached_property(lambda self: _geometry()._enumerate(self))
+    # the structures of ``classification._route``'s discrete branches, by branch and exact payload
+    _structures = functools.cached_property(lambda self: {})
+
 
 @dataclass(frozen=True)
 class LinearFunctional:
@@ -180,6 +197,11 @@ class LinearFunctional:
     def _algebra(self) -> LieAlgebra3:  # ``from_functional``, built once
         eye = np.eye(3)
         return LieAlgebra3(np.einsum("i,jk->ijk", self.l, eye) - np.einsum("j,ik->ijk", self.l, eye))
+
+    # ``enumerate_unit_geodesics``, built and checked once
+    _enumeration = functools.cached_property(lambda self: _geometry()._enumerate(self))
+    # the structures of ``classification._route``'s discrete branch 6, by exact xi
+    _structures = functools.cached_property(lambda self: {})
 
 
 def bracket(L: LieAlgebra3, x, y) -> Vector:

@@ -31,8 +31,6 @@ from .lie_core import (
     _as_milnor,
     _as_vector,
     bracket,
-    from_functional,
-    from_milnor,
 )
 from .tolerances import IDENTITY_RTOL, PREDICATE_TOL, ROOT_MERGE_TOL
 
@@ -129,8 +127,20 @@ def geodesic_defect(L: LieAlgebra3, g: Metric3, x) -> float | np.ndarray:
     result is an array).
     """
     x = _points(x)
-    d = np.abs(_kernels.residual_batch(_defect_matrices(L.c, g), x.reshape(-1, 3))).max(axis=1)
+    d = np.abs(_kernels.residual_batch(_defects(L, g), x.reshape(-1, 3))).max(axis=1)
     return _scalar_or_array(d.reshape(x.shape[:-1]))
+
+
+def _defects(L: LieAlgebra3, g: Metric3) -> np.ndarray:
+    """``_defect_matrices(L.c, g)``; the identity metric's are kept on the algebra."""
+    return L._defect if g is _I3 else _defect_matrices(L.c, g)
+
+
+def _identity_defect_matrices(L: LieAlgebra3) -> np.ndarray:
+    # ``LieAlgebra3._defect``: shared between calls, hence read-only
+    M = _defect_matrices(L.c, _I3)
+    M.setflags(write=False)
+    return M
 
 
 def is_geodesic_vector(L: LieAlgebra3, g: Metric3, x) -> bool:
@@ -143,12 +153,15 @@ def is_geodesic_vector(L: LieAlgebra3, g: Metric3, x) -> bool:
     x = _as_vector(x)
     if g.inner(x, x) == 0.0:
         raise ValueError("the zero vector cannot be a geodesic vector")
-    return bool(_geodesic(L.c, g, x))
+    return bool(_geodesic(_defects(L, g), g, x))
 
 
-def _geodesic(c: np.ndarray, g: Metric3, x: np.ndarray) -> np.ndarray:
-    """``is_geodesic_vector``'s test over a leading axis of c (..., 3, 3, 3) and x (..., 3)."""
-    defect = np.abs(_kernels.residual_batch(_defect_matrices(c, g), x[..., None, :])[..., 0, :]).max(axis=-1)
+def _geodesic(M: np.ndarray, g: Metric3, x: np.ndarray) -> np.ndarray:
+    """``is_geodesic_vector``'s test over a leading axis of defect matrices M (..., 3, 3, 3) and x (..., 3).
+
+    M holds ``_defect_matrices`` of the structure constants at the metric g.
+    """
+    defect = np.abs(_kernels.residual_batch(M, x[..., None, :])[..., 0, :]).max(axis=-1)
     return defect <= PREDICATE_TOL * _dot(x @ g.g, x)
 
 
@@ -265,6 +278,13 @@ class GeodesicEnumeration:
     discrete: tuple[np.ndarray, ...]
     families: tuple[CircleFamily, ...]
 
+    def __post_init__(self):
+        # kept on the source object and shared between calls, so read-only, as CircleFamily's arrays
+        discrete = tuple(map(_as_vector, self.discrete))
+        for a in discrete:
+            a.setflags(write=False)
+        object.__setattr__(self, "discrete", discrete)
+
     def isolated_points(self) -> list[Vector]:
         """All isolated unit geodesic vectors, antipodes listed separately.
 
@@ -314,15 +334,15 @@ class GeodesicEnumeration:
 _CIRCLE_PROBES = np.linspace(0.0, 2.0 * math.pi, 13)
 
 
-def _probe_faults(c: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _probe_faults(M: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(some probe is not unit, some probe fails the geodesic gate) per probe set.
 
-    ``probes`` has shape (..., k, 3) and ``c`` the matching structure
-    constants, shape (..., 3, 3, 3); the geodesic gate is the defect
-    PREDICATE_TOL for the identity metric.
+    ``probes`` has shape (..., k, 3) and ``M`` the matching defect matrices
+    at the identity metric (``_defect_matrices``), shape (..., 3, 3, 3);
+    the geodesic gate is the defect PREDICATE_TOL.
     """
     not_unit = np.any(np.abs(_norm(probes) - 1.0) > IDENTITY_RTOL, axis=-1)
-    defect = np.abs(_kernels.residual_batch(_defect_matrices(c, _I3), probes)).max(axis=-1)
+    defect = np.abs(_kernels.residual_batch(M, probes)).max(axis=-1)
     return not_unit, np.any(defect > PREDICATE_TOL, axis=-1)
 
 
@@ -331,7 +351,7 @@ def _check_enumeration(L: LieAlgebra3, enum: GeodesicEnumeration) -> None:
     for fam in enum.families:
         ts = fam.angles if fam.angles is not None else _CIRCLE_PROBES
         probes.extend(fam.point(t) for t in ts)
-    not_unit, not_geodesic = _probe_faults(L.c, np.array(probes))
+    not_unit, not_geodesic = _probe_faults(L._defect, np.array(probes))
     if not_unit:
         raise AssertionError("enumerated vector is not unit")
     if not_geodesic:
@@ -390,32 +410,39 @@ def enumerate_unit_geodesics(
     Every returned vector satisfies the geodesic predicate on the algebra
     kept on the input; the published case lists for B1/C1/D/E disagree with
     that predicate and are not reproduced (see the brute-force oracle).
+
+    The enumeration is built and checked once per MilnorParameters or
+    LinearFunctional object and kept on it: repeated calls with one
+    object return the same enumeration, whose arrays are read-only.  A
+    tuple or array input builds a fresh object, hence a fresh enumeration.
     """
     if (params is None) == (functional is None):
         raise ValueError("provide exactly one of params or functional")
-
     if functional is not None:
         if not isinstance(functional, LinearFunctional):
             functional = LinearFunctional(np.asarray(functional, dtype=float))
-        enum = GeodesicEnumeration("E", (functional.dual, -functional.dual), ())
-        _check_enumeration(from_functional(functional), enum)
-        return enum
+        return functional._enumeration
+    return _as_milnor(params)._enumeration
 
-    params = _as_milnor(params)
-    tag = _regime(params)
-    if tag == "D":
+
+def _enumerate(source: MilnorParameters | LinearFunctional) -> GeodesicEnumeration:
+    """``enumerate_unit_geodesics`` of one source object, built and checked; kept on the object."""
+    tag = "E" if isinstance(source, LinearFunctional) else _regime(source)
+    if tag == "E":
+        enum = GeodesicEnumeration("E", (source.dual, -source.dual), ())
+    elif tag == "D":
         enum = GeodesicEnumeration("D", (E1, -E1), ())
     elif tag == "generic":
-        roots = inplane_geodesic_angles(params)
+        roots = inplane_geodesic_angles(source)
         families = (CircleFamily(E2, E3, tuple(roots)),) if roots else ()
         enum = GeodesicEnumeration("A2" if roots else "A1", (E1, -E1), families)
     elif tag in ("B2", "C2"):
         enum = GeodesicEnumeration(tag, (), (CircleFamily(E1, E3 if tag == "B2" else E2),))
     else:
-        u, w = _shear_directions(params.q)
+        u, w = _shear_directions(source.q)
         iso, v = (E3, u) if tag == "B1" else (E2, w)
         enum = GeodesicEnumeration(tag, (iso, -iso), (CircleFamily(E1, v),))
-    _check_enumeration(from_milnor(params), enum)
+    _check_enumeration(source._algebra, enum)
     return enum
 
 

@@ -55,6 +55,7 @@ from .lie_core import (
     from_milnor,
 )
 from .metric_geometry import (
+    _I3,
     Metric3,
     enumerate_unit_geodesics,
     geodesic_brute_force,
@@ -64,8 +65,6 @@ from .metric_geometry import (
     sectional_curvature,
 )
 from .tolerances import IDENTITY_RTOL, PREDICATE_TOL
-
-_I3 = Metric3.identity()
 
 CASE_TAGS = ("A1", "A2", "B1", "B2", "C1", "C2", "D", "E")
 

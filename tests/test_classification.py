@@ -39,7 +39,7 @@ from contact3.classification import (
 )
 from contact3.contact_structures import PhiBasis, _ker_deta, _normality, _orthonormal, _structure_axioms
 from contact3.lie_core import LieAlgebra3, _milnor_gates, _non_unimodular
-from contact3.metric_geometry import _geodesic, _inplane_roots
+from contact3.metric_geometry import _defect_matrices, _geodesic, _inplane_roots
 from contact3.verify import CASE_TAGS, sample_functional, sample_params
 
 E = np.eye(3)
@@ -72,7 +72,7 @@ def test_shared_gates_fail_closed_on_nan():
         _normality(c, 1.0, nan33, nan3, nan3)[0],
         _case2_form(math.nan, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0)[1],
         _inplane_roots(math.nan, 0.0, 1.0, 1.0)[1],
-        _geodesic(c, I3, nan3),
+        _geodesic(_defect_matrices(c, I3), I3, nan3),
         *_flags(c, 1.0),
     ]
     assert not any(bool(ok) for ok in gates)
@@ -594,17 +594,28 @@ def test_classify_is_invariant_under_scaling_xi(src, xi, s):
 
 
 def _counting(monkeypatch, counts):
+    import contact3.classification as cl
     import contact3.lie_core as lc
+    import contact3.metric_geometry as mg
 
     def wrap(name, fn):
         def counted(*args, **kwargs):
-            counts[name] += 1
+            counts[name] = counts.get(name, 0) + 1
             return fn(*args, **kwargs)
 
         return counted
 
     monkeypatch.setattr(lc.LieAlgebra3, "__post_init__", wrap("algebra", lc.LieAlgebra3.__post_init__))
     monkeypatch.setattr(lc, "_invariant_D", wrap("D", lc._invariant_D))
+    monkeypatch.setattr(mg, "_check_enumeration", wrap("check", mg._check_enumeration))
+    monkeypatch.setattr(cl, "xi_in_ker_deta", wrap("ker", cl.xi_in_ker_deta))
+    for k in range(1, 7):
+        name = f"construct_case{k}"
+        monkeypatch.setattr(cl, name, wrap(name, getattr(cl, name)))
+
+
+def _discrete_constructs(counts):
+    return sum(counts.get(f"construct_case{k}", 0) for k in (1, 2, 3, 5, 6))
 
 
 @pytest.mark.parametrize("tag", CASE_TAGS)
@@ -612,25 +623,77 @@ def test_one_algebra_and_one_D_per_call(tag, monkeypatch):
     rng = np.random.default_rng([23, CASE_TAGS.index(tag)])
     src = sample_functional(rng) if tag == "E" else sample_params(rng, tag)
     raw = src.l.copy() if tag == "E" else (src.alpha, src.beta, src.gamma, src.delta)  # converted afresh per call
-    counts = {"algebra": 0, "D": 0}
+    counts = {}
     _counting(monkeypatch, counts)
     reps = classify_representatives(raw)
-    assert counts == {"algebra": 1, "D": 1}
+    assert (counts["algebra"], counts["D"], counts["check"]) == (1, 1, 1)
     assert all(r.structure.algebra is reps[0].structure.algebra for r in reps)
     for r in reps:
-        counts.update(algebra=0, D=0)
+        counts.clear()
         plus = classify(raw, r.structure.basis.xi)
         minus = classify(raw, -r.structure.basis.xi)
-        assert counts == {"algebra": 2, "D": 2}
+        assert (counts["algebra"], counts["D"], counts["check"]) == (2, 2, 2)
         assert is_isomorphic(plus.structure, minus.structure) is not None
-        assert counts == {"algebra": 2, "D": 2}
-    # a parameters or functional object keeps its algebra, and the algebra its D, across calls
+        assert (counts["algebra"], counts["D"], counts["check"]) == (2, 2, 2)
+    # a parameters or functional object keeps its algebra, D and enumeration
+    # across calls, and each discrete structure with its report checks
     obj = LinearFunctional(raw) if tag == "E" else MilnorParameters(*raw)
-    counts.update(algebra=0, D=0)
-    classify_representatives(obj)
-    for r in reps:
-        classify(obj, r.structure.basis.xi)
-    assert counts == {"algebra": 1, "D": 1}
+    enumerate_obj = lambda: enumerate_unit_geodesics(functional=obj) if tag == "E" else enumerate_unit_geodesics(obj)
+    for warm in (False, True):
+        counts.clear()
+        reports = classify_representatives(obj)
+        for r in reps:
+            reports += [classify(obj, r.structure.basis.xi), classify(obj, -r.structure.basis.xi)]
+        assert enumerate_obj() is enumerate_obj()
+        if not warm:
+            assert (counts["algebra"], counts["D"], counts["check"]) == (1, 1, 1)
+            discrete = {id(r.structure) for r in reports if r.structure.source_construction in (1, 2, 3, 5, 6)}
+            assert _discrete_constructs(counts) == len(discrete) <= len(reps) + (tag in ("D", "E"))
+            assert counts["ker"] == len({id(r.structure) for r in reports})
+        else:
+            # warm: only the circle samples (branch 4 and outside the families) are built again
+            assert counts.get("algebra", 0) == counts.get("D", 0) == counts.get("check", 0) == 0
+            assert _discrete_constructs(counts) == 0
+            circle = [r for r in reports if r.structure.source_construction in (4, None)]
+            assert counts.get("ker", 0) == len(circle)
+
+
+def _report_bits(rep):
+    # every field and the frame by repr or bytes, so signed zeros and last bits count
+    fields, basis, params = _report_fields(rep)
+    return repr(sorted(fields.items())), basis, repr(params), repr(rep.structure.notes)
+
+
+def _outcome(fn):
+    try:
+        return _report_bits(fn())
+    except (AssertionError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("tag", CASE_TAGS)
+def test_reused_source_reports_match_fresh_sources(tag):
+    rng = np.random.default_rng([37, CASE_TAGS.index(tag)])
+    src = sample_functional(rng) if tag == "E" else sample_params(rng, tag)
+    if tag == "E":
+        fresh = lambda: LinearFunctional(src.l.copy())
+    else:
+        fresh = lambda: MilnorParameters(src.alpha, src.beta, src.gamma, src.delta)
+    obj = fresh()
+    enum = enumerate_unit_geodesics(functional=obj) if tag == "E" else enumerate_unit_geodesics(obj)
+    xis = [r.structure.basis.xi for r in classify_representatives(obj)] + list(enum.isolated_points())
+    xis += [fam.point(t) for fam in enum.families for t in (0.3, 2.0)]
+    xis += [E[0] + 1e-10 * E[2], E[1], rng.normal(size=3)]  # near the axis, and off the geodesic set
+
+    def outcomes(source):
+        reps = [_report_bits(r) for r in classify_representatives(source())]
+        return reps + [_outcome(lambda: classify(source(), s * x)) for x in xis for s in (1.0, -1.0)]
+
+    want = outcomes(fresh)
+    assert outcomes(lambda: obj) == want
+    assert outcomes(lambda: obj) == want
+    kinds = {o[0] for o in want}
+    assert "NotGeodesicError" in kinds and len(kinds) > 1  # both errors and reports are compared
 
 
 def _signed_permutation_frames():

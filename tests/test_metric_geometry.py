@@ -11,6 +11,7 @@ from contact3 import (
     LinearFunctional,
     Metric3,
     MilnorParameters,
+    classify_representatives,
     enumerate_unit_geodesics,
     from_functional,
     from_milnor,
@@ -21,7 +22,7 @@ from contact3 import (
     levi_civita,
     sectional_curvature,
 )
-from contact3.lie_core import bracket
+from contact3.lie_core import E1, E2, E3, bracket
 from contact3.metric_geometry import _REGIMES, _regime, _regimes, oracle_match
 
 E = np.eye(3)
@@ -132,6 +133,21 @@ def test_enumeration_dispatch(params, tag, n_discrete, n_families):
     assert enum.case_tag == tag
     assert len(enum.discrete) == n_discrete
     assert len(enum.families) == n_families
+
+
+def test_shared_arrays_are_read_only():
+    # the basis vectors, a kept enumeration and a frame are shared between callers
+    arrays = [E1, E2, E3]
+    for params, *_ in CASES:
+        src = MilnorParameters(*params)
+        enum = enumerate_unit_geodesics(src)
+        assert enumerate_unit_geodesics(src) is enum
+        arrays += [*enum.discrete, *(a for fam in enum.families for a in (fam.u, fam.v, fam.normal))]
+    l = LinearFunctional(np.array([0.0, 2.0, 0.0]))
+    arrays += [*enumerate_unit_geodesics(functional=l).discrete, classify_representatives(l)[0].structure.basis.matrix]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
 
 
 def _tag(params):
