@@ -5,10 +5,11 @@ many algebras ``MilnorParameters.from_pqr(p, q, r)`` at once, reduced to
 what ``cli.atlas_rows`` writes: the case tag, the isolated count, the
 contact flag and the smallest normality residual.  Every closed form and
 every check it applies is the scalar path's own function: the
-admissibility gates, the branch forms, ``_outside_form`` and the report
-checks called over a leading axis, the in-plane root finder row by row.
-This module only assembles each branch's rows, fails the rows near a
-routing tie and reduces the representatives to one summary per algebra;
+admissibility gates, the branch forms, ``_outside_form``, the frame
+and normal-form checks and ``_report_checks`` (the scalar path's stacked
+report checks) called over a leading axis, the in-plane root finder row
+by row.  This module only assembles each branch's rows, fails the rows near
+a routing tie and reduces the representatives to one summary per algebra;
 a row that fails a check is left to the scalar path.
 """
 
@@ -26,12 +27,12 @@ from .classification import (
     _case3_form,
     _case4_form,
     _family_gates,
-    _flags,
     _normal_form_check,
     _normal_form_constants,
     _outside_form,
+    _report_checks,
 )
-from .contact_structures import _ker_deta, _normality, _orthonormal, _structure_axioms
+from .contact_structures import _orthonormal
 from .lie_core import E1, E2, E3, _adapted_coefficients, _milnor_gates, _non_unimodular, pqr_from_milnor
 from .metric_geometry import (
     _CIRCLE_PROBES,
@@ -77,9 +78,9 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x / _norm(x)[..., None]
 
 
-def _passes(checks: list[tuple[np.ndarray, str]]) -> np.ndarray:
-    # the rows that pass every check of a list of (pass, message) pairs
-    return np.logical_and.reduce([ok for ok, _ in checks])
+def _passes(checks: list[tuple]) -> np.ndarray:
+    # the rows that pass every check of a list of (pass, ...) tuples
+    return np.logical_and.reduce([check[0] for check in checks])
 
 
 def _representative_summary(p: np.ndarray, q: np.ndarray, r: float):
@@ -164,7 +165,22 @@ def _representative_summary(p: np.ndarray, q: np.ndarray, r: float):
         params, xi, e, fe = _outside_form(c[sub], scale[sub], _canonical_sign(proj[out]))
         branches.append(_Branch(sub, x[out], xi, e, fe, None, params))
 
-        rows, good, residual, contact = _report_checks(c, scale, branches)
+        # every representative at once: _route's geodesic test, the PhiBasis
+        # and PhiBasisStructure validation, then the report checks
+        rows = np.concatenate([br.rows for br in branches])
+        x, xi, e, fe = (
+            np.concatenate([np.broadcast_to(getattr(br, name), (len(br.rows), 3)) for br in branches])
+            for name in ("x", "xi", "e", "phi_e")
+        )
+        nf = np.concatenate([_normal_form_constants(br.family, br.params) for br in branches])
+        good = np.concatenate(
+            [np.broadcast_to(br.ok & _passes(_family_gates(br.family, br.params)), len(br.rows)) for br in branches]
+        )
+        cr, sr, F = c[rows], scale[rows], np.stack([xi, e, fe], axis=-1)
+        good &= _geodesic(_defect_matrices(cr, _I3), _I3, x) & _orthonormal(F, _I3.g)
+        good &= _normal_form_check(_basis_constants(cr, F), nf, sr)[1]
+        checks, (_, contact, _), residual = _report_checks(cr, sr, xi, e, fe, nf)
+        good &= _passes(checks)
         ok &= np.bincount(rows, weights=~good, minlength=n) == 0
         min_residual = np.full(n, np.inf)
         np.minimum.at(min_residual, rows, residual)
@@ -172,31 +188,3 @@ def _representative_summary(p: np.ndarray, q: np.ndarray, r: float):
         contact_any = np.bincount(rows, weights=contact, minlength=n) > 0
         n_isolated = np.where(a2, 2 + 2 * n_roots, np.where(circle & ~shear, 0, 2))
     return tags, n_isolated, contact_any, min_residual, ok
-
-
-def _report_checks(c: np.ndarray, scale: np.ndarray, branches: list[_Branch]):
-    """The checks and predicates of every representative at once: (rows, ok, N residual, contact form).
-
-    ``c`` and ``scale`` hold the algebras the branches' rows index.  The
-    checks are those of ``_route``, ``PhiBasis``, ``AlmostContactStructure``,
-    ``PhiBasisStructure``, ``xi_in_ker_deta`` and
-    ``nijenhuis_normality_residual``; the metric is the identity, so eta = xi.
-    """
-    rows = np.concatenate([br.rows for br in branches])
-    x, xi, e, fe = (
-        np.concatenate([np.broadcast_to(getattr(br, name), (len(br.rows), 3)) for br in branches])
-        for name in ("x", "xi", "e", "phi_e")
-    )
-    nf = np.concatenate([_normal_form_constants(br.family, br.params) for br in branches])
-    ok = np.concatenate(
-        [np.broadcast_to(br.ok & _passes(_family_gates(br.family, br.params)), len(br.rows)) for br in branches]
-    )
-    cr, sr = c[rows], scale[rows]
-    F = np.stack([xi, e, fe], axis=-1)
-    phi = fe[:, :, None] * e[:, None, :] - e[:, :, None] * fe[:, None, :]
-    ok &= _geodesic(_defect_matrices(cr, _I3), _I3, x) & _orthonormal(F, _I3.g)
-    ok &= _passes(_structure_axioms(phi, xi, xi))
-    ok &= _normal_form_check(_basis_constants(cr, F), nf, sr)[1]
-    ok &= np.logical_and.reduce(_ker_deta(cr, sr, xi, xi))
-    antisymmetric, residual = _normality(cr, sr, phi, xi, xi)
-    return rows, ok & antisymmetric, residual, _flags(nf, sr)[1]

@@ -55,8 +55,9 @@ from .contact_structures import (
     AlmostContactStructure,
     PhiBasis,
     _adapted_frame,
-    nijenhuis_normality_residual,
-    xi_in_ker_deta,
+    _ker_deta,
+    _normality,
+    _structure_axioms,
 )
 from .lie_core import (
     E1,
@@ -77,6 +78,7 @@ from .metric_geometry import (
     _I3,
     GeodesicEnumeration,
     _atan2,
+    _geodesic,
     _regime,
     _shear_directions,
     enumerate_unit_geodesics,
@@ -194,7 +196,7 @@ def _normal_form_check(raw: np.ndarray, nf: np.ndarray, scale):
     return residual, residual <= NORMAL_FORM_TOL * np.maximum(1.0, scale)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhiBasisStructure:
     """A structure presented in an adapted basis with its normal form.
 
@@ -262,11 +264,46 @@ class PhiBasisStructure:
 
     @functools.cached_property
     def _checks(self) -> tuple[bool, bool, bool, float]:
-        """(normal, contact_form, contact_metric, N residual) of ``_report``, after its ker d_eta check; computed once."""
-        L, s = self.algebra, self.structure()
-        if not xi_in_ker_deta(L, s):
-            raise AssertionError("constructed structure lost the ker d_eta condition")
-        return (*_structure_flags(self), nijenhuis_normality_residual(L, s))
+        """(normal, contact_form, contact_metric, N residual) of ``_report``: ``_checked`` on a stack of one."""
+        value = _checked(self.algebra, [self])[0]
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+
+def _report_checks(c, scale, xi: np.ndarray, e: np.ndarray, fe: np.ndarray, nf: np.ndarray):
+    """(checks, ``_flags``, N residual) of stacked structures, at the identity metric (so eta = xi).
+
+    Row k has the frame (xi[k], e[k], fe[k]), the normal-form constants
+    nf[k] and the algebra c[k] of scale scale[k].  ``checks`` lists (per-row
+    pass, error type, message) in the order one structure raises them: its
+    ``AlmostContactStructure``, ``xi_in_ker_deta``, ``nijenhuis_normality_residual``.
+    """
+    phi = fe[:, :, None] * e[:, None, :] - e[:, :, None] * fe[:, None, :]
+    agree, in_kernel = _ker_deta(c, scale, xi, xi)
+    antisymmetric, residual = _normality(c, scale, phi, xi, xi)
+    checks = [
+        (np.isfinite(xi).all(axis=-1), ValueError, "vector components must be finite"),
+        (np.isfinite(phi).all(axis=(-2, -1)), ValueError, "phi must be finite"),
+        *((ok, ValueError, message) for ok, message in _structure_axioms(phi, xi, xi)),
+        (agree, AssertionError, "d_eta and Lie-derivative predicates disagree"),
+        (in_kernel, AssertionError, "constructed structure lost the ker d_eta condition"),
+        (antisymmetric, AssertionError, "normality tensor is not antisymmetric"),
+    ]
+    return checks, _flags(nf, scale), residual
+
+
+def _checked(L: LieAlgebra3, structures: list[PhiBasisStructure]) -> list:
+    """``_report_checks`` over structures on L in one pass: each one's ``_checks``, or the error it raises."""
+    n, nf = len(structures), np.array([ps._nf for ps in structures])
+    xi, e, fe = (np.array([getattr(ps.basis, name) for ps in structures]) for name in ("xi", "e", "phi_e"))
+    checks, flags, residual = _report_checks(L.c[None][[0] * n], np.full(n, L.scale), xi, e, fe, nf)
+    passed = np.logical_and.reduce([ok for ok, _, _ in checks])
+    values = zip(*(v.tolist() for v in flags), residual.tolist())
+    return [
+        value if passed[i] else next(kind(message) for ok, kind, message in checks if not ok[i])
+        for i, value in enumerate(values)
+    ]
 
 
 def _as_params(params) -> MilnorParameters:
@@ -282,10 +319,14 @@ def construct_case1(params) -> PhiBasisStructure:
     return _on_axis(_as_params(params), 1, ())
 
 
+# the frame of branches 1 and 5, read-only like every PhiBasis, so built once
+_AXES = PhiBasis(E1, E2, E3)
+
+
 def _on_axis(params: MilnorParameters, branch: int, notes: tuple[str, ...]) -> PhiBasisStructure:
     # the family A structure at xi = e1, which branches 1 and 5 both report
     p = (params.alpha, params.beta, params.gamma, params.delta)
-    return PhiBasisStructure("A", p, PhiBasis(E1, E2, E3), branch, from_milnor(params), notes)
+    return PhiBasisStructure("A", p, _AXES, branch, from_milnor(params), notes)
 
 
 def construct_case2(params, theta: float) -> PhiBasisStructure:
@@ -481,7 +522,7 @@ def _outside_form(c: np.ndarray, scale, xi: np.ndarray):
     return tuple(raw[..., i, j, k] for i, j, k in _NORMAL_FORM_SLOTS[None]), xi, e, fe
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassificationReport:
     """Classification of one (algebra, xi) pair."""
 
@@ -554,45 +595,48 @@ def classify(source, xi) -> ClassificationReport:
     and the structures of the discrete branches (1, 2, 3, 5 and 6, by the
     exact bits of what each branch reads), each built and checked once,
     so repeated calls on one object share them; a structure keeps its
-    report checks.  The reports' notes are made per call.
+    report checks (``_report_checks``).  The reports' notes are made per call.
     """
     x = _unit_xi(xi)
     source, L, enum = resolve_source(source)
     return _report(*_route(source, L, enum, x))
 
 
+def _not_geodesic(L: LieAlgebra3, x: Vector, functional: bool) -> NotGeodesicError:
+    return NotGeodesicError(
+        f"xi is not a geodesic vector (defect {float(geodesic_defect(L, _I3, x))!r})"
+        + (
+            "; only the dual direction of l is geodesic"
+            if functional
+            else ": g([xi, y], xi) must vanish for every y; equivalently xi fails the "
+            "ker d_eta condition (eta([xi, X]) != 0 for some X in ker eta)"
+        )
+    )
+
+
+def _pair_dist(x: Vector, v: Vector) -> float:
+    # distance from x to the nearer of +-v
+    return min(np.linalg.norm(x - v), np.linalg.norm(x + v))
+
+
 def _route(
     source, L: LieAlgebra3, enum: GeodesicEnumeration, x: Vector
 ) -> tuple[str, PhiBasisStructure, tuple[str, ...]]:
     """(case tag, normal-form structure, notes) of the branch that covers xi."""
-    functional = isinstance(source, LinearFunctional)
     if not is_geodesic_vector(L, _I3, x):
-        raise NotGeodesicError(
-            f"xi is not a geodesic vector (defect {float(geodesic_defect(L, _I3, x))!r})"
-            + (
-                "; only the dual direction of l is geodesic"
-                if functional
-                else ": g([xi, y], xi) must vanish for every y; equivalently xi fails the "
-                "ker d_eta condition (eta([xi, X]) != 0 for some X in ker eta)"
-            )
-        )
-    if functional:
-        return enum.case_tag, _kept(source, (6, x.tobytes()), construct_case6, source, x), ()
-
-    params, tag = source, enum.case_tag
+        raise _not_geodesic(L, x, isinstance(source, LinearFunctional))
+    if isinstance(source, LinearFunctional):
+        return _branch(source, L, enum, x, "dual", None, 0.0)
 
     # candidates in priority order: axis, distinguished in-plane direction,
     # in-plane roots, geodesic circle; xi snaps to the nearest feature
-    def pair_dist(v):
-        return min(np.linalg.norm(x - v), np.linalg.norm(x + v))
-
-    candidates: list[tuple[float, str, object]] = [(pair_dist(E1), "axis", None)]
-    if tag in ("B1", "C1"):
+    candidates: list[tuple[float, str, object]] = [(_pair_dist(x, E1), "axis", None)]
+    if enum.case_tag in ("B1", "C1"):
         special = enum.families[0].v
-        candidates.append((pair_dist(special), "special", special))
+        candidates.append((_pair_dist(x, special), "special", special))
     for root in enum.inplane_angles():
         rep = np.array([0.0, math.cos(root), math.sin(root)])
-        candidates.append((pair_dist(rep), "root", root))
+        candidates.append((_pair_dist(x, rep), "root", root))
     candidates.extend((fam.distance(x), "circle", fam) for fam in enum.families if fam.angles is None)
 
     best = None
@@ -605,6 +649,15 @@ def _route(
             "xi passed the geodesic tolerance but lies far from every "
             f"enumerated geodesic (distance {float(dist)!r})"
         )
+    return _branch(source, L, enum, x, kind, payload, dist)
+
+
+def _branch(source, L: LieAlgebra3, enum: GeodesicEnumeration, x: Vector, kind: str, payload, dist):
+    """``_route``'s (case tag, structure, notes) for the unit xi = x, ``dist`` from its feature ``kind``."""
+    tag = enum.case_tag
+    if kind == "dual":
+        return tag, _kept(source, (6, x.tobytes()), construct_case6, source, x), ()
+    params = source
     snapped = dist > 1e-9
     extra = (f"xi snapped to the nearest geodesic (moved {float(dist)!r})",) if snapped else ()
 
@@ -665,20 +718,36 @@ def classify_representatives(source) -> list[ClassificationReport]:
     One representative per antipodal pair of isolated geodesics and per
     admissible in-plane angle; full circles additionally contribute the
     distinguished direction (branch 3) and one interior sample at a
-    deterministic angle.
+    deterministic angle.  Each goes straight to the branch of its feature
+    (``_branch``, as ``classify`` would route it), after one geodesic test
+    of all; the structures not yet checked take one ``_report_checks``
+    pass.  A failure raises what one ``classify`` per representative would.
     """
     return _representatives(*resolve_source(source))
 
 
 def _representatives(source, L: LieAlgebra3, enum: GeodesicEnumeration) -> list[ClassificationReport]:
     if isinstance(source, LinearFunctional):
-        xis = [source.dual]
+        features = [(source.dual, "dual", None)]
     else:
         # when q != 0 the distinguished branch-3 direction is one of the roots
-        xis = [E1]
-        xis.extend(np.array([0.0, math.cos(t), math.sin(t)]) for t in enum.inplane_angles())
-        xis.extend((E1 + fam.v) / math.sqrt(2.0) for fam in enum.families if fam.angles is None)
-    routes = [_route(source, L, enum, x / np.linalg.norm(x)) for x in xis]
+        features = [(E1, "axis", None)]
+        features += [(np.array([0.0, math.cos(t), math.sin(t)]), "root", t) for t in enum.inplane_angles()]
+        features += [((E1 + fam.v) / math.sqrt(2.0), "circle", fam) for fam in enum.families if fam.angles is None]
+    xs = np.array([v / np.linalg.norm(v) for v, _, _ in features])
+    special = enum.families[0].v if enum.case_tag in ("B1", "C1") else None
+    routes = []
+    for x, (v, kind, payload), ok in zip(xs, features, _geodesic(L._defect, _I3, xs)):
+        if not ok:
+            raise _not_geodesic(L, x, kind == "dual")
+        # _route's tie rule: a B1/C1 root not nearer than the special direction by 1e-12 goes to branch 3
+        if kind == "root" and special is not None and not _pair_dist(x, v) < _pair_dist(x, special) - 1e-12:
+            kind, payload = "special", special
+        routes.append(_branch(source, L, enum, x, kind, payload, 0.0))
+    fresh = list({id(ps): ps for _, ps, _ in routes if "_checks" not in vars(ps)}.values())
+    for ps, value in zip(fresh, _checked(L, fresh) if fresh else ()):
+        if not isinstance(value, Exception):
+            vars(ps)["_checks"] = value  # a failing structure raises from its own ``_checks``, in report order
     return [_report(*route) for route in routes]
 
 

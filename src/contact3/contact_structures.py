@@ -45,7 +45,7 @@ class KerConditionViolation(ValueError):
     """Raised when an operation requires xi in the kernel of d_eta."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlmostContactStructure:
     """The tensor triple (phi, xi, eta) in the fixed basis.
 
@@ -99,7 +99,7 @@ def _orthonormal(B: np.ndarray, G: np.ndarray) -> np.ndarray:
     return np.abs(B.swapaxes(-1, -2) @ G @ B - _I3.g).max(axis=(-2, -1)) <= FRAME_TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhiBasis:
     """Orthonormal adapted basis {xi, e, phi_e} with phi_e = phi(e).
 
@@ -228,7 +228,7 @@ def _ker_deta(c: np.ndarray, scale, xi: np.ndarray, eta: np.ndarray):
     via_deta, via_lie = _ker_deta_routes(c, xi, eta)
     size = np.maximum(1.0, scale) * np.abs(xi).max(axis=-1, initial=1.0) * np.abs(eta).max(axis=-1, initial=1.0)
     agree = np.abs(via_deta - via_lie).max(axis=-1) <= IDENTITY_RTOL * size
-    return agree, np.all(np.abs(via_deta) <= PREDICATE_TOL, axis=-1)
+    return agree, (np.abs(via_deta) <= PREDICATE_TOL).all(axis=-1)
 
 
 def check_ker_condition(L: LieAlgebra3, s: AlmostContactStructure) -> bool:

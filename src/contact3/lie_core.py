@@ -35,12 +35,12 @@ def _as_vector(x) -> Vector:
     v = np.asarray(x, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector components must be finite")
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LieAlgebra3:
     """Bracket on R^3 given by antisymmetric structure constants."""
 
@@ -164,11 +164,11 @@ class MilnorParameters:
 
     # ``enumerate_unit_geodesics``, built and checked once
     _enumeration = functools.cached_property(lambda self: _geometry()._enumerate(self))
-    # the structures of ``classification._route``'s discrete branches, by branch and exact payload
+    # the structures of ``classification._branch``'s discrete branches, by branch and exact payload
     _structures = functools.cached_property(lambda self: {})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearFunctional:
     """Covector l with l(x) = sum_i l_i x_i; must be nonzero."""
 
@@ -200,7 +200,7 @@ class LinearFunctional:
 
     # ``enumerate_unit_geodesics``, built and checked once
     _enumeration = functools.cached_property(lambda self: _geometry()._enumerate(self))
-    # the structures of ``classification._route``'s discrete branch 6, by exact xi
+    # the structures of ``classification._branch``'s discrete branch 6, by exact xi
     _structures = functools.cached_property(lambda self: {})
 
 

@@ -42,7 +42,7 @@ def _points(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim not in (1, 2) or v.shape[-1] != 3:
         raise ValueError(f"expected a 3-vector or an (n, 3) array, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector components must be finite")
     return v
 
@@ -62,7 +62,7 @@ def _scalar_or_array(d: np.ndarray) -> float | np.ndarray:
     return float(d) if d.ndim == 0 else d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Metric3:
     """Symmetric positive definite inner product matrix on the fixed basis."""
 
@@ -226,7 +226,7 @@ def _line_angle(y, z):
     return _fold(_atan2(sign * z, sign * y))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CircleFamily:
     """Unit-circle family t -> cos(t) u + sin(t) v in the plane span{u, v}.
 
@@ -265,7 +265,7 @@ class CircleFamily:
         return _scalar_or_array(np.where(ny[..., 0] < 1e-15, math.sqrt(2.0), d))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeodesicEnumeration:
     """Closed-form description of the unit geodesic set.
 

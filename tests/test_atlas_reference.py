@@ -176,3 +176,22 @@ def test_batched_gates_are_imported():
         if isinstance(node, ast.Constant) and isinstance(node.value, float) and 0.0 < node.value <= 1e-8
     }
     assert small == {1e-11}
+
+
+def test_a_row_failing_the_report_checks_goes_to_the_scalar_path(monkeypatch):
+    # one representative's frame is made non-finite inside the shared
+    # stacked checks: only its algebra fails there, and the scalar path,
+    # which the array pass leaves it to, writes the reference row
+    ps, qs, r = np.array([-1.5, 0.0, 1.0, 2.0]), np.array([0.5]), 1.0
+    report_checks = _batched._report_checks
+
+    def corrupted(c, scale, xi, e, fe, nf):
+        xi = xi.copy()
+        xi[2] = np.nan  # the axis representative of the third algebra (p = r)
+        return report_checks(c, scale, xi, e, fe, nf)
+
+    monkeypatch.setattr(_batched, "_report_checks", corrupted)
+    ok = _representative_summary(np.repeat(ps, len(qs)), np.tile(qs, len(ps)), r)[-1]
+    assert ok.tolist() == [True, True, False, True]
+    ref = [_fields(row) for row in reference_rows(ps, qs, r)]
+    _assert_same_rows([_fields(row) for row in cli.atlas_rows(ps, qs, r)], ref)

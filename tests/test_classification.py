@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from contact3 import (
     AdmissibilityError,
+    AlmostContactStructure,
     LinearFunctional,
     Metric3,
     MilnorParameters,
@@ -27,6 +30,7 @@ from contact3 import (
     is_isomorphic,
     nijenhuis_normality_residual,
     structure_from_basis,
+    xi_in_ker_deta,
 )
 from contact3.classification import (
     PhiBasisStructure,
@@ -608,7 +612,14 @@ def _counting(monkeypatch, counts):
     monkeypatch.setattr(lc.LieAlgebra3, "__post_init__", wrap("algebra", lc.LieAlgebra3.__post_init__))
     monkeypatch.setattr(lc, "_invariant_D", wrap("D", lc._invariant_D))
     monkeypatch.setattr(mg, "_check_enumeration", wrap("check", mg._check_enumeration))
-    monkeypatch.setattr(cl, "xi_in_ker_deta", wrap("ker", cl.xi_in_ker_deta))
+    report_checks = cl._report_checks
+
+    def counted_rows(c, scale, xi, *frame):
+        # one row per structure whose ker d_eta check (and the other report checks) runs
+        counts["ker"] = counts.get("ker", 0) + len(xi)
+        return report_checks(c, scale, xi, *frame)
+
+    monkeypatch.setattr(cl, "_report_checks", counted_rows)
     for k in range(1, 7):
         name = f"construct_case{k}"
         monkeypatch.setattr(cl, name, wrap(name, getattr(cl, name)))
@@ -721,3 +732,186 @@ def test_identity_metric_structure_matches_structure_from_basis():
         got = ps.structure()
         for name in ("phi", "xi", "eta"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+# -- representatives built straight from the enumeration --------------------
+
+
+def _routed_representatives(source):
+    """The representatives as one ``classify`` call each would report them.
+
+    Each representative vector goes through ``_route`` (geodesic test and
+    candidate search), and each structure through the per-structure
+    checks: ``structure()``, ``xi_in_ker_deta``, the flags and
+    ``nijenhuis_normality_residual``, then D, one report at a time.
+    """
+    import contact3.classification as cl
+
+    source, L, enum = cl.resolve_source(source)
+    if isinstance(source, LinearFunctional):
+        xis = [source.dual]
+    else:
+        xis = [E[0], *(np.array([0.0, math.cos(t), math.sin(t)]) for t in enum.inplane_angles())]
+        xis += [(E[0] + fam.v) / SQ2 for fam in enum.families if fam.angles is None]
+    routes = [cl._route(source, L, enum, x / np.linalg.norm(x)) for x in xis]
+    reports = []
+    for tag, ps, notes in routes:
+        s = ps.structure()
+        if not xi_in_ker_deta(ps.algebra, s):
+            raise AssertionError("constructed structure lost the ker d_eta condition")
+        flags = _structure_flags(ps)
+        residual = nijenhuis_normality_residual(ps.algebra, s)
+        fields = dict(zip(("normal", "contact_form", "contact_metric"), flags), normality_residual=residual)
+        fields.update(family=ps.family, params=ps.params_dict, D=ps.invariant_D(), geodesic_case=tag)
+        fields.update(errata_notes=ps.notes + notes)
+        reports.append((repr(sorted(fields.items())), ps.basis.matrix.tobytes(), repr(ps.params), repr(ps.notes)))
+    return reports
+
+
+def _direct_representatives(source):
+    return [_report_bits(rep) for rep in classify_representatives(source)]
+
+
+def _either(fn, source):
+    try:
+        return fn(source)
+    except (AssertionError, ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _edge_sources(rng, n):
+    # classify-edge style draws: within 1e-14..1e-2 (relative) of p = +-r or
+    # p = 0, and interior sources rescaled by 10^U(-8, 8)
+    for i in range(n):
+        r = rng.uniform(0.3, 3.0) * rng.choice([-1.0, 1.0])
+        if i % 2 == 0:
+            eps = 10.0 ** rng.uniform(-14.0, -2.0) * rng.choice([-1.0, 1.0])
+            p = (r * (1.0 + eps), -r * (1.0 + eps), eps * abs(r))[i % 3]
+            yield MilnorParameters.from_pqr(p, rng.uniform(-2.0, 2.0), r)
+        else:
+            tag = CASE_TAGS[i % len(CASE_TAGS)]
+            src = sample_functional(rng) if tag == "E" else sample_params(rng, tag)
+            yield _rescaled(src, 10.0 ** rng.uniform(-8.0, 8.0))
+
+
+def _fresh(src):
+    # a tuple or array source, converted afresh by each call
+    return src.l.copy() if isinstance(src, LinearFunctional) else (src.alpha, src.beta, src.gamma, src.delta)
+
+
+@pytest.mark.parametrize("tag", CASE_TAGS)
+def test_representatives_match_the_routed_reference(tag):
+    rng = np.random.default_rng([43, CASE_TAGS.index(tag)])
+    for _ in range(12):
+        src = _fresh(sample_functional(rng) if tag == "E" else sample_params(rng, tag))
+        want = _routed_representatives(src)
+        assert _direct_representatives(src) == want
+        assert {rep.geodesic_case for rep in classify_representatives(src)} == {tag}
+    if tag in ("B1", "C1"):
+        # the special direction's root folds to the canonical sign on B1, and on C1 when q < 0
+        src = MilnorParameters.from_pqr(1.0 if tag == "B1" else -1.0, -0.7, 1.0)
+        notes = [note for rep in classify_representatives(_fresh(src)) for note in rep.errata_notes]
+        assert "xi folded to the canonical sign representative" in notes
+        assert _direct_representatives(_fresh(src)) == _routed_representatives(_fresh(src))
+
+
+# sources whose ker d_eta check fails on a representative past the first (rescaled A2 and E draws)
+_KER_FAILS_PAST_FIRST = (-1087684.0068873626, -1600396.3991109256, 30964679.32652331, -21044652.750134543)
+_KER_FAILS_FUNCTIONAL = (-34992492.671495594, 21861677.941240538, 25923673.896360785)
+
+
+def test_representatives_match_the_routed_reference_near_boundaries():
+    rng = np.random.default_rng(47)
+    sources = [_fresh(src) for src in _edge_sources(rng, 160)]
+    # pinned inputs: a self-chosen representative that is not geodesic, and
+    # two whose ker d_eta check fails on a representative past the first
+    sources += [(4.81e30, 0.0, 0.0, 0.0), _KER_FAILS_PAST_FIRST, np.array(_KER_FAILS_FUNCTIONAL)]
+    kinds = set()
+    for src in sources:
+        want = _either(_routed_representatives, src)
+        assert _either(_direct_representatives, src) == want
+        kinds.add(want[0] if isinstance(want, tuple) else "reports")
+    assert {"reports", "NotGeodesicError", "AssertionError"} <= kinds
+
+
+def test_representative_off_the_geodesic_gate_keeps_its_error():
+    with pytest.raises(NotGeodesicError) as err:
+        classify_representatives((4.81e30, 0.0, 0.0, 0.0))
+    assert str(err.value) == (
+        "xi is not a geodesic vector (defect 0.018034611386508838): g([xi, y], xi) must vanish for every y; "
+        "equivalently xi fails the ker d_eta condition (eta([xi, X]) != 0 for some X in ker eta)"
+    )
+    with pytest.raises(AssertionError, match="^constructed structure lost the ker d_eta condition$"):
+        classify_representatives(_KER_FAILS_PAST_FIRST)
+
+
+def _with_frame(ps, **vectors):
+    # ps with some frame vectors replaced, past PhiBasis's checks, and no kept report checks
+    basis = copy.copy(ps.basis)
+    for name, v in vectors.items():
+        object.__setattr__(basis, name, np.asarray(v, dtype=float))
+    bad = copy.copy(ps)
+    object.__setattr__(bad, "basis", basis)
+    vars(bad).pop("_checks", None)
+    return bad
+
+
+def _own_error(ps):
+    # the error one structure raises on its own: its structure, then the ker d_eta and N checks
+    b = ps.basis
+    try:
+        s = AlmostContactStructure(np.outer(b.phi_e, b.e) - np.outer(b.e, b.phi_e), b.xi, b.xi)
+        if not xi_in_ker_deta(ps.algebra, s):
+            raise AssertionError("constructed structure lost the ker d_eta condition")
+        nijenhuis_normality_residual(ps.algebra, s)
+    except (AssertionError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda b: {"xi": np.array([np.nan, 0.0, 0.0])}, "vector components must be finite"),
+        (lambda b: {"e": np.array([0.0, np.nan, 1.0])}, "phi must be finite"),
+        (lambda b: {"e": 2.0 * b.e}, "phi^2 must equal -Id + xi (x) eta"),  # not orthonormal
+        # the frame turned by pi/4 in the xi-e plane: orthonormal, with xi off the geodesic set
+        (
+            lambda b: {"xi": (b.xi + b.e) / SQ2, "e": (b.e - b.xi) / SQ2},
+            "constructed structure lost the ker d_eta condition",
+        ),
+    ],
+    ids=["nan-xi", "nan-e", "not-orthonormal", "xi-off-the-kernel"],
+)
+def test_stacked_checks_give_each_row_its_own_error(corrupt, message):
+    import contact3.classification as cl
+
+    # B1: four structures; the one at the transverse root (branch 2) is corrupted
+    good = [r.structure for r in classify_representatives(MilnorParameters.from_pqr(1.0, 0.7, 1.0))]
+    k = [ps.source_construction for ps in good].index(2)
+    bad = _with_frame(good[k], **corrupt(good[k].basis))
+    assert _own_error(bad)[1] == message
+    values = cl._checked(good[0].algebra, good[:k] + [bad] + good[k + 1 :])
+    assert (type(values[k]), str(values[k])) == _own_error(bad)
+    # the rows around it pass, with the values they have on their own
+    assert values[:k] + values[k + 1 :] == [ps._checks for ps in good[:k] + good[k + 1 :]]
+    with pytest.raises(_own_error(bad)[0], match=re.escape(message)):
+        bad._checks
+
+
+def test_separately_built_objects_compare_without_raising():
+    # the dataclasses holding arrays compare by identity: == never reaches an array
+    a, b = classify((3, 0, 0, -1), (1, 0, 0)), classify((3, 0, 0, -1), (1, 0, 0))
+    assert a == a and not a == b and a != b
+    assert a.structure == a.structure and a.structure != b.structure
+    for make in (
+        lambda: PhiBasis(E[0], E[1], E[2]),
+        lambda: a.structure.structure(),
+        lambda: enumerate_unit_geodesics((1.0, 0.0, 0.0, 1.0)),
+        lambda: enumerate_unit_geodesics((2.0, 0.0, 0.0, 0.0)).families[0],
+        lambda: from_milnor((3, 0, 0, -1)),
+        lambda: LinearFunctional(np.array([1.0, 2.0, 3.0])),
+        lambda: Metric3(np.eye(3)),
+    ):
+        x, y = make(), make()
+        assert x == x and x != y
