@@ -19,13 +19,18 @@ normalisation back to the sphere, so each step goes to its root nearest
 t = 0: points settle onto one-dimensional solution curves where they
 landed instead of sliding along them, and reach a double surface (a
 residual vanishing to second order) in one step.  It works column-wise:
-the points still moving form a (3, m) array, compacted as points stop,
-their residuals come from the same monomials and coefficient matrix as
-the scan (``_coefficients``), and each point's worst residual and
-gradient are gathered by flat index (``np.take``).  The residual is even
-in x and every step is odd, so refining -X returns exactly the negation
-of refining X, with the same defects.  ``residual_batch``, the per-point
-quadratic form, serves ``metric_geometry.geodesic_defect``.
+the points still moving form a C-contiguous (3, m) array, kept with
+their residuals V, the magnitudes |V| and the defects max |V| across
+steps and compacted by index (``take``) as points stop.  Their residuals
+come from the same monomials and coefficient matrix as the scan
+(``_coefficients``); each point's worst residual is the first whose
+magnitude equals its defect (the argmax), and it and the point's
+gradient are gathered by flat index.  No array is ever transposed in
+memory, so each point's bits are its own, whatever else is refined
+beside it.  The residual is even in x and every step is odd, so refining
+-X returns exactly the negation of refining X, with the same defects.
+``residual_batch``, the per-point quadratic form, serves
+``metric_geometry.geodesic_defect``.
 """
 
 from __future__ import annotations
@@ -47,8 +52,16 @@ def residual_batch(M: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def monomial_table(X: np.ndarray) -> np.ndarray:
     """The monomials x_i x_j of each row of X as a C-contiguous (6, n) array."""
-    i, j = _MONOMIALS
-    return X.T[i] * X.T[j]
+    return _monomials(X.T)
+
+
+def _monomials(X: np.ndarray) -> np.ndarray:
+    # the monomials of the columns of X (3, ...), in table order: (6, ...)
+    P = np.empty((6,) + X.shape[1:])
+    np.multiply(X, X, out=P[:3])
+    np.multiply(X[0], X[1:], out=P[3:5])
+    np.multiply(X[1], X[2], out=P[5])
+    return P
 
 
 def _coefficients(M: np.ndarray) -> np.ndarray:
@@ -70,16 +83,18 @@ def defect_max_batch(M: np.ndarray, P: np.ndarray) -> np.ndarray:
 
 def _residual(C: np.ndarray, X: np.ndarray) -> np.ndarray:
     """x^T M_k x for each column x of X (3, n), through the monomials: shape (3, n)."""
-    return np.einsum("mk,mn->kn", C, monomial_table(X.T))
+    return np.einsum("mk,mn->kn", C, _monomials(X))
 
 
 def _trial(C: np.ndarray, X: np.ndarray, step: np.ndarray, pick: np.ndarray, thr: np.ndarray):
-    # the points X - step back on the sphere, their residuals, and whether
-    # each point's worst residual (flat index ``pick``) fell below ``thr``
+    # the points X - step back on the sphere, their residuals and the
+    # residuals' magnitudes, and whether each point's worst residual (flat
+    # index ``pick``) fell below ``thr``
     Y = X - step
     Y /= np.sqrt(np.einsum("in,in->n", Y, Y))
     V = _residual(C, Y)
-    return Y, V, np.abs(np.take(V, pick)) < thr
+    A = np.abs(V)
+    return Y, V, A, A.take(pick) < thr
 
 
 def refine_batch(M: np.ndarray, X0: np.ndarray, step_cap: float, target: float) -> tuple[np.ndarray, np.ndarray]:
@@ -87,34 +102,39 @@ def refine_batch(M: np.ndarray, X0: np.ndarray, step_cap: float, target: float) 
 
     X0 holds one point per row, shape (n, 3); the result is the refined
     points, shape (n, 3), and their defects.  The points still moving are
-    kept column-wise, (3, m), and compacted as points stop: at ``target``,
-    at a vanishing gradient, or when the step (to the nearest root of the
-    worst residual along its gradient, at most ``step_cap`` long) does not
-    take a tenth off that residual, or after ``_MAX_STEPS`` steps.
+    kept column-wise, (3, m), with their residuals, the residuals'
+    magnitudes |V| and their defects, and compacted by index (``take``)
+    as points stop: at ``target``, at a vanishing gradient, or when the
+    step (to the nearest root of the worst residual along its gradient,
+    at most ``step_cap`` long) does not take a tenth off that residual,
+    or after ``_MAX_STEPS`` steps.
     """
     C = _coefficients(M)
-    G = 2.0 * M.reshape(9, 3)  # rows 3k, 3k + 1, 3k + 2: the gradient 2 M_k x
+    G = 2.0 * M.transpose(1, 0, 2).reshape(9, 3)  # row 3i + k: component i of the gradient 2 M_k x
     scale = max(float(np.abs(M).max()), 1e-300)
     X = X0.T.copy()
     V = _residual(C, X)
-    F = np.abs(V).max(axis=0)
+    A = np.abs(V)
+    F = A.max(axis=0)
     live = np.flatnonzero(F > target)
-    Xa, Va = np.take(X, live, axis=1), np.take(V, live, axis=1)
+    Xa, Va, Aa, Fa = (Z.take(live, axis=-1) for Z in (X, V, A, F))
+    del V, A
     for _ in range(_MAX_STEPS):
         m = len(live)
         if not m:
             break
-        # each point's worst residual k (the first on a tie), as the flat
-        # index k m + j into Va; its gradient rows start at 3 k m + j
-        A = np.abs(Va)
-        w = np.maximum(A[1] > A[0], 2 * (A[2] > np.maximum(A[0], A[1])))
-        pick = w * m + np.arange(m)
-        va = np.take(Va, pick)
-        grad = np.take(np.einsum("kj,jn->kn", G, Xa), (pick + 2 * m * w) + m * np.arange(3)[:, None])
+        # each point's worst residual k, the first equal to its defect (the
+        # argmax, without argmax's loop over columns), as the flat index
+        # k m + j into Va and into each row i of G x reshaped to (3, 3 m)
+        below = Aa[:2] < Fa
+        pick = below[0] * (below[1] + 1) * m + np.arange(m)
+        va = Va.take(pick)
+        grad = np.einsum("kj,jn->kn", G, Xa).reshape(3, 3 * m).take(pick, axis=1)
         grad -= np.einsum("in,in->n", grad, Xa) * Xa
         gn2 = np.einsum("in,in->n", grad, grad)
         ok = gn2 > _STALL2 * scale * scale
-        if not ok.all():
+        stalled = not ok.all()
+        if stalled:
             gn2[~ok] = 1.0  # any finite step: these points stop below
         # along the line x - t grad the residual is va - t gn2 + t^2 q(grad):
         # its root nearest 0 is t = 2u / (1 + sqrt(1 - k)), u = va / gn2 and
@@ -123,20 +143,23 @@ def refine_batch(M: np.ndarray, X0: np.ndarray, step_cap: float, target: float) 
         # negative; the step t grad is at most step_cap long
         gn = np.sqrt(gn2)
         u = va / gn2
-        disc = 1.0 - 4.0 * u * np.take(_residual(C, grad / gn), pick)
+        disc = 1.0 - 4.0 * u * _residual(C, grad / gn).take(pick)
         t = 2.0 * u / (1.0 + np.sqrt(np.where(disc > _DOUBLE_ROOT, disc, 0.0)))
         lim = step_cap / gn
-        Y, VY, better = _trial(C, Xa, grad * np.clip(t, -lim, lim), pick, 0.9 * np.abs(va))
-        better &= ok
+        Y, VY, AY, better = _trial(C, Xa, grad * np.minimum(np.maximum(t, -lim), lim), pick, 0.9 * Fa)
+        if stalled:
+            better &= ok
+        FY = AY.max(axis=0)
         if not better.all():
             # points without a better step keep their last point and stop
-            Y[:, ~better], VY[:, ~better] = Xa[:, ~better], Va[:, ~better]
-        Xa, Va = Y, VY
-        Fa = np.abs(Va).max(axis=0)
-        go = (Fa > target) & better
+            j = (~better).nonzero()[0]
+            Y[:, j], FY[j] = Xa.take(j, axis=1), Fa.take(j)
+        go = (FY > target) & better
+        Xa, Va, Aa, Fa = Y, VY, AY, FY
         if not go.all():
-            X[:, live[~go]], F[live[~go]] = Xa[:, ~go], Fa[~go]
-            live, Xa, Va = live[go], Xa[:, go], Va[:, go]
+            j, go = (~go).nonzero()[0], go.nonzero()[0]
+            X[:, live[j]], F[live[j]] = Xa.take(j, axis=1), Fa.take(j)
+            live, Xa, Va, Aa, Fa = (Z.take(go, axis=-1) for Z in (live, Xa, Va, Aa, Fa))
     X[:, live] = Xa
-    F[live] = np.abs(Va).max(axis=0)
+    F[live] = Fa
     return X.T.copy(), F

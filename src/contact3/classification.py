@@ -823,11 +823,14 @@ def is_isomorphic(s1: PhiBasisStructure, s2: PhiBasisStructure):
     the candidate angles are solved exactly: the stationary points of
     |R|^2 for each orientation, sampled and then scored for both at once:
     rho = 0 and the angles unconjugated, then the same conjugated.  The
-    first of equal minima wins, so a self pair maps by the identity.
+    first of equal minima wins, so a self pair maps by the identity,
+    rho = 0, at zero residual: it is returned without the search.
     Equality of the algebra invariant D is necessary and checked first.
     Returns the map in ambient coordinates when the best residual is within
     PREDICATE_TOL times the largest structure constant, or None.
     """
+    if s1 is s2:
+        return s2.basis.matrix @ _frames(np.zeros(1), np.ones(1))[0] @ s1.basis.matrix.T
     D1, D2 = s1.invariant_D(), s2.invariant_D()
     if abs(D1 - D2) > 1e-6 * max(1.0, abs(D1), abs(D2)):
         return None

@@ -300,7 +300,7 @@ def pqr_from_milnor(alpha, beta, gamma, delta):
     q comes from whichever of alpha, delta is away from zero; under the
     column-orthogonality constraint both branches agree where both apply.
     """
-    scale = np.maximum(np.abs((alpha, beta, gamma, delta)).max(axis=0), 1e-300)
+    scale = np.abs((alpha, beta, gamma, delta)).max(axis=0)
     use_alpha = abs(alpha) > IDENTITY_RTOL * scale
     q = np.where(use_alpha, beta, -gamma) / np.where(use_alpha, alpha, delta)
     return 0.5 * (alpha - delta), q[()], 0.5 * (alpha + delta)

@@ -504,9 +504,7 @@ def _block_table(grid: int) -> tuple[np.ndarray, ...]:
     np.multiply(st[rows], sp[cols], out=X[1])
     X[2] = ct[rows]
     X = X.reshape(3, -1, _BLOCK * _BLOCK)
-    P = np.empty((6,) + X.shape[1:])
-    for m, (a, b) in enumerate(zip(*_kernels._MONOMIALS)):
-        np.multiply(X[a], X[b], out=P[m])
+    P = _kernels._monomials(X)
     th = math.pi * (0.5 * (ic[:, :1] + ic[:, -1:]) + 0.5) / grid
     ph = math.pi * (jc[:, 0] + jc[:, -1]) / grid
     c = np.stack(np.broadcast_arrays(np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th))).reshape(3, -1)
@@ -553,8 +551,10 @@ def _sphere_grid(grid: int) -> np.ndarray:
 # (i, j, k - 1), (i, j, k) and (i, j, k + 1) have consecutive ids
 _COLUMNS = np.array([(i, j, 0) for i in (-1, 0, 1) for j in (-1, 0, 1)])
 # pairs per block of ``_neighbour_pairs`` and per row block of the far
-# scan, both in ``_nearest_distance``
+# scan, both in ``_nearest_distance``; at most ``_DENSE_PAIRS`` pairs in
+# all, the far scan alone is cheaper than building the cell index
 _BLOCK_PAIRS = 1 << 18
+_DENSE_PAIRS = 1 << 11
 
 
 def _cell_ids(keys: np.ndarray, w: int) -> np.ndarray:
@@ -729,18 +729,23 @@ def _nearest_distance(
     rounding in ``_cell_keys``), so the minimum over its
     ``_neighbour_pairs`` finds the nearest one; other rows are scanned
     against all of b, in blocks of about ``_BLOCK_PAIRS`` pairs, never
-    len(a) x len(b).  Each distance is sqrt(sum((a_i - b_j)^2)), the
+    len(a) x len(b).  At most ``_DENSE_PAIRS`` pairs, every row is
+    scanned that way.  Each distance is sqrt(sum((a_i - b_j)^2)), the
     arithmetic of ``np.linalg.norm``.
     """
     best = np.full(len(a), math.inf)
     w2 = within * within
-    for rows, cols, d2 in _neighbour_pairs(a, b, radius):
-        if after is not None:
-            d2[(cols >= after[rows]) & (d2 <= w2)] = math.inf
-        if len(rows):
-            starts = np.flatnonzero(_run_starts(rows))
-            best[rows[starts]] = np.minimum.reduceat(d2, starts)
-    far = np.flatnonzero(best > radius * radius)
+    if len(a) * len(b) <= _DENSE_PAIRS:
+        _cell_keys(radius, a, b)  # the cell search's ValueError
+        far = np.arange(len(a))
+    else:
+        for rows, cols, d2 in _neighbour_pairs(a, b, radius):
+            if after is not None:
+                d2[(cols >= after[rows]) & (d2 <= w2)] = math.inf
+            if len(rows):
+                starts = np.flatnonzero(_run_starts(rows))
+                best[rows[starts]] = np.minimum.reduceat(d2, starts)
+        far = np.flatnonzero(best > radius * radius)
     step = max(1, _BLOCK_PAIRS // max(len(b), 1))
     for s in range(0, len(far), step):
         i = far[s : s + step]

@@ -7,12 +7,15 @@ five angles, solves for the stationary angles of |R|^2, scores rho = 0
 and those angles, and lets the conjugated orientation win only on a
 strictly smaller residual.  ``is_isomorphic`` samples and scores both
 orientations in one call each; it must return the same map, compared
-with ``np.array_equal``, or None where the reference does.  The pairs are
+with ``np.array_equal``, or None where the reference does.  A structure
+paired with itself returns the rho = 0 map without the search, byte for
+byte the search's.  The pairs are
 random antisymmetric constants in random frames (through a stand-in that
 exposes only what the search reads) and every pair of structures
 classified on one sampled algebra of each case tag.
 """
 
+import copy
 import itertools
 import math
 from types import SimpleNamespace
@@ -150,6 +153,17 @@ def test_every_tags_structures_match_the_reference(tag):
 def test_self_pair_maps_by_the_identity():
     s = construct_case1((3, 3, 1, -1))
     assert np.array_equal(_assert_same(s, s), np.eye(3))
+
+
+@pytest.mark.parametrize("tag", CASE_TAGS)
+def test_self_pair_shortcut_is_the_searchs_map(tag):
+    # a structure paired with itself skips the search; a copy of it runs
+    # the search, whose map (rho = 0, with its -0.0) must match byte for byte
+    rng = np.random.default_rng([19, CASE_TAGS.index(tag)])
+    for _ in range(8):
+        for s in _tag_structures(tag, rng):
+            got, searched = is_isomorphic(s, s), is_isomorphic(s, copy.copy(s))
+            assert got.tobytes() == searched.tobytes() == _reference_is_isomorphic(s, s).tobytes()
 
 
 def test_conjugate_only_pair_matches_the_reference():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,15 @@ def test_invariant_D_direct_form_at_ordinary_scales(pqr):
 )
 def test_pqr_values(params, expected):
     assert pqr_from_milnor(*params) == pytest.approx(expected)
+
+
+def test_pqr_of_a_subnormal_source_does_not_warn():
+    # every coefficient is subnormal and delta = 0: q comes from alpha
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        P = MilnorParameters.from_pqr(1.265e-321, 1.36, 1.265e-321)
+        assert P.delta == 0.0 and P.q == P.beta / P.alpha
+        assert pqr_from_milnor(P.alpha, P.beta, P.gamma, P.delta) == (P.p, P.q, P.r)
 
 
 def test_canonical_L_action():

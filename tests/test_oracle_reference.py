@@ -7,16 +7,20 @@ for bit, on synthetic clouds and on the oracle's own refined clouds; the
 count must match exactly, also for zeros split across a cell face,
 duplicates and clusters at the cluster width; the distances to 1e-15.
 The neighbour pairs behind the scoring are checked against a dense scan
-of the cells.  The row-wise einsum refinement is the reference of the
-column-wise one on the monomials, and the whole-sphere scan with the
-per-point quadratic-form kernel, that refinement and the dense dedup is
-the reference of the hemisphere scan; their arithmetic differs in
-rounding, so they must agree on the isolated count and stay inside the
-verify gates.  The one-contraction scan of the whole half-lattice is the
-reference of the block-pruned coarse scan, which must match it bit for
-bit.
+of the cells, and the scoring's small-input scan of every row against
+the whole cloud must match its cell search bit for bit.  The row-wise
+einsum refinement is the reference of the column-wise one on the
+monomials, and the whole-sphere scan with the per-point quadratic-form
+kernel, that refinement and the dense dedup is the reference of the
+hemisphere scan; their arithmetic differs in rounding, so they must
+agree on the isolated count and stay inside the verify gates.  The column-wise refinement as it was before it kept |V|
+and compacted by index is the reference of the current one, and the
+monomial gathers that of ``monomial_table``: both bit for bit.  The
+one-contraction scan of the whole half-lattice is the reference of the
+block-pruned coarse scan, which must match it bit for bit.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +28,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contact3 import Metric3, from_functional, from_milnor
+from contact3 import Metric3, MilnorParameters, from_functional, from_milnor
+from contact3 import _kernels
 from contact3 import metric_geometry as mg
 from contact3._kernels import defect_max_batch, monomial_table, refine_batch, residual_batch
 from contact3.metric_geometry import (
@@ -96,6 +101,64 @@ def _reference_refine_batch(M, X0, step_cap, target):
         F[idx] = np.abs(V[idx]).max(axis=1)
         active[idx] = (F[idx] > target) & better
     return X, F
+
+
+def _gather_monomials(X):
+    # the monomial table as two fancy-index gathers of the columns of X^T
+    i, j = _kernels._MONOMIALS
+    return X.T[i] * X.T[j]
+
+
+def _parent_refine_batch(M, X0, step_cap, target):
+    # the column-wise refinement before it kept |V|: the worst residual
+    # chosen by comparisons, its gradient gathered from the 9 rows of
+    # 2 M x, boolean-mask compaction, and monomials by gathers
+    C = _kernels._coefficients(M)
+    G = 2.0 * M.reshape(9, 3)
+    scale = max(float(np.abs(M).max()), 1e-300)
+
+    def residual(X):
+        return np.einsum("mk,mn->kn", C, _gather_monomials(X.T))
+
+    X = X0.T.copy()
+    V = residual(X)
+    F = np.abs(V).max(axis=0)
+    live = np.flatnonzero(F > target)
+    Xa, Va = np.take(X, live, axis=1), np.take(V, live, axis=1)
+    for _ in range(_kernels._MAX_STEPS):
+        m = len(live)
+        if not m:
+            break
+        A = np.abs(Va)
+        w = np.maximum(A[1] > A[0], 2 * (A[2] > np.maximum(A[0], A[1])))
+        pick = w * m + np.arange(m)
+        va = np.take(Va, pick)
+        grad = np.take(np.einsum("kj,jn->kn", G, Xa), (pick + 2 * m * w) + m * np.arange(3)[:, None])
+        grad -= np.einsum("in,in->n", grad, Xa) * Xa
+        gn2 = np.einsum("in,in->n", grad, grad)
+        ok = gn2 > 1e-30 * scale * scale
+        if not ok.all():
+            gn2[~ok] = 1.0
+        gn = np.sqrt(gn2)
+        u = va / gn2
+        disc = 1.0 - 4.0 * u * np.take(residual(grad / gn), pick)
+        t = 2.0 * u / (1.0 + np.sqrt(np.where(disc > 1e-12, disc, 0.0)))
+        lim = step_cap / gn
+        Y = Xa - grad * np.clip(t, -lim, lim)
+        Y /= np.sqrt(np.einsum("in,in->n", Y, Y))
+        VY = residual(Y)
+        better = (np.abs(np.take(VY, pick)) < 0.9 * np.abs(va)) & ok
+        if not better.all():
+            Y[:, ~better], VY[:, ~better] = Xa[:, ~better], Va[:, ~better]
+        Xa, Va = Y, VY
+        Fa = np.abs(Va).max(axis=0)
+        go = (Fa > target) & better
+        if not go.all():
+            X[:, live[~go]], F[live[~go]] = Xa[:, ~go], Fa[~go]
+            live, Xa, Va = live[go], Xa[:, go], Va[:, go]
+    X[:, live] = Xa
+    F[live] = np.abs(Va).max(axis=0)
+    return X.T.copy(), F
 
 
 def _reference_coarse_scan(M, grid, tau):
@@ -310,6 +373,31 @@ def test_nearest_distance_matches_dense_minimum(exclude):
     assert _nearest_distance(far, b, 0.1, np.array([3]), 0.6)[0] == 0.5
     assert _nearest_distance(far, b, 0.1, np.array([1]), 0.6)[0] == 1.0
     assert _nearest_distance(far, b, 0.1, np.array([1]), 1.5)[0] == 2.0
+
+
+def _both_scans(monkeypatch, f, *args):
+    # f's result with every _nearest_distance call scanning all rows of a
+    # against b, and with every call searching the cells first
+    got = []
+    for dense in (1 << 62, 0):
+        monkeypatch.setattr(mg, "_DENSE_PAIRS", dense)
+        got.append(f(*args))
+    return got
+
+
+@pytest.mark.parametrize("name", ["faces", "diagonals", "single", "duplicates", "axis-zeros", "wide-clusters"])
+def test_small_cloud_scan_is_the_cell_search(monkeypatch, name):
+    pts = _isolated_clouds()[name]
+    args = (pts, pts, ISO_RADIUS, np.arange(len(pts)), 2.0 * mg._MERGE_RADIUS)
+    dense, cells = _both_scans(monkeypatch, _nearest_distance, *args)
+    assert dense.tobytes() == cells.tobytes()
+
+
+@pytest.mark.parametrize("tag, L, enum", list(_sources()))
+def test_oracle_match_is_the_same_with_either_scan(monkeypatch, tag, L, enum):
+    pts = geodesic_brute_force(L, grid=200)
+    dense, cells = _both_scans(monkeypatch, oracle_match, enum, pts, 200)
+    assert repr(dataclasses.astuple(dense)) == repr(dataclasses.astuple(cells))
 
 
 @pytest.mark.parametrize("tag, L, enum", list(_sources()))
@@ -618,6 +706,97 @@ def test_refine_matches_rowwise_reference(tag, L, enum):
     assert not apart.any() or (tag in ("B1", "B2") and (fg[apart] <= keep).all())
     # the defects returned are the scan kernel's on the returned points
     assert np.array_equal(fg, defect_max_batch(M, monomial_table(got).T))
+
+
+def _grid_seeds(M, grid):
+    # the points of the whole lattice within the oracle's coarse cut
+    X = _sphere_grid(grid)
+    scale = float(np.abs(M).max())
+    return np.ascontiguousarray(X[defect_max_batch(M, monomial_table(X).T) <= 3.0 * scale * 2.0 * math.pi / grid])
+
+
+def _oracle_seeds(M, grid=400):
+    # the seeds geodesic_brute_force refines
+    scale = float(np.abs(M).max())
+    return _hemisphere_points(grid, _coarse_scan(M, scale, grid, 3.0 * scale * 2.0 * math.pi / grid)[0])
+
+
+def _assert_refine_is_the_parents(M, seeds, grid):
+    h = 2.0 * math.pi / grid
+    args = (M, seeds, 3.0 * h, 1e-13 * float(np.abs(M).max()))
+    for got, want in zip(refine_batch(*args), _parent_refine_batch(*args)):
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+def _identity_defects(L):
+    return _defect_matrices(L.c, Metric3.identity())
+
+
+@pytest.mark.parametrize("tag, L, enum", list(_sources()))
+def test_refine_is_the_parents_refinement(tag, L, enum):
+    M = _identity_defects(L)
+    _assert_refine_is_the_parents(M, _grid_seeds(M, 200), 200)
+
+
+def test_refine_is_the_parents_on_the_b2_circle_through_the_pole():
+    M = _identity_defects(from_milnor(MilnorParameters.from_pqr(1.0, 0.0, 1.0)))
+    seeds = _oracle_seeds(M)
+    assert len(seeds) > 18_000
+    _assert_refine_is_the_parents(M, seeds, 400)
+
+
+def test_refine_is_the_parents_up_to_the_step_cap(monkeypatch):
+    # an A2 source with points still moving after _MAX_STEPS steps
+    calls = []
+    trial = _kernels._trial
+    monkeypatch.setattr(_kernels, "_trial", lambda *args: calls.append(1) or trial(*args))
+    M = _identity_defects(from_milnor(MilnorParameters.from_pqr(-2.795513014275484, 0.7641596652750372, -2.99037686395711)))
+    seeds = _oracle_seeds(M)
+    h = 2.0 * math.pi / 400
+    refine_batch(M, seeds, 3.0 * h, 1e-13 * float(np.abs(M).max()))
+    assert len(calls) == _kernels._MAX_STEPS
+    _assert_refine_is_the_parents(M, seeds, 400)
+
+
+@pytest.mark.parametrize("lam", [1e-150, 1e150])
+@pytest.mark.parametrize("pqr", [(1.0, 0.0, 1.0), (1.5, 0.5, 1.0), (0.0, 0.8, 1.3)])
+def test_refine_is_the_parents_at_extreme_scales(pqr, lam):
+    p, q, r = pqr
+    M = _identity_defects(from_milnor(MilnorParameters.from_pqr(lam * p, q, lam * r)))
+    _assert_refine_is_the_parents(M, _grid_seeds(M, 200), 200)
+
+
+@pytest.mark.parametrize("ties", ["V0 = V1", "|V1| = |V2|", "|V0| = |V1| = |V2|"])
+def test_refine_is_the_parents_on_tied_residuals(ties):
+    # equal (or opposite) matrices M_k tie the residuals of every point,
+    # and on a tie both pick the first worst one; the M_k are an
+    # algebra's, with at most two nonzero entries in each row
+    M0, M1, M2 = _identity_defects(from_milnor(MilnorParameters.from_pqr(1.5, 0.5, 1.0)))
+    M = {"V0 = V1": [M0, M0, M2], "|V1| = |V2|": [M0, M1, -M1], "|V0| = |V1| = |V2|": [M0, -M0, M0]}[ties]
+    seeds = _unit_rows(np.random.default_rng(53).standard_normal((2000, 3)))
+    _assert_refine_is_the_parents(np.array(M), seeds, 200)
+
+
+def test_refine_is_independent_of_the_batch():
+    # dense M_k (a general metric's): each point's path is its own, so
+    # refining the points in two halves gives the bits of refining them
+    # together (``_parent_refine_batch``'s gradient sums take the order of the
+    # live set's memory layout, which its boolean-mask compaction transposes)
+    rng = np.random.default_rng(61)
+    M = np.array([a + a.T for a in rng.standard_normal((3, 3, 3))])
+    seeds = _unit_rows(rng.standard_normal((2000, 3)))
+    args = (3.0 * 2.0 * math.pi / 200, 1e-13 * float(np.abs(M).max()))
+    pts, fr = refine_batch(M, seeds, *args)
+    for half in (slice(0, None, 2), slice(1, None, 2)):
+        got, fg = refine_batch(M, seeds[half], *args)
+        assert got.tobytes() == pts[half].tobytes() and fg.tobytes() == fr[half].tobytes()
+
+
+def test_monomial_table_is_the_gathered_products():
+    rng = np.random.default_rng(59)
+    for X in (rng.standard_normal((1000, 3)), rng.standard_normal((7, 3))[::2], np.zeros((0, 3)), _sphere_grid(100)):
+        got = monomial_table(X)
+        assert got.flags.c_contiguous and got.tobytes() == _gather_monomials(X).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
