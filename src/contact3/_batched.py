@@ -133,7 +133,7 @@ def _representative_summary(p: np.ndarray, q: np.ndarray, r: float):
         pair = np.where(shear[:, None, None], np.stack([iso, -iso], axis=1), E1)
         circle_probes = np.concatenate([pair, ct * E1 + st * v[:, None, :]], axis=1)
         probes = np.where(circle[:, None, None], circle_probes, axis_probes)
-        not_unit, not_geodesic = _probe_faults(_defect_matrices(c, _I3), probes)
+        not_unit, not_geodesic = _probe_faults(_defect_matrices(c, _I3), probes, scale)
         ok &= ~not_unit & ~not_geodesic
         ok &= ~(two & (np.minimum(t1 - t0, math.pi - t1 + t0) < _TIE))
         ok &= ~(shear & (np.abs(q_) < _TIE))
@@ -177,7 +177,7 @@ def _representative_summary(p: np.ndarray, q: np.ndarray, r: float):
             [np.broadcast_to(br.ok & _passes(_family_gates(br.family, br.params)), len(br.rows)) for br in branches]
         )
         cr, sr, F = c[rows], scale[rows], np.stack([xi, e, fe], axis=-1)
-        good &= _geodesic(_defect_matrices(cr, _I3), _I3, x) & _orthonormal(F, _I3.g)
+        good &= _geodesic(_defect_matrices(cr, _I3), _I3, x, sr) & _orthonormal(F, _I3.g)
         good &= _normal_form_check(_basis_constants(cr, F), nf, sr)[1]
         checks, (_, contact, _), residual = _report_checks(cr, sr, xi, e, fe, nf)
         good &= _passes(checks)

@@ -85,7 +85,7 @@ from .metric_geometry import (
     geodesic_defect,
     is_geodesic_vector,
 )
-from .tolerances import FAMILY_A_TOL, IDENTITY_RTOL, INPLANE_TOL, NORMAL_FORM_TOL, NULL_AD_TOL, PREDICATE_TOL, SIGN_TOL
+from .tolerances import IDENTITY_RTOL, NORMAL_FORM_TOL, PREDICATE_TOL
 
 Vector = np.ndarray
 
@@ -173,17 +173,18 @@ def _family_gates(family: str | None, params) -> list[tuple[np.ndarray, str]]:
     """The parameter checks of ``family`` as (pass, message) pairs, elementwise.
 
     ``params`` are numbers, or arrays of one shape.  Each test is relative
-    to s = max(1, max |param|), alpha gamma + beta delta to s^2 (divided
-    by s first, so that it cannot overflow); a NaN fails it.
+    to s = max |param|, alpha gamma + beta delta to s^2 (divided by s, or 1
+    where s = 0, first, so that it cannot overflow); a NaN fails it.
     """
     if family is None:
         return []
-    s = np.abs(params).max(axis=0, initial=1.0)
+    s = np.abs(params).max(axis=0)
     if family == "A":
         a, b, g, d = params
+        div = s + (s == 0.0)
         return [
             (abs(a + d) > IDENTITY_RTOL * s, "family A requires alpha + delta != 0"),
-            (abs(a / s * g + b / s * d) <= FAMILY_A_TOL * s, "family A requires alpha*gamma + beta*delta = 0"),
+            (abs(a / div * g + b / div * d) <= PREDICATE_TOL * s, "family A requires alpha*gamma + beta*delta = 0"),
         ]
     if family == "B":
         return [(abs(params[0]) > IDENTITY_RTOL * s, "family B requires A != 0")]
@@ -191,9 +192,9 @@ def _family_gates(family: str | None, params) -> list[tuple[np.ndarray, str]]:
 
 
 def _normal_form_check(raw: np.ndarray, nf: np.ndarray, scale):
-    """(max |raw - nf|, whether it is within NORMAL_FORM_TOL max(1, scale)) over a leading axis."""
+    """(max |raw - nf|, whether it is within NORMAL_FORM_TOL times the algebra's scale) over a leading axis."""
     residual = np.abs(raw - nf).max(axis=(-3, -2, -1))
-    return residual, residual <= NORMAL_FORM_TOL * np.maximum(1.0, scale)
+    return residual, residual <= NORMAL_FORM_TOL * scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,7 +243,7 @@ class PhiBasisStructure:
     def structure(self) -> AlmostContactStructure:
         """The structure at the identity metric, the one metric in which ``basis`` is orthonormal."""
         b, G = self.basis, _I3.g
-        # structure_from_basis's arithmetic without its frame test, which PhiBasis passed at the same FRAME_TOL
+        # structure_from_basis's arithmetic without its frame test, which PhiBasis passed at the same tolerance
         return AlmostContactStructure(np.outer(b.phi_e, G @ b.e) - np.outer(b.e, G @ b.phi_e), b.xi, G @ b.xi)
 
     def normal_form_constants(self) -> np.ndarray:
@@ -346,7 +347,7 @@ def construct_case2(params, theta: float) -> PhiBasisStructure:
             f"angle {theta!r} violates the in-plane geodesic equation (residual {eq!r})"
         )
     notes = []
-    if abs(C) <= 1e-12 * max(1.0, params.scale) and abs(B) <= 1e-12 * max(1.0, params.scale):
+    if abs(C) <= IDENTITY_RTOL * params.scale and abs(B) <= IDENTITY_RTOL * params.scale:
         notes.append("degenerate point: also admits a family C presentation (Abar=0)")
     return PhiBasisStructure(
         "B", (A, B, C), PhiBasis(xi, e, phi_e), 2, from_milnor(params), tuple(notes)
@@ -357,14 +358,14 @@ def _case2_form(a, b, g, d, scale, ct, st):
     """Branch 2 at the angle t with cos t = ct and sin t = st, elementwise over numbers or arrays.
 
     Returns the in-plane equation's residual, whether it is within
-    INPLANE_TOL max(1, scale), (A, B, C) and the frame (xi, e1, phi_e).
+    PREDICATE_TOL times the scale, (A, B, C) and the frame (xi, e1, phi_e).
     """
     eq = a * ct * ct + (b + g) * st * ct + d * st * st
     A = d * ct * ct - (b + g) * st * ct + a * st * st
     B = -(g * ct * ct + (d - a) * st * ct - b * st * st)
     C = b * ct * ct + (d - a) * st * ct - g * st * st
     zero = ct - ct  # +0.0 in ct's shape
-    ok = abs(eq) <= INPLANE_TOL * np.maximum(1.0, scale)
+    ok = abs(eq) <= PREDICATE_TOL * scale
     return eq, ok, (A, B, C), np.array([zero, ct, st]).T, E1, np.array([zero, st, -ct]).T
 
 
@@ -506,12 +507,12 @@ def _outside_form(c: np.ndarray, scale, xi: np.ndarray):
     c holds structure constants (..., 3, 3, 3), xi unit vectors (..., 3).
     The frame rotation is fixed by putting the kernel of ad(xi)|ker eta
     along phi_e (the image of ad is one-dimensional on these algebras), so
-    [xi, phi_e] = 0; ad(xi) within NULL_AD_TOL max(1, scale) of zero
+    [xi, phi_e] = 0; ad(xi) within IDENTITY_RTOL times the scale of zero
     keeps the rotation at 0.
     """
     u, v = _adapted_frame(_I3, xi)
     M = np.swapaxes(_basis_constants(c, np.stack([xi, u, v], axis=-1))[..., 0, 1:, 1:], -1, -2)  # M[w, z] = w . [xi, z]
-    small = np.abs(M).max(axis=(-2, -1)) <= NULL_AD_TOL * np.maximum(1.0, scale)
+    small = np.abs(M).max(axis=(-2, -1)) <= IDENTITY_RTOL * scale
     # kernel direction of M (det M = 0 here): null right-singular vector;
     # a non-finite M fails the caller's checks, only the SVD must not see it
     k = np.linalg.svd(np.where(np.isfinite(M), M, 0.0))[2][..., -1, :]
@@ -539,11 +540,11 @@ class ClassificationReport:
 
 
 def _canonical_sign(x: np.ndarray) -> np.ndarray:
-    """x or -x, whichever has its first component of magnitude above SIGN_TOL positive, over a leading axis.
+    """x or -x, whichever has its first component of magnitude above PREDICATE_TOL positive, over a leading axis.
 
     A row with no such component is NaN.
     """
-    big = np.abs(x) > SIGN_TOL
+    big = np.abs(x) > PREDICATE_TOL
     lead = np.take_along_axis(x, np.argmax(big, axis=-1)[..., None], axis=-1)
     return np.where(big.any(axis=-1, keepdims=True), np.where(lead > 0, x, -x), np.nan)
 
@@ -589,7 +590,8 @@ def classify(source, xi) -> ClassificationReport:
     ker d_eta is equivalent to xi geodesic); it is matched against the
     closed-form geodesic enumeration and routed to the branch that covers
     it, folding xi to the canonical sign representative.  The geodesic
-    test on xi and the report's flags decide at ``PREDICATE_TOL``.
+    test on xi and the contact and normal flags decide at ``PREDICATE_TOL``
+    times the algebra's scale.
 
     A MilnorParameters or LinearFunctional source keeps its enumeration
     and the structures of the discrete branches (1, 2, 3, 5 and 6, by the
@@ -737,7 +739,7 @@ def _representatives(source, L: LieAlgebra3, enum: GeodesicEnumeration) -> list[
     xs = np.array([v / np.linalg.norm(v) for v, _, _ in features])
     special = enum.families[0].v if enum.case_tag in ("B1", "C1") else None
     routes = []
-    for x, (v, kind, payload), ok in zip(xs, features, _geodesic(L._defect, _I3, xs)):
+    for x, (v, kind, payload), ok in zip(xs, features, _geodesic(L._defect, _I3, xs, L.scale)):
         if not ok:
             raise _not_geodesic(L, x, kind == "dual")
         # _route's tie rule: a B1/C1 root not nearer than the special direction by 1e-12 goes to branch 3
@@ -834,9 +836,10 @@ def is_isomorphic(s1: PhiBasisStructure, s2: PhiBasisStructure):
     D1, D2 = s1.invariant_D(), s2.invariant_D()
     if abs(D1 - D2) > 1e-6 * max(1.0, abs(D1), abs(D2)):
         return None
-    c1 = s1.raw_basis_constants()
-    c2 = s2.raw_basis_constants()
-    scale = max(1.0, float(np.abs(c1).max()), float(np.abs(c2).max()))
+    c1, c2 = s1.raw_basis_constants(), s2.raw_basis_constants()
+    # exactly rescaled so that the larger scale is in [1/2, 1) and |R|^2 stays in range
+    scale, e = math.frexp(max(float(np.abs(c1).max()), float(np.abs(c2).max())))
+    c1, c2 = np.ldexp(c1, -e), np.ldexp(c2, -e)
     R = _residuals(c1, c2, _frames(np.tile(_SAMPLE_ANGLES, 2), np.repeat([1.0, -1.0], 5)))
     rhos = [np.concatenate(([0.0], _stationary_angles(R[k : k + 5]))) for k in (0, 5)]
     F = _frames(np.concatenate(rhos), np.repeat([1.0, -1.0], [len(r) for r in rhos]))

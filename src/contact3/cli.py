@@ -189,6 +189,14 @@ def _scalar_atlas_row(p: float, q: float, r: float) -> dict:
     )
 
 
+def _discriminant(a: float, b: float, g: float, d: float) -> float:
+    """(beta + gamma)^2 - 4 alpha delta; inf or nan past the float range, where ``** 2`` raises."""
+    try:
+        return (b + g) ** 2 - 4.0 * a * d
+    except OverflowError:
+        return (b + g) * (b + g) - 4.0 * a * d
+
+
 def _atlas_row(p: float, q: float, r: float, tag: str, n_isolated: int, contact: bool, residual: float) -> dict:
     a, b, g, d = _adapted_coefficients(p, q, r)  # MilnorParameters.from_pqr
     return {
@@ -196,7 +204,7 @@ def _atlas_row(p: float, q: float, r: float, tag: str, n_isolated: int, contact:
         "q": q,
         "r": r,
         "geodesic_case": tag,
-        "Delta": (b + g) ** 2 - 4.0 * a * d,
+        "Delta": _discriminant(a, b, g, d),
         "D": _milnor_D(a, b, g, d),
         "n_discrete_geodesics": n_isolated,
         "has_contact_structure": contact,

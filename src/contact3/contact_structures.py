@@ -31,7 +31,7 @@ import numpy as np
 
 from .lie_core import LieAlgebra3, _as_vector, bracket
 from .metric_geometry import _I3, Metric3, _dot
-from .tolerances import FRAME_TOL, IDENTITY_RTOL, PREDICATE_TOL
+from .tolerances import IDENTITY_RTOL, PREDICATE_TOL
 
 Vector = np.ndarray
 
@@ -95,8 +95,8 @@ def _structure_axioms(phi: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> list[
 
 
 def _orthonormal(B: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """|B^T G B - I| within FRAME_TOL, over a leading axis of the frames B (..., 3, 3); a NaN fails."""
-    return np.abs(B.swapaxes(-1, -2) @ G @ B - _I3.g).max(axis=(-2, -1)) <= FRAME_TOL
+    """|B^T G B - I| within PREDICATE_TOL, over a leading axis of the frames B (..., 3, 3); a NaN fails."""
+    return np.abs(B.swapaxes(-1, -2) @ G @ B - _I3.g).max(axis=(-2, -1)) <= PREDICATE_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,13 +209,13 @@ def _ker_deta_routes(c: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> tuple[np
 
 
 def xi_in_ker_deta(L: LieAlgebra3, s: AlmostContactStructure) -> bool:
-    """True iff |d_eta(xi, e_i)| <= PREDICATE_TOL for all i.
+    """True iff |d_eta(xi, e_i)| <= PREDICATE_TOL * L.scale for all i.
 
     Computed both as xi contracted into the d_eta matrix and as the Lie
     derivative L_xi eta = -eta o ad(xi) (``_ker_deta``).  The two routes
     contract in different orders, so they are held to agree to rounding
     rather than on the boolean, which can differ when a value sits within
-    rounding of PREDICATE_TOL; the decision is the d_eta route's.
+    rounding of the bound; the decision is the d_eta route's.
     """
     agree, in_kernel = _ker_deta(L.c, L.scale, s.xi, s.eta)
     if not agree:
@@ -226,9 +226,9 @@ def xi_in_ker_deta(L: LieAlgebra3, s: AlmostContactStructure) -> bool:
 def _ker_deta(c: np.ndarray, scale, xi: np.ndarray, eta: np.ndarray):
     """(the two routes agree to IDENTITY_RTOL relative to the data, xi in ker d_eta), over a leading axis."""
     via_deta, via_lie = _ker_deta_routes(c, xi, eta)
-    size = np.maximum(1.0, scale) * np.abs(xi).max(axis=-1, initial=1.0) * np.abs(eta).max(axis=-1, initial=1.0)
+    size = scale * np.abs(xi).max(axis=-1, initial=1.0) * np.abs(eta).max(axis=-1, initial=1.0)
     agree = np.abs(via_deta - via_lie).max(axis=-1) <= IDENTITY_RTOL * size
-    return agree, (np.abs(via_deta) <= PREDICATE_TOL).all(axis=-1)
+    return agree, np.abs(via_deta).max(axis=-1) <= PREDICATE_TOL * scale
 
 
 def check_ker_condition(L: LieAlgebra3, s: AlmostContactStructure) -> bool:
@@ -236,7 +236,7 @@ def check_ker_condition(L: LieAlgebra3, s: AlmostContactStructure) -> bool:
 
     This restates the precondition xi in ker d_eta: X = Y - eta(Y) xi runs
     over ker eta, and eta([xi, X]) = eta([xi, Y]) = -d_eta(xi, Y) because
-    [xi, xi] = 0.  So the check is ``xi_in_ker_deta``, at PREDICATE_TOL:
+    [xi, xi] = 0.  So the check is ``xi_in_ker_deta``, at PREDICATE_TOL * L.scale:
     it returns True, or raises KerConditionViolation where xi is not in
     ker d_eta.
     """
@@ -257,8 +257,8 @@ def eta_wedge_deta(L: LieAlgebra3, s: AlmostContactStructure) -> float:
 
 
 def is_contact_form(L: LieAlgebra3, s: AlmostContactStructure) -> bool:
-    """True iff the 3-form eta ^ d_eta is nonzero: |(eta ^ d_eta)(e1, e2, e3)| above PREDICATE_TOL."""
-    return abs(eta_wedge_deta(L, s)) > PREDICATE_TOL
+    """True iff |(eta ^ d_eta)(e1, e2, e3)| is above PREDICATE_TOL * L.scale, the bound of the report's flag."""
+    return abs(eta_wedge_deta(L, s)) > PREDICATE_TOL * L.scale
 
 
 def nijenhuis_normality_residual(L: LieAlgebra3, s: AlmostContactStructure) -> float:
@@ -280,7 +280,7 @@ def _normality(c: np.ndarray, scale, phi: np.ndarray, xi: np.ndarray, eta: np.nd
     """(N antisymmetric to IDENTITY_RTOL relative to the data, max |N(e_i, e_j)| over i < j), over a leading axis."""
     N = _nijenhuis(c, phi, xi, eta)
     upper, lower = N[..., _UPPER[0], _UPPER[1], :], N[..., _UPPER[1], _UPPER[0], :]
-    size = np.maximum(1.0, scale) * np.abs(phi).max(axis=(-2, -1), initial=1.0) ** 2
+    size = scale * np.abs(phi).max(axis=(-2, -1), initial=1.0) ** 2
     return np.abs(upper + lower).max(axis=(-2, -1)) <= IDENTITY_RTOL * size, np.abs(upper).max(axis=(-2, -1))
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tolerances import IDENTITY_RTOL, UNIMODULAR_TOL
+from .tolerances import IDENTITY_RTOL, PREDICATE_TOL
 
 Vector = np.ndarray
 
@@ -52,8 +52,7 @@ class LieAlgebra3:
             raise ValueError("structure constants must have shape (3, 3, 3)")
         if not np.all(np.isfinite(c)):
             raise ValueError("structure constants must be finite")
-        scale = max(np.abs(c).max(), 1.0)
-        if np.abs(c + np.swapaxes(c, 0, 1)).max() > IDENTITY_RTOL * scale:
+        if np.abs(c + np.swapaxes(c, 0, 1)).max() > IDENTITY_RTOL * np.abs(c).max():
             raise ValueError("structure constants are not antisymmetric in (i, j)")
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
@@ -89,16 +88,18 @@ def _milnor_gates(a, b, g, d):
     """(scale, scale > 0, column orthogonality, alpha + delta != 0), elementwise; a NaN fails all.
 
     The last two are relative to the scale max |coefficient|, which divides
-    alpha gamma + beta delta first so that it cannot overflow.
+    alpha gamma + beta delta first so that it cannot overflow (1 does
+    where every coefficient is 0, which the second gate fails).
     """
     scale = np.abs((a, b, g, d)).max(axis=0)
-    orthogonal = abs(a / scale * g + b / scale * d) <= IDENTITY_RTOL * scale
+    div = scale + (scale == 0.0)
+    orthogonal = abs(a / div * g + b / div * d) <= IDENTITY_RTOL * scale
     return scale, scale > 0.0, orthogonal, abs(a + d) > IDENTITY_RTOL * scale
 
 
 def _non_unimodular(trace, scale):
-    """The unimodularity test, elementwise: |trace ad| above UNIMODULAR_TOL max(scale, 1)."""
-    return trace > UNIMODULAR_TOL * np.maximum(scale, 1.0)
+    """The unimodularity test, elementwise: |trace ad| above PREDICATE_TOL times the scale max |c|."""
+    return trace > PREDICATE_TOL * scale
 
 
 @dataclass(frozen=True)
@@ -246,7 +247,7 @@ def _trace_form(L: LieAlgebra3) -> Vector:
 
 
 def is_unimodular(L: LieAlgebra3) -> bool:
-    """True iff trace ad(e_i) vanishes for every basis vector, to UNIMODULAR_TOL max(scale, 1) (``_non_unimodular``)."""
+    """True iff trace ad(e_i) vanishes for every basis vector, to PREDICATE_TOL * L.scale (``_non_unimodular``)."""
     return bool(not _non_unimodular(np.abs(_trace_form(L)).max(), L.scale))
 
 

@@ -32,7 +32,7 @@ from .lie_core import (
     _as_vector,
     bracket,
 )
-from .tolerances import IDENTITY_RTOL, PREDICATE_TOL, ROOT_MERGE_TOL
+from .tolerances import IDENTITY_RTOL, PREDICATE_TOL
 
 Vector = np.ndarray
 
@@ -74,7 +74,7 @@ class Metric3:
             raise ValueError("metric must be a 3x3 matrix")
         if not np.all(np.isfinite(g)):
             raise ValueError("metric entries must be finite")
-        if np.abs(g - g.T).max() > IDENTITY_RTOL * max(np.abs(g).max(), 1.0):
+        if np.abs(g - g.T).max() > IDENTITY_RTOL * np.abs(g).max():
             raise ValueError("metric must be symmetric")
         if np.linalg.eigvalsh(g).min() <= 0.0:
             raise ValueError("metric must be positive definite")
@@ -144,7 +144,7 @@ def _identity_defect_matrices(L: LieAlgebra3) -> np.ndarray:
 
 
 def is_geodesic_vector(L: LieAlgebra3, g: Metric3, x) -> bool:
-    """True iff |g([x, e_i], x)| <= PREDICATE_TOL * |x|^2 for every basis vector.
+    """True iff |g([x, e_i], x)| <= PREDICATE_TOL * L.scale * |x|^2 for every basis vector.
 
     Equivalent to nabla_x x = 0; the connection-based restatement is kept
     as a separate code path (``levi_civita``) so the two can be checked
@@ -153,16 +153,16 @@ def is_geodesic_vector(L: LieAlgebra3, g: Metric3, x) -> bool:
     x = _as_vector(x)
     if g.inner(x, x) == 0.0:
         raise ValueError("the zero vector cannot be a geodesic vector")
-    return bool(_geodesic(_defects(L, g), g, x))
+    return bool(_geodesic(_defects(L, g), g, x, L.scale))
 
 
-def _geodesic(M: np.ndarray, g: Metric3, x: np.ndarray) -> np.ndarray:
-    """``is_geodesic_vector``'s test over a leading axis of defect matrices M (..., 3, 3, 3) and x (..., 3).
+def _geodesic(M: np.ndarray, g: Metric3, x: np.ndarray, scale) -> np.ndarray:
+    """``is_geodesic_vector``'s test over a leading axis of defect matrices M (..., 3, 3, 3), x (..., 3) and scales.
 
-    M holds ``_defect_matrices`` of the structure constants at the metric g.
+    M holds ``_defect_matrices`` of structure constants of max |c| = scale at the metric g.
     """
     defect = np.abs(_kernels.residual_batch(M, x[..., None, :])[..., 0, :]).max(axis=-1)
-    return defect <= PREDICATE_TOL * _dot(x @ g.g, x)
+    return defect <= PREDICATE_TOL * scale * _dot(x @ g.g, x)
 
 
 def _fold(t):
@@ -184,8 +184,12 @@ def _inplane_roots(a: float, h: float, d: float, scale: float) -> tuple[list[flo
     """(``inplane_geodesic_angles`` of alpha, h = (beta+gamma)/2 and delta, whether they pass the residual check).
 
     The batched atlas pass maps it over its rows, whose alpha + delta must
-    be nonzero, as for any MilnorParameters.
+    be nonzero, as for any MilnorParameters.  It solves at the scale times
+    2^-e in [1/4, 1), so no product over- or underflows; e is even, so the
+    square roots rescale exactly too, and finite solves keep their angles.
     """
+    e = math.frexp(scale)[1] + 1 & ~1
+    a, h, d, scale = (math.ldexp(v, -e) for v in (a, h, d, scale))
     det = a * d - h * h
     if det > 0.0:
         return [], True
@@ -195,7 +199,7 @@ def _inplane_roots(a: float, h: float, d: float, scale: float) -> tuple[list[flo
     phi = 0.5 * math.atan2(2.0 * h, a - d)
     psi = math.atan2(math.sqrt(lam_plus), math.sqrt(-lam_minus))
     roots = sorted({_fold(phi + psi), _fold(phi - psi)})
-    if len(roots) == 2 and min(roots[1] - roots[0], math.pi - roots[1] + roots[0]) <= ROOT_MERGE_TOL:
+    if len(roots) == 2 and min(roots[1] - roots[0], math.pi - roots[1] + roots[0]) <= IDENTITY_RTOL:
         del roots[1]
     residuals = [a * math.cos(t) ** 2 + 2.0 * h * math.sin(t) * math.cos(t) + d * math.sin(t) ** 2 for t in roots]
     return roots, all(abs(res) <= IDENTITY_RTOL * scale for res in residuals)
@@ -208,9 +212,9 @@ def inplane_geodesic_angles(params: MilnorParameters | tuple) -> list[float]:
     h = (beta+gamma)/2: phi +- atan2(sqrt(lam_plus), sqrt(-lam_minus)), with
     phi the angle of the lam_plus eigenvector.  The eigenvalue of smaller
     magnitude is det S / (the larger one), which avoids the cancellation
-    of the quadratic formula.  Empty when det S > 0; roots within
-    ROOT_MERGE_TOL are one, and each must solve the equation to
-    IDENTITY_RTOL times the scale (ArithmeticError otherwise).
+    of the quadratic formula, solved at an exact power-of-two rescale.
+    Empty when det S > 0; roots within IDENTITY_RTOL are one, and each must
+    solve the equation to IDENTITY_RTOL times the scale (ArithmeticError otherwise).
     """
     params = _as_milnor(params)
     roots, ok = _inplane_roots(params.alpha, 0.5 * (params.beta + params.gamma), params.delta, params.scale)
@@ -334,16 +338,16 @@ class GeodesicEnumeration:
 _CIRCLE_PROBES = np.linspace(0.0, 2.0 * math.pi, 13)
 
 
-def _probe_faults(M: np.ndarray, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _probe_faults(M: np.ndarray, probes: np.ndarray, scale) -> tuple[np.ndarray, np.ndarray]:
     """(some probe is not unit, some probe fails the geodesic gate) per probe set.
 
     ``probes`` has shape (..., k, 3) and ``M`` the matching defect matrices
-    at the identity metric (``_defect_matrices``), shape (..., 3, 3, 3);
-    the geodesic gate is the defect PREDICATE_TOL.
+    at the identity metric (``_defect_matrices``) of constants of max |c| =
+    scale, shapes (..., 3, 3, 3) and (...); the gate is ``_geodesic``'s.
     """
-    not_unit = np.any(np.abs(_norm(probes) - 1.0) > IDENTITY_RTOL, axis=-1)
+    unit = np.all(np.abs(_norm(probes) - 1.0) <= IDENTITY_RTOL, axis=-1)
     defect = np.abs(_kernels.residual_batch(M, probes)).max(axis=-1)
-    return not_unit, np.any(defect > PREDICATE_TOL, axis=-1)
+    return ~unit, ~np.all(defect <= PREDICATE_TOL * np.asarray(scale)[..., None], axis=-1)
 
 
 def _check_enumeration(L: LieAlgebra3, enum: GeodesicEnumeration) -> None:
@@ -351,7 +355,7 @@ def _check_enumeration(L: LieAlgebra3, enum: GeodesicEnumeration) -> None:
     for fam in enum.families:
         ts = fam.angles if fam.angles is not None else _CIRCLE_PROBES
         probes.extend(fam.point(t) for t in ts)
-    not_unit, not_geodesic = _probe_faults(L._defect, np.array(probes))
+    not_unit, not_geodesic = _probe_faults(L._defect, np.array(probes), L.scale)
     if not_unit:
         raise AssertionError("enumerated vector is not unit")
     if not_geodesic:

@@ -2,8 +2,9 @@
 
 Each group draws its own reproducible sample, checks one family of
 identities or predicates, and reports a pass/fail with a short detail
-line.  The CLI ``verify`` subcommand runs these; ``tests/test_verify.py``
-runs every group at its full sample size.
+line.  Each group's sample sizes are constants inside it, so a seed is
+all a caller sets.  The CLI ``verify`` subcommand runs these, and so
+does ``tests/test_verify.py``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .contact_structures import (
     check_ker_condition,
     compatibility_residual,
     d_eta,
-    eta_wedge_deta,
+    is_contact_form,
     is_contact_metric,
     lie_derivative_eta,
     nijenhuis_normality_residual,
@@ -182,8 +183,9 @@ def _group(name: str):
 
 
 @_group("axioms")
-def check_axioms(seed: int = 42, n: int = 1000) -> GroupResult:
+def check_axioms(seed: int = 42) -> GroupResult:
     """Structure axioms and metric compatibility for random (algebra, xi)."""
+    n = 1000
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n):
@@ -201,8 +203,9 @@ def check_axioms(seed: int = 42, n: int = 1000) -> GroupResult:
 
 
 @_group("ker-deta-equivalence")
-def check_ker_deta_equivalence(seed: int = 42, n: int = 1000) -> GroupResult:
+def check_ker_deta_equivalence(seed: int = 42) -> GroupResult:
     """d_eta(xi, .) = 0 and L_xi eta = 0 agree as predicates, pair by pair."""
+    n = 1000
     rng = np.random.default_rng(seed)
     agree = 0
     for _ in range(n):
@@ -214,13 +217,11 @@ def check_ker_deta_equivalence(seed: int = 42, n: int = 1000) -> GroupResult:
         via_lie = all(abs(lie_derivative_eta(L, s, eye[i])) <= 1e-9 for i in range(3))
         agree += via_deta == via_lie
         xi_in_ker_deta(L, s)  # raises if its internal cross-check disagrees
-    return GroupResult(
-        "ker-deta-equivalence", agree == n, f"{agree}/{n} boolean agreements"
-    )
+    return GroupResult("ker-deta-equivalence", agree == n, f"{agree}/{n} boolean agreements")
 
 
 @_group("ker-bracket")
-def check_ker_bracket(seed: int = 42, n: int = 1000) -> GroupResult:
+def check_ker_bracket(seed: int = 42) -> GroupResult:
     """[xi, X] stays in ker eta for X in ker eta exactly when xi is in ker d_eta.
 
     Every other xi is geodesic (in ker d_eta), the rest random, and every
@@ -232,6 +233,7 @@ def check_ker_bracket(seed: int = 42, n: int = 1000) -> GroupResult:
     ``check_ker_condition`` must accept xi where it holds and raise
     ``KerConditionViolation`` where it fails; both outcomes must occur.
     """
+    n = 1000
     rng = np.random.default_rng(seed)
     agree = 0
     outcomes = set()
@@ -246,7 +248,7 @@ def check_ker_bracket(seed: int = 42, n: int = 1000) -> GroupResult:
             xi = np.linalg.solve(g.g, _trace_form(L)) if i % 2 == 0 else _unit(rng)
             xi = xi / g.norm(xi)
         s = build_structure(g, xi)
-        want = all(abs(s.eta @ bracket(L, s.xi, x)) <= PREDICATE_TOL for x in s.phi.T)
+        want = all(abs(s.eta @ bracket(L, s.xi, x)) <= PREDICATE_TOL * L.scale for x in s.phi.T)
         ok = xi_in_ker_deta(L, s) == want
         try:
             ok &= check_ker_condition(L, s) and want
@@ -260,13 +262,12 @@ def check_ker_bracket(seed: int = 42, n: int = 1000) -> GroupResult:
 
 
 @_group("geodesic-oracle")
-def check_geodesic_oracle(seed: int = 42, n: int = 200, grid: int = 400) -> GroupResult:
+def check_geodesic_oracle(seed: int = 42) -> GroupResult:
     """Closed-form enumeration against the brute-force sphere scan."""
+    n, grid = 200, 400
     rng = np.random.default_rng(seed)
     h = 2.0 * math.pi / grid
-    worst = 0.0
-    worst_gap = 0.0
-    mismatches = 0
+    worst, worst_gap, mismatches = 0.0, 0.0, 0
     per_tag = {t: 0 for t in CASE_TAGS}
     for i in range(n):
         _, L, enum = resolve_source(_tag_source(rng, i))
@@ -286,26 +287,18 @@ def check_geodesic_oracle(seed: int = 42, n: int = 200, grid: int = 400) -> Grou
 
 
 @_group("angle-roots")
-def check_angle_roots(seed: int = 42, n: int = 200) -> GroupResult:
+def check_angle_roots(seed: int = 42) -> GroupResult:
     """Every returned in-plane angle satisfies its equation to 1e-12 * scale."""
+    n = 200
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n):
         params = sample_params(rng)
         for t in inplane_geodesic_angles(params):
-            ct, st = math.cos(t), math.sin(t)
-            res = abs(
-                params.alpha * ct * ct
-                + (params.beta + params.gamma) * st * ct
-                + params.delta * st * st
-            ) / max(params.scale, 1e-300)
-            worst = max(worst, res)
+            ct, st, a, d = math.cos(t), math.sin(t), params.alpha, params.delta
+            worst = max(worst, abs(a * ct * ct + (params.beta + params.gamma) * st * ct + d * st * st) / params.scale)
     fixed = inplane_geodesic_angles((3.0, 0.0, 0.0, -1.0))
-    fixed_ok = (
-        len(fixed) == 2
-        and abs(fixed[0] - math.pi / 3.0) <= 1e-12
-        and abs(fixed[1] - 2.0 * math.pi / 3.0) <= 1e-12
-    )
+    fixed_ok = len(fixed) == 2 and max(abs(fixed[0] - math.pi / 3.0), abs(fixed[1] - 2.0 * math.pi / 3.0)) <= 1e-12
     return GroupResult(
         "angle-roots",
         worst <= 1e-12 and fixed_ok,
@@ -315,28 +308,24 @@ def check_angle_roots(seed: int = 42, n: int = 200) -> GroupResult:
 
 
 @_group("trace-identity")
-def check_trace_identity(seed: int = 42, n: int = 100) -> GroupResult:
+def check_trace_identity(seed: int = 42) -> GroupResult:
     """A = alpha + delta at every admissible in-plane angle."""
+    n = 100
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    produced = 0
+    worst, produced = 0.0, 0
     while produced < n:
         params = sample_params(rng, "A2")
         for t in inplane_geodesic_angles(params):
-            ps = construct_case2(params, t)
-            A = ps.params[0]
-            worst = max(
-                worst, abs(A - (params.alpha + params.delta)) / max(params.scale, 1e-300)
-            )
+            A = construct_case2(params, t).params[0]
+            worst = max(worst, abs(A - (params.alpha + params.delta)) / params.scale)
             produced += 1
-    return GroupResult(
-        "trace-identity", worst <= 1e-12, f"{produced} angles, worst |A-(alpha+delta)| {worst:.2e}"
-    )
+    return GroupResult("trace-identity", worst <= 1e-12, f"{produced} angles, worst |A-(alpha+delta)| {worst:.2e}")
 
 
 @_group("normal-forms")
-def check_normal_forms(seed: int = 42, n: int = 60) -> GroupResult:
+def check_normal_forms(seed: int = 42) -> GroupResult:
     """Raw brackets in the adapted basis equal the stored normal form."""
+    n = 60
     rng = np.random.default_rng(seed)
     worst = 0.0
     branches = set()
@@ -355,21 +344,20 @@ def check_normal_forms(seed: int = 42, n: int = 60) -> GroupResult:
 
 
 @_group("contact-criterion")
-def check_contact_criterion(seed: int = 42, n: int = 150) -> GroupResult:
+def check_contact_criterion(seed: int = 42) -> GroupResult:
     """The report's contact flags against eta ^ d_eta and d_eta = Phi on the ambient structure.
 
-    eta is a contact form when |eta ^ d_eta| exceeds PREDICATE_TOL times
-    the algebra's scale; family C never is.
+    The contact flag must equal ``is_contact_form`` (|eta ^ d_eta| above
+    PREDICATE_TOL times the algebra's scale); family C never is contact.
     """
+    n = 150
     rng = np.random.default_rng(seed)
-    exceptions = 0
-    n_contact = 0
-    checked = 0
+    exceptions, n_contact, checked = 0, 0, 0
     for i in range(n):
         for rep in classify_representatives(_tag_source(rng, i)):
             checked += 1
             L, s = rep.structure.algebra, rep.structure.structure()
-            exceptions += rep.contact_form != (abs(eta_wedge_deta(L, s)) > PREDICATE_TOL * L.scale)
+            exceptions += rep.contact_form != is_contact_form(L, s)
             exceptions += rep.contact_metric != is_contact_metric(L, s, _I3)
             if rep.family == "C" and rep.contact_form:
                 exceptions += 1
@@ -382,7 +370,7 @@ def check_contact_criterion(seed: int = 42, n: int = 150) -> GroupResult:
 
 
 @_group("normality")
-def check_normality(seed: int = 42, n: int = 150) -> GroupResult:
+def check_normality(seed: int = 42) -> GroupResult:
     """The normal flag against the Nijenhuis tensor N, in the adapted frame and ambient.
 
     Structures: the representatives of every case tag, plus B, C and None
@@ -394,6 +382,7 @@ def check_normality(seed: int = 42, n: int = 150) -> GroupResult:
     the flag must equal max |N| <= PREDICATE_TOL * scale on the ambient
     structure, and both outcomes must occur.
     """
+    n = 150
     rng = np.random.default_rng(seed)
     frame = structure_from_basis(_I3, E1, E2, E3)
     worst, mismatches, outcomes, families = 0.0, 0, {True: 0, False: 0}, set()
@@ -425,8 +414,9 @@ def check_normality(seed: int = 42, n: int = 150) -> GroupResult:
 
 
 @_group("existence")
-def check_existence(seed: int = 42, n: int = 200) -> GroupResult:
+def check_existence(seed: int = 42) -> GroupResult:
     """Every admissible algebra carries a structure with xi in ker d_eta."""
+    n = 200
     rng = np.random.default_rng(seed)
     ok = 0
     for _ in range(n):
@@ -438,21 +428,17 @@ def check_existence(seed: int = 42, n: int = 200) -> GroupResult:
 
 
 @_group("reductions")
-def check_reductions(seed: int = 42, n: int = 50) -> GroupResult:
+def check_reductions(seed: int = 42) -> GroupResult:
     """Branch coincidences: 3 inside B, 5 and 6 inside A, rank-one overlap."""
+    n = 50
     rng = np.random.default_rng(seed)
     issues = []
     for _ in range(n):
-        params = sample_params(rng, "B1")
-        ps = construct_case3(params)
-        expect = (params.alpha, 0.0, -params.beta)
-        if max(abs(a - b) for a, b in zip(ps.params, expect)) > 1e-12 * params.scale:
-            issues.append("branch-3 specialization")
-        params_m = sample_params(rng, "C1")
-        ps = construct_case3(params_m)
-        expect = (params_m.delta, 0.0, -params_m.gamma)
-        if max(abs(a - b) for a, b in zip(ps.params, expect)) > 1e-12 * params_m.scale:
-            issues.append("branch-3 mirror specialization")
+        for tag, name in (("B1", "branch-3 specialization"), ("C1", "branch-3 mirror specialization")):
+            m = sample_params(rng, tag)
+            expect = (m.alpha, 0.0, -m.beta) if tag == "B1" else (m.delta, 0.0, -m.gamma)
+            if max(abs(a - b) for a, b in zip(construct_case3(m).params, expect)) > 1e-12 * m.scale:
+                issues.append(name)
         params0 = sample_params(rng, "D")
         rep = classify(params0, np.array([1.0, 0.0, 0.0]))
         if rep.family != "A" or rep.structure.source_construction != 5:
@@ -473,11 +459,11 @@ def check_reductions(seed: int = 42, n: int = 50) -> GroupResult:
 
 
 @_group("isomorphism")
-def check_isomorphism(seed: int = 42, n: int = 100) -> GroupResult:
+def check_isomorphism(seed: int = 42) -> GroupResult:
     """D equality is necessary; self-maps and the branch 1/6 pair are found."""
+    n = 100
     rng = np.random.default_rng(seed)
-    bad_cross = 0
-    bad_self = 0
+    bad_cross, bad_self = 0, 0
     for _ in range(n):
         p1 = sample_params(rng)
         p2 = sample_params(rng)
@@ -505,8 +491,9 @@ def check_isomorphism(seed: int = 42, n: int = 100) -> GroupResult:
 
 
 @_group("pm-xi")
-def check_pm_xi(seed: int = 42, n: int = 60) -> GroupResult:
+def check_pm_xi(seed: int = 42) -> GroupResult:
     """classify(xi) and classify(-xi) produce isomorphic structures."""
+    n = 60
     rng = np.random.default_rng(seed)
     ok = 0
     for i in range(n):
@@ -519,8 +506,9 @@ def check_pm_xi(seed: int = 42, n: int = 60) -> GroupResult:
 
 
 @_group("mirror")
-def check_mirror(seed: int = 42, n: int = 40) -> GroupResult:
+def check_mirror(seed: int = 42) -> GroupResult:
     """Swapping e2 and e3 carries (p, q) enumerations onto (-p, -q) ones."""
+    n = 40
     rng = np.random.default_rng(seed)
     swap = np.array([[1.0, 0, 0], [0, 0, 1.0], [0, 1.0, 0]])
     mirror_tag = {"A1": "A1", "A2": "A2", "B1": "C1", "B2": "C2", "C1": "B1", "C2": "B2", "D": "D"}
@@ -554,12 +542,11 @@ def _plane_curvatures(rng: np.random.Generator, L, n_planes: int) -> np.ndarray:
 
 
 @_group("curvature")
-def check_curvature(seed: int = 42, n_planes: int = 1000, n_algebras: int = 5) -> GroupResult:
+def check_curvature(seed: int = 42) -> GroupResult:
     """Rank-one and p = 0 algebras have constant (negative, for rank-one) curvature."""
+    n_planes, n_algebras = 1000, 5
     rng = np.random.default_rng(seed)
-    worst_std = 0.0
-    worst_value = -math.inf
-    worst_flat = 0.0
+    worst_std, worst_value, worst_flat = 0.0, -math.inf, 0.0
     for _ in range(n_algebras):
         l = sample_functional(rng)
         Ks = _plane_curvatures(rng, from_functional(l), n_planes)
@@ -577,27 +564,23 @@ def check_curvature(seed: int = 42, n_planes: int = 1000, n_algebras: int = 5) -
 
 
 @_group("sign-check")
-def check_sign_conventions(seed: int = 42, n: int = 100) -> GroupResult:
+def check_sign_conventions(seed: int = 42) -> GroupResult:
     """Only the -(beta+gamma) cross coefficient reproduces A = alpha + delta.
 
     The two rival readings of the cross term, +(beta+gamma) and
     +(beta-gamma), are evaluated on the same admissible angles and must
     fail on generic parameters.
     """
+    n = 100
     rng = np.random.default_rng(seed)
-    ok_correct = 0
-    wrong_plus = 0
-    wrong_diff = 0
-    produced = 0
+    ok_correct, wrong_plus, wrong_diff, produced = 0, 0, 0, 0
     while produced < n:
         params = sample_params(rng, "A2")
         a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
         if abs(b) < 0.05 and abs(g) < 0.05:
             continue  # rival forms coincide when beta and gamma both vanish
         for t in inplane_geodesic_angles(params):
-            ct, st = math.cos(t), math.sin(t)
-            target = a + d
-            scale = max(params.scale, 1e-300)
+            ct, st, target, scale = math.cos(t), math.sin(t), a + d, params.scale
             A_minus = d * ct * ct - (b + g) * st * ct + a * st * st
             A_plus = d * ct * ct + (b + g) * st * ct + a * st * st
             A_diff = d * ct * ct + (b - g) * st * ct + a * st * st
@@ -615,7 +598,7 @@ def check_sign_conventions(seed: int = 42, n: int = 100) -> GroupResult:
 
 
 def run_groups(names: list[str] | None = None, seed: int = 42) -> list[GroupResult]:
-    """Run the named groups (all by default) at full size with one base seed."""
+    """Run the named groups (all by default) with one base seed."""
     selected = names or list(GROUPS)
     for name in selected:
         if name not in GROUPS:

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contact3 import (
@@ -43,7 +43,7 @@ from contact3.classification import (
 )
 from contact3.contact_structures import PhiBasis, _ker_deta, _normality, _orthonormal, _structure_axioms
 from contact3.lie_core import LieAlgebra3, _milnor_gates, _non_unimodular
-from contact3.metric_geometry import _defect_matrices, _geodesic, _inplane_roots
+from contact3.metric_geometry import _defect_matrices, _geodesic, _inplane_roots, _probe_faults
 from contact3.verify import CASE_TAGS, sample_functional, sample_params
 
 E = np.eye(3)
@@ -61,8 +61,8 @@ def test_structure_rejects_non_finite_params(family, params):
 
 
 def test_shared_gates_fail_closed_on_nan():
-    # every check the scalar path and the atlas pass share fails on NaN data
-    # instead of letting it through
+    # every check the scalar path and the atlas pass share fails on NaN data,
+    # or on a NaN scale, instead of letting it through
     nan3, nan33, c = np.full(3, np.nan), np.full((3, 3), np.nan), np.full((3, 3, 3), np.nan)
     families = (("A", (math.nan, 0.0, 0.0, 1.0)), ("B", (math.nan, 0.0, 0.0)), ("C", (math.nan, 0.0)))
     gates = [
@@ -76,10 +76,31 @@ def test_shared_gates_fail_closed_on_nan():
         _normality(c, 1.0, nan33, nan3, nan3)[0],
         _case2_form(math.nan, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0)[1],
         _inplane_roots(math.nan, 0.0, 1.0, 1.0)[1],
-        _geodesic(_defect_matrices(c, I3), I3, nan3),
+        _geodesic(_defect_matrices(c, I3), I3, nan3, 1.0),
+        *(~fault for fault in _probe_faults(_defect_matrices(c, I3), nan3[None], 1.0)),
         *_flags(c, 1.0),
     ]
     assert not any(bool(ok) for ok in gates)
+    # the gates that read a scale, on data that passes them at its own scale
+    L, normal = from_milnor((3.0, 0.0, 0.0, -1.0)), from_milnor((1.0, 0.0, 0.0, 1.0))
+    phi, t = np.outer(E[2], E[1]) - np.outer(E[1], E[2]), math.pi / 3
+
+    def scaled_gates(scale):
+        return [
+            _non_unimodular(2.0, scale),
+            _normal_form_check(L.c, L.c, scale)[1],
+            *_ker_deta(L.c, scale, E[0], E[0]),
+            _normality(L.c, scale, phi, E[0], E[0])[0],
+            _case2_form(3.0, 0.0, 0.0, -1.0, scale, math.cos(t), math.sin(t))[1],
+            _inplane_roots(3.0, 0.0, -1.0, scale)[1],
+            _geodesic(L._defect, I3, E[0], scale),
+            ~_probe_faults(L._defect, E[:1], scale)[1],
+            _flags(normal.c, scale)[0],
+            _flags(_normal_form_constants("B", (1.0, 1.0, 0.0)), scale)[1],
+        ]
+
+    assert all(bool(ok) for ok in scaled_gates(3.0))
+    assert not any(bool(ok) for ok in scaled_gates(math.nan))
 
 
 def test_structure_rejects_unknown_family():
@@ -540,28 +561,23 @@ def test_flags_invariant_under_scale(tag, seed, log_lam):
     rng = np.random.default_rng(seed)
     src = sample_functional(rng) if tag == "E" else sample_params(rng, tag)
     base = classify_representatives(src)
-    try:
-        scaled = classify_representatives(_rescaled(src, 10.0**log_lam))
-    except (AssertionError, NotGeodesicError, ValueError):
-        assume(False)  # the absolute geodesic tolerance still rejects some rescaled sources
+    scaled = classify_representatives(_rescaled(src, 10.0**log_lam))
     # contact_metric is a normalisation (B = 1) and is not scale-invariant
     key = lambda r: (r.family, r.geodesic_case, r.contact_form, r.normal)
     assert [key(r) for r in scaled] == [key(r) for r in base]
 
 
-# Scale pins for the open scale-relative tolerance policy: each fails today
-# as marked, and strict xfail flags the change that mends it.
+# Scale pins: an absolute enumeration check rejected the first, and a
+# unimodularity test floored at scale 1 the second
 _A2 = MilnorParameters(3.0, 0.0, 0.0, -1.0)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="absolute enumeration check rejects the rescaled A2")
 def test_a2_classifies_at_scale_1e9():
     key = lambda r: (r.family, r.geodesic_case, r.contact_form, r.normal)
     want = [key(r) for r in classify_representatives(_A2)]
     assert [key(r) for r in classify_representatives(_rescaled(_A2, 1e9))] == want
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError, reason="absolute unimodularity test: 'algebra is unimodular'")
 def test_a2_classifies_at_scale_1e_12():
     key = lambda r: (r.family, r.geodesic_case, r.contact_form, r.normal)
     want = [key(r) for r in classify_representatives(_A2)]
@@ -815,7 +831,8 @@ def test_representatives_match_the_routed_reference(tag):
         assert _direct_representatives(_fresh(src)) == _routed_representatives(_fresh(src))
 
 
-# sources whose ker d_eta check fails on a representative past the first (rescaled A2 and E draws)
+# sources whose ker d_eta check failed on a representative past the first
+# (rescaled A2 and E draws) while that check was absolute
 _KER_FAILS_PAST_FIRST = (-1087684.0068873626, -1600396.3991109256, 30964679.32652331, -21044652.750134543)
 _KER_FAILS_FUNCTIONAL = (-34992492.671495594, 21861677.941240538, 25923673.896360785)
 
@@ -823,26 +840,32 @@ _KER_FAILS_FUNCTIONAL = (-34992492.671495594, 21861677.941240538, 25923673.89636
 def test_representatives_match_the_routed_reference_near_boundaries():
     rng = np.random.default_rng(47)
     sources = [_fresh(src) for src in _edge_sources(rng, 160)]
-    # pinned inputs: a self-chosen representative that is not geodesic, and
-    # two whose ker d_eta check fails on a representative past the first
+    # pinned inputs that raised while the gates were absolute: a self-chosen
+    # representative off the geodesic gate, and two whose ker d_eta check
+    # failed on a representative past the first; every input now classifies
     sources += [(4.81e30, 0.0, 0.0, 0.0), _KER_FAILS_PAST_FIRST, np.array(_KER_FAILS_FUNCTIONAL)]
-    kinds = set()
     for src in sources:
         want = _either(_routed_representatives, src)
+        assert isinstance(want, list), want
         assert _either(_direct_representatives, src) == want
-        kinds.add(want[0] if isinstance(want, tuple) else "reports")
-    assert {"reports", "NotGeodesicError", "AssertionError"} <= kinds
 
 
-def test_representative_off_the_geodesic_gate_keeps_its_error():
+def test_representative_off_the_geodesic_gate_keeps_its_error(monkeypatch):
+    import contact3.metric_geometry as mg
+
+    # the enumeration is checked and kept at the library's tolerance; then
+    # the geodesic gate, read at run time, is lowered below the rounding of
+    # the A2 root representative (the second), and the axis still passes
+    src = MilnorParameters(3.0, 0.0, 0.0, -1.0)
+    enumerate_unit_geodesics(src)
+    monkeypatch.setattr(mg, "PREDICATE_TOL", 1e-16)
     with pytest.raises(NotGeodesicError) as err:
-        classify_representatives((4.81e30, 0.0, 0.0, 0.0))
+        classify_representatives(src)
     assert str(err.value) == (
-        "xi is not a geodesic vector (defect 0.018034611386508838): g([xi, y], xi) must vanish for every y; "
+        "xi is not a geodesic vector (defect 5.551115123125783e-16): g([xi, y], xi) must vanish for every y; "
         "equivalently xi fails the ker d_eta condition (eta([xi, X]) != 0 for some X in ker eta)"
     )
-    with pytest.raises(AssertionError, match="^constructed structure lost the ker d_eta condition$"):
-        classify_representatives(_KER_FAILS_PAST_FIRST)
+    assert _either(_routed_representatives, src) == ("NotGeodesicError", str(err.value))
 
 
 def _with_frame(ps, **vectors):

@@ -75,7 +75,7 @@ def _reference_is_isomorphic(s1, s2, tol=PREDICATE_TOL):
     if abs(D1 - D2) > 1e-6 * max(1.0, abs(D1), abs(D2)):
         return None
     c1, c2 = s1.raw_basis_constants(), s2.raw_basis_constants()
-    scale = max(1.0, float(np.abs(c1).max()), float(np.abs(c2).max()))
+    scale = max(float(np.abs(c1).max()), float(np.abs(c2).max()))
     best = (math.inf, None)
     for conj in (False, True):
         rhos = np.concatenate(([0.0], _ref_stationary_angles(c1, c2, conj)))

@@ -11,6 +11,7 @@ import inspect
 import pytest
 
 from contact3 import _kernels, classification, contact_structures, lie_core, metric_geometry
+from contact3.verify import GROUPS
 
 RETIRED = [
     (metric_geometry.is_geodesic_vector, "tol"),
@@ -35,3 +36,9 @@ def test_retired_parameter_stays_gone(fn, name):
 def test_refine_batch_keeps_target_fourth():
     # the benchmark's refine hook (bench/layers.py) reads the target as args[3]
     assert list(inspect.signature(_kernels.refine_batch).parameters) == ["M", "X0", "step_cap", "target"]
+
+
+@pytest.mark.parametrize("name", list(GROUPS))
+def test_verify_group_takes_only_a_seed(name):
+    # a group's sample sizes are constants inside it; the CLI and the tests set only the seed
+    assert list(inspect.signature(GROUPS[name]).parameters) == ["seed"]

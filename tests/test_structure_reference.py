@@ -88,7 +88,7 @@ def _reference_is_isomorphic(s1, s2, tol=TOL):
         return None
     c1 = _reference_basis_constants(s1)
     c2 = _reference_basis_constants(s2)
-    scale = max(1.0, float(np.abs(c1).max()), float(np.abs(c2).max()))
+    scale = max(float(np.abs(c1).max()), float(np.abs(c2).max()))
     best = (math.inf, 0.0, False)
     for conj in (False, True):
         for rho in np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False):
@@ -119,7 +119,7 @@ def _reference_d_eta(L, s, X, Y):
 
 def _reference_xi_in_ker_deta(L, s, tol=TOL):
     eye = np.eye(3)
-    return all(abs(_reference_d_eta(L, s, s.xi, eye[i])) <= tol for i in range(3))
+    return all(abs(_reference_d_eta(L, s, s.xi, eye[i])) <= tol * L.scale for i in range(3))
 
 
 def _reference_is_contact_metric(L, s, g, tol=TOL):
@@ -242,7 +242,7 @@ STRUCTURES = _structures()
 def test_predicates_match_loop_reference(name, L, s):
     assert xi_in_ker_deta(L, s) == _reference_xi_in_ker_deta(L, s)
     assert is_contact_metric(L, s, I3) == _reference_is_contact_metric(L, s, I3)
-    assert is_contact_form(L, s) == (abs(_reference_eta_wedge_deta(L, s)) > TOL)
+    assert is_contact_form(L, s) == (abs(_reference_eta_wedge_deta(L, s)) > TOL * L.scale)
     atol = 1e-14 * max(1.0, L.scale)
     assert eta_wedge_deta(L, s) == pytest.approx(_reference_eta_wedge_deta(L, s), rel=0, abs=atol)
     assert nijenhuis_normality_residual(L, s) == pytest.approx(_reference_nijenhuis(L, s), rel=0, abs=atol)
@@ -313,7 +313,7 @@ def _reference_check_ker_condition(L, s, tol=TOL):
     order = np.argsort(np.abs(s.xi), kind="stable")
     e = np.eye(3)[order[0]] - float(s.eta @ np.eye(3)[order[0]]) * s.xi
     e = e / np.linalg.norm(e)
-    return all(abs(float(s.eta @ bracket(L, s.xi, X))) <= tol for X in (e, s.phi @ e))
+    return all(abs(float(s.eta @ bracket(L, s.xi, X))) <= tol * L.scale for X in (e, s.phi @ e))
 
 
 def _reference_reduce_outside(L, xi):
@@ -323,7 +323,7 @@ def _reference_reduce_outside(L, xi):
     u = u / np.linalg.norm(u)
     v = np.cross(xi, u)
     M = np.array([[w @ bracket(L, xi, z) for z in (u, v)] for w in (u, v)])
-    if np.abs(M).max() <= 1e-12 * max(1.0, L.scale):
+    if np.abs(M).max() <= 1e-12 * L.scale:
         rho = 0.0
     else:
         _, _, Vt = np.linalg.svd(M)
@@ -386,7 +386,7 @@ def test_geodesic_defect_matches_bracket_loop(tag, L, enum):
         ref = [_reference_geodesic_defect(L, g, x) for x in X]
         np.testing.assert_allclose(batch, ref, rtol=0, atol=atol)
         for x, d in zip(X, ref):
-            assert is_geodesic_vector(L, g, x) == (d <= TOL * g.inner(x, x))
+            assert is_geodesic_vector(L, g, x) == (d <= TOL * L.scale * g.inner(x, x))
     # the enumerated vectors are geodesic, the random ones (almost surely) not
     flags = [is_geodesic_vector(L, I3, x) for x in X]
     assert all(flags[: len(X) - 24]) and not all(flags)
