@@ -594,10 +594,11 @@ def classify(source, xi) -> ClassificationReport:
     times the algebra's scale.
 
     A MilnorParameters or LinearFunctional source keeps its enumeration
-    and the structures of the discrete branches (1, 2, 3, 5 and 6, by the
-    exact bits of what each branch reads), each built and checked once,
-    so repeated calls on one object share them; a structure keeps its
-    report checks (``_report_checks``).  The reports' notes are made per call.
+    and its structures (branches 1 to 6 and the outside form, by the exact
+    bits of what each reads, ``_kept``), each built and checked once, so
+    repeated calls on one object share them: xi and -xi on a circle share
+    one.  A structure keeps its report checks (``_report_checks``).  The
+    reports' notes are made per call.
     """
     x = _unit_xi(xi)
     source, L, enum = resolve_source(source)
@@ -689,8 +690,10 @@ def _branch(source, L: LieAlgebra3, enum: GeodesicEnumeration, x: Vector, kind: 
         theta = math.atan2(proj @ fam.v, proj @ fam.u)
         if theta < 0:
             extra = extra + ("xi folded to the angle representative in [0, pi)",)
-        return tag, construct_case4(params, theta % math.pi), extra
-    return tag, _reduce_outside(L, _canonical_sign(proj)), extra
+        t = theta % math.pi
+        return tag, _kept(params, (4, t.hex()), construct_case4, params, t), extra
+    xi = _canonical_sign(proj)
+    return tag, _kept(params, ("outside", xi.tobytes()), _reduce_outside, L, xi), extra
 
 
 # the most structures one source object keeps (``_kept``)
@@ -700,10 +703,11 @@ _KEPT = 8
 def _kept(source: MilnorParameters | LinearFunctional, key: tuple, construct, *args) -> PhiBasisStructure:
     """``construct(*args)``, kept on the source object under ``key``.
 
-    The key is the branch and the exact bits of the payload its
-    constructor reads besides the source, so a kept structure is the one
-    ``construct`` would build again.  Past ``_KEPT`` keys, structures are
-    built and not kept.
+    The key is the branch (``"outside"`` for ``_reduce_outside``) and the
+    exact bits of the payload its constructor reads besides the source: the
+    angle of branches 2 and 4, xi of branches 5, 6 and the outside form.  So
+    a kept structure is the one ``construct`` would build again.  All keys
+    share one cap: past ``_KEPT`` of them, structures are built and not kept.
     """
     kept = source._structures
     ps = kept.get(key)
@@ -825,18 +829,21 @@ def is_isomorphic(s1: PhiBasisStructure, s2: PhiBasisStructure):
     the candidate angles are solved exactly: the stationary points of
     |R|^2 for each orientation, sampled and then scored for both at once:
     rho = 0 and the angles unconjugated, then the same conjugated.  The
-    first of equal minima wins, so a self pair maps by the identity,
-    rho = 0, at zero residual: it is returned without the search.
-    Equality of the algebra invariant D is necessary and checked first.
+    first of equal minima wins, so where the adapted-basis constants are
+    bit-identical the answer is rho = 0, at exactly zero residual: a self
+    pair, or a pair with such constants that passes the D check, gets it
+    without the search.  Equality of the algebra invariant D is necessary
+    and checked first (not on a self pair).
     Returns the map in ambient coordinates when the best residual is within
     PREDICATE_TOL times the largest structure constant, or None.
     """
-    if s1 is s2:
-        return s2.basis.matrix @ _frames(np.zeros(1), np.ones(1))[0] @ s1.basis.matrix.T
-    D1, D2 = s1.invariant_D(), s2.invariant_D()
-    if abs(D1 - D2) > 1e-6 * max(1.0, abs(D1), abs(D2)):
-        return None
+    if s1 is not s2:
+        D1, D2 = s1.invariant_D(), s2.invariant_D()
+        if abs(D1 - D2) > 1e-6 * max(1.0, abs(D1), abs(D2)):
+            return None
     c1, c2 = s1.raw_basis_constants(), s2.raw_basis_constants()
+    if s1 is s2 or np.array_equal(c1, c2):
+        return s2.basis.matrix @ _frames(np.zeros(1), np.ones(1))[0] @ s1.basis.matrix.T
     # exactly rescaled so that the larger scale is in [1/2, 1) and |R|^2 stays in range
     scale, e = math.frexp(max(float(np.abs(c1).max()), float(np.abs(c2).max())))
     c1, c2 = np.ldexp(c1, -e), np.ldexp(c2, -e)

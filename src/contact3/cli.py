@@ -132,9 +132,12 @@ def cmd_geodesics(args) -> int:
 def _parse_range(text: str) -> np.ndarray:
     try:
         a, b, n = text.split(":")
-        return np.linspace(float(a), float(b), int(n))
+        a, b, n = float(a), float(b), int(n)
+        if not math.isfinite(b - a):  # np.linspace would warn and return inf or nan
+            raise ValueError(text)
+        return np.linspace(a, b, n)
     except ValueError as exc:
-        raise AdmissibilityError(f"range must be start:stop:count, got {text!r}") from exc
+        raise AdmissibilityError(f"range must be start:stop:count with finite stop - start, got {text!r}") from exc
 
 
 ATLAS_HEADER = "p,q,r,geodesic_case,Delta,D,n_discrete_geodesics,has_contact_structure,min_normality_residual"
@@ -190,11 +193,19 @@ def _scalar_atlas_row(p: float, q: float, r: float) -> dict:
 
 
 def _discriminant(a: float, b: float, g: float, d: float) -> float:
-    """(beta + gamma)^2 - 4 alpha delta; inf or nan past the float range, where ``** 2`` raises."""
+    """(beta + gamma)^2 - 4 alpha delta: finite where representable, else +-inf.
+
+    Where the direct form is not finite, it is taken over the coefficients divided by a power of two s, times s^2.
+    """
     try:
-        return (b + g) ** 2 - 4.0 * a * d
+        direct = (b + g) ** 2 - 4.0 * a * d
     except OverflowError:
-        return (b + g) * (b + g) - 4.0 * a * d
+        direct = math.inf
+    if math.isfinite(direct):
+        return direct
+    s = 2.0 ** (math.frexp(max(abs(a), abs(b), abs(g), abs(d)))[1] - 1)  # exact divisor, below 2^1024
+    a, b, g, d = a / s, b / s, g / s, d / s
+    return ((b + g) ** 2 - 4.0 * a * d) * s * s
 
 
 def _atlas_row(p: float, q: float, r: float, tag: str, n_isolated: int, contact: bool, residual: float) -> dict:

@@ -33,6 +33,7 @@ from contact3 import (
     xi_in_ker_deta,
 )
 from contact3.classification import (
+    _KEPT,
     PhiBasisStructure,
     _case2_form,
     _family_gates,
@@ -636,13 +637,20 @@ def _counting(monkeypatch, counts):
         return report_checks(c, scale, xi, *frame)
 
     monkeypatch.setattr(cl, "_report_checks", counted_rows)
-    for k in range(1, 7):
-        name = f"construct_case{k}"
+    for name in _CONSTRUCTORS:
         monkeypatch.setattr(cl, name, wrap(name, getattr(cl, name)))
 
 
+# every structure constructor ``_branch`` calls: branches 1 to 6, then the outside form
+_CONSTRUCTORS = [f"construct_case{k}" for k in range(1, 7)] + ["_reduce_outside"]
+
+
+def _constructs(counts, names=_CONSTRUCTORS):
+    return sum(counts.get(name, 0) for name in names)
+
+
 def _discrete_constructs(counts):
-    return sum(counts.get(f"construct_case{k}", 0) for k in (1, 2, 3, 5, 6))
+    return _constructs(counts, [f"construct_case{k}" for k in (1, 2, 3, 5, 6)])
 
 
 @pytest.mark.parametrize("tag", CASE_TAGS)
@@ -678,11 +686,9 @@ def test_one_algebra_and_one_D_per_call(tag, monkeypatch):
             assert _discrete_constructs(counts) == len(discrete) <= len(reps) + (tag in ("D", "E"))
             assert counts["ker"] == len({id(r.structure) for r in reports})
         else:
-            # warm: only the circle samples (branch 4 and outside the families) are built again
+            # warm: no structure is built or checked again, the circle samples included
             assert counts.get("algebra", 0) == counts.get("D", 0) == counts.get("check", 0) == 0
-            assert _discrete_constructs(counts) == 0
-            circle = [r for r in reports if r.structure.source_construction in (4, None)]
-            assert counts.get("ker", 0) == len(circle)
+            assert _constructs(counts) == counts.get("ker", 0) == 0
 
 
 def _report_bits(rep):
@@ -721,6 +727,33 @@ def test_reused_source_reports_match_fresh_sources(tag):
     assert outcomes(lambda: obj) == want
     kinds = {o[0] for o in want}
     assert "NotGeodesicError" in kinds and len(kinds) > 1  # both errors and reports are compared
+
+
+@pytest.mark.parametrize("tag", ["B1", "B2", "C1", "C2"])
+def test_circle_structures_filling_the_cap_leave_discrete_reports_unchanged(tag):
+    rng = np.random.default_rng([41, CASE_TAGS.index(tag)])
+    src = sample_params(rng, tag)
+    fresh = lambda: MilnorParameters(src.alpha, src.beta, src.gamma, src.delta)
+    obj = fresh()
+    (fam,) = [f for f in enumerate_unit_geodesics(obj).families if f.angles is None]
+    circle = [classify(obj, fam.point(t)) for t in np.linspace(0.1, 3.0, _KEPT + 2)]
+    assert len(obj._structures) == _KEPT
+    assert all(key[0] in (4, "outside") for key in obj._structures)
+    assert [_report_bits(classify(obj, -r.structure.basis.xi)) for r in circle[:_KEPT]] == [
+        _report_bits(classify(fresh(), -r.structure.basis.xi)) for r in circle[:_KEPT]
+    ]
+    # the discrete branches now build past the cap, every time, to the same bits
+    reps = classify_representatives(fresh())
+    xis = [r.structure.basis.xi for r in reps if r.structure.source_construction in (1, 2, 3)]
+    assert xis
+    for _ in range(2):
+        assert [_report_bits(r) for r in classify_representatives(obj)] == [
+            _report_bits(r) for r in classify_representatives(fresh())
+        ]
+        assert [_report_bits(classify(obj, s * x)) for x in xis for s in (1.0, -1.0)] == [
+            _report_bits(classify(fresh(), s * x)) for x in xis for s in (1.0, -1.0)
+        ]
+    assert len(obj._structures) == _KEPT
 
 
 def _signed_permutation_frames():

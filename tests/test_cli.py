@@ -173,6 +173,46 @@ def test_atlas_at_r_1e200(tmp_path, capsys):
     assert all(row[3] == "D" and float(row[5]) == 1.0 + float(row[1]) ** 2 for row in rows)
 
 
+def test_atlas_delta_past_the_float_range_is_inf_not_nan(tmp_path, capsys):
+    # (beta + gamma)^2 = 4e320 and 4 alpha delta = 3e320 both overflow; Delta = 1e320
+    out_file = tmp_path / "atlas.csv"
+    argv = ["atlas", "--p-range=5e159:5e159:1", "--q-range=2:2:1", "--r", "1e160", "--out", str(out_file)]
+    assert run_cli(capsys, *argv)[0] == 0
+    (row,) = [ln.split(",") for ln in out_file.read_text().strip().splitlines()[1:]]
+    assert row[ATLAS_HEADER.split(",").index("Delta")] == "inf"
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (1.5e160, 3e160, -1e160, 5e159),  # the atlas row above: +inf
+        (1e200, 0.0, 0.0, 1e200),  # -inf
+        (1e200, 1e200, -1e200, 1e200),  # -inf, with beta + gamma = 0
+        (1e200, 2e200, 0.0, 1e200),  # 0: the two overflowing terms cancel
+        (1.5e154, 2.8e154, 0.0, 1.5e154),  # both terms overflow, Delta = -1.16e308 does not
+        (-1.3e308, 1.3e308, 1.3e308, 1.3e308),  # beta + gamma overflows
+        (3.0, 1.0, 2.0, -1.0),  # finite: the direct form's bits
+        (1e150, 1e154, 3e153, -1e152),
+    ],
+)
+def test_discriminant_is_the_exact_value_rounded(coeffs):
+    from fractions import Fraction
+
+    from contact3.cli import _discriminant
+
+    a, b, g, d = map(Fraction, coeffs)
+    exact = (b + g) ** 2 - 4 * a * d
+    try:
+        want = float(exact)
+    except OverflowError:
+        want = math.inf if exact > 0 else -math.inf
+    got = _discriminant(*coeffs)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    a, b, g, d = coeffs
+    if math.isfinite((b + g) * (b + g) - 4.0 * a * d):
+        assert got.hex() == ((b + g) ** 2 - 4.0 * a * d).hex()
+
+
 def test_classify_family_c_at_large_scale(capsys):
     # Abar^2 + Bbar^2 overflows at this scale
     code, out, _ = run_cli(capsys, "classify", "--p", "1e160", "--q", "0", "--r", "1e160", "--xi", "0.6,0,0.8")

@@ -8,8 +8,9 @@ and those angles, and lets the conjugated orientation win only on a
 strictly smaller residual.  ``is_isomorphic`` samples and scores both
 orientations in one call each; it must return the same map, compared
 with ``np.array_equal``, or None where the reference does.  A structure
-paired with itself returns the rho = 0 map without the search, byte for
-byte the search's.  The pairs are
+paired with itself, or with one of bit-identical constants that passes
+the D check, returns the rho = 0 map without the search, byte for byte
+the search's.  The pairs are
 random antisymmetric constants in random frames (through a stand-in that
 exposes only what the search reads) and every pair of structures
 classified on one sampled algebra of each case tag.
@@ -25,6 +26,7 @@ import pytest
 
 from contact3 import classification, classify, classify_representatives, construct_case1, construct_case2, construct_case3
 from contact3.classification import is_isomorphic
+from contact3.lie_core import LinearFunctional, MilnorParameters
 from contact3.tolerances import IDENTITY_RTOL, PREDICATE_TOL
 from contact3.verify import CASE_TAGS, sample_functional, sample_params
 
@@ -157,8 +159,8 @@ def test_self_pair_maps_by_the_identity():
 
 @pytest.mark.parametrize("tag", CASE_TAGS)
 def test_self_pair_shortcut_is_the_searchs_map(tag):
-    # a structure paired with itself skips the search; a copy of it runs
-    # the search, whose map (rho = 0, with its -0.0) must match byte for byte
+    # a structure paired with itself or with a copy skips the search; the
+    # search's map (rho = 0, with its -0.0) must match byte for byte
     rng = np.random.default_rng([19, CASE_TAGS.index(tag)])
     for _ in range(8):
         for s in _tag_structures(tag, rng):
@@ -177,3 +179,45 @@ def test_conjugate_only_pair_matches_the_reference():
 
 def test_unequal_D_matches_the_reference():
     assert _assert_same(construct_case1((3, 0, 0, -1)), construct_case1((1, 0, 0, 1))) is None
+
+
+def _no_search(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(classification, "_residuals", fail)
+
+
+def _equal_constant_pairs():
+    """Distinct structures with bit-identical constants: rebuilt copies, and the +-xi structures of D and E."""
+    for tag in CASE_TAGS:
+        rng = np.random.default_rng([43, CASE_TAGS.index(tag)])
+        src = sample_functional(rng) if tag == "E" else sample_params(rng, tag)
+        again = LinearFunctional(src.l.copy()) if tag == "E" else MilnorParameters(src.alpha, src.beta, src.gamma, src.delta)
+        reps = classify_representatives(src)
+        for r, rebuilt in zip(reps, classify_representatives(again)):
+            yield r.structure, rebuilt.structure
+            if tag in ("D", "E"):
+                yield r.structure, classify(src, -r.structure.basis.xi).structure
+
+
+def test_equal_constants_shortcut_is_the_searchs_map(monkeypatch):
+    pairs = list(_equal_constant_pairs())
+    assert len(pairs) > len(CASE_TAGS)
+    want = []
+    for s1, s2 in pairs:
+        assert s1 is not s2 and np.array_equal(s1.raw_basis_constants(), s2.raw_basis_constants())
+        want += [_reference_is_isomorphic(s1, s2).tobytes(), _reference_is_isomorphic(s2, s1).tobytes()]
+    _no_search(monkeypatch)
+    assert [is_isomorphic(*pair).tobytes() for s1, s2 in pairs for pair in ((s1, s2), (s2, s1))] == want
+
+
+def test_equal_constants_with_D_apart_are_not_isomorphic(monkeypatch):
+    rng = np.random.default_rng(47)
+    c, _, _ = _random_pair(rng)
+    B1, B2 = _frame(rng), _frame(rng)
+    assert _reference_is_isomorphic(_raw(c, B1, 1.0), _raw(c.copy(), B2, 1.0 + 1e-5)) is None
+    _no_search(monkeypatch)
+    assert is_isomorphic(_raw(c, B1, 1.0), _raw(c.copy(), B2, 1.0 + 1e-5)) is None
+    got = is_isomorphic(_raw(c, B1, 1.0), _raw(c.copy(), B2, 1.0 + 1e-7))
+    assert got.tobytes() == (B2 @ _ref_frames(np.zeros(1), False)[0] @ B1.T).tobytes()

@@ -132,6 +132,13 @@ def test_public_api_raises_only_allowed_errors(spec):
             assert _cli("atlas", f"--p-range={p!r}:{p!r}:1", f"--q-range={q!r}:{q!r}:1", f"--r={r!r}", "--out", os.devnull) in (0, 2)
 
 
+@pytest.mark.parametrize("bounds", ["0:inf:2", "-inf:0:2", "nan:1:3", "-1.5e308:1.5e308:3", "1e308:-1e308:1"])
+def test_atlas_rejects_non_finite_range_spans(bounds):
+    # np.linspace turned these into RuntimeWarnings and inf or nan grid points
+    assert _cli("atlas", f"--p-range={bounds}", "--q-range=0:1:2", "--r=1", "--out", os.devnull) == 2
+    assert _cli("atlas", "--p-range=0:1:2", f"--q-range={bounds}", "--r=1", "--out", os.devnull) == 2
+
+
 def test_atlas_at_r_1e6_classifies_every_row_in_the_array_pass(monkeypatch):
     import contact3.cli as cli
 
