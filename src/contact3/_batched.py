@@ -8,9 +8,9 @@ every check it applies is the scalar path's own function: the
 admissibility gates, the branch forms, ``_outside_form``, the frame
 and normal-form checks and ``_report_checks`` (the scalar path's stacked
 report checks) called over a leading axis, the in-plane root finder row
-by row.  This module only assembles each branch's rows, fails the rows near
-a routing tie and reduces the representatives to one summary per algebra;
-a row that fails a check is left to the scalar path.
+by row.  This module only assembles each branch's rows and reduces the
+representatives to one summary per algebra; a row that fails a check is
+left to the scalar path.
 """
 
 from __future__ import annotations
@@ -50,11 +50,6 @@ from .metric_geometry import (
     _shear_directions,
 )
 
-# rows whose routed candidates lie closer than this (radians, or |q| on
-# B1/C1) are left to the scalar path: ``_route`` snaps to the first
-# candidate within 1e-12 of the nearest, which the array pass does not model
-_TIE = 1e-11
-
 
 class _Branch(NamedTuple):
     """For the algebras ``rows``: the routed unit vector x, the frame, the normal form and the branch's own checks."""
@@ -89,18 +84,18 @@ def _representative_summary(p: np.ndarray, q: np.ndarray, r: float):
     p and q are 1-D arrays of one length, r a number.  Returns per algebra
     (case tag, number of isolated unit geodesics, whether some
     representative's eta is a contact form, smallest normality residual,
-    ok).  The representatives are those ``_representatives`` routes to:
-    the axis, the in-plane roots, the special direction and the circle
-    sample.  ok is False for a row that fails any check of that scalar
-    path or lies near a routing tie; its other values are meaningless,
-    and the scalar path is the one to decide it.
+    ok).  The representatives are the features of ``_representatives``:
+    the axis, the in-plane roots, one of which is the special direction on
+    B1/C1, and the circle sample.  ok is False for a row that fails any
+    check of that scalar path; its other values are meaningless, and the
+    scalar path is the one to decide it.
     """
     with np.errstate(all="ignore"):
         n = len(p)
         a, b, g, d = _adapted_coefficients(p, q, float(r))
         scale, *admissible = _milnor_gates(a, b, g, d)
         # invariant_D's test: the trace form of an adapted-form algebra is (alpha + delta, 0, 0)
-        ok = np.isfinite(scale) & np.logical_and.reduce(admissible) & _non_unimodular(np.abs(a + d), scale)
+        ok = np.logical_and.reduce(admissible) & _non_unimodular(np.abs(a + d), scale)
         p_, q_, r_ = pqr_from_milnor(a, b, g, d)
 
         # regime and enumeration
@@ -135,8 +130,6 @@ def _representative_summary(p: np.ndarray, q: np.ndarray, r: float):
         probes = np.where(circle[:, None, None], circle_probes, axis_probes)
         not_unit, not_geodesic = _probe_faults(_defect_matrices(c, _I3), probes, scale)
         ok &= ~not_unit & ~not_geodesic
-        ok &= ~(two & (np.minimum(t1 - t0, math.pi - t1 + t0) < _TIE))
-        ok &= ~(shear & (np.abs(q_) < _TIE))
 
         branches = [_Branch(np.arange(n), E1, E1, E2, E3, "A", (a, b, g, d))]
         # branch 2 at the in-plane roots: the A2 roots, e3 on B1/B2 and e2 on C1/C2

@@ -66,6 +66,7 @@ from .lie_core import (
     LieAlgebra3,
     LinearFunctional,
     MilnorParameters,
+    _as_functional,
     _as_milnor,
     _as_vector,
     _unit,
@@ -79,6 +80,7 @@ from .metric_geometry import (
     GeodesicEnumeration,
     _atan2,
     _geodesic,
+    _line_angle,
     _regime,
     _shear_directions,
     enumerate_unit_geodesics,
@@ -468,8 +470,7 @@ def construct_case6(l, xi) -> PhiBasisStructure:
     to the dual of l; then alpha := l(xi) and the structure is family A
     with alpha = delta, beta = gamma = 0.
     """
-    if not isinstance(l, LinearFunctional):
-        l = LinearFunctional(np.asarray(l, dtype=float))
+    l = _as_functional(l)
     x = _unit_xi(xi)
     dual = l.dual
     if min(np.linalg.norm(x - dual), np.linalg.norm(x + dual)) > 1e-9:
@@ -483,9 +484,7 @@ def construct_case6(l, xi) -> PhiBasisStructure:
         notes = ("xi folded to the +dual representative",)
     alpha = l(dual)
     e, phi_e = _adapted_frame(_I3, dual)
-    return PhiBasisStructure(
-        "A", (alpha, 0.0, 0.0, alpha), PhiBasis(dual, e, phi_e), 6, from_functional(l), notes
-    )
+    return PhiBasisStructure("A", (alpha, 0.0, 0.0, alpha), PhiBasis(dual, e, phi_e), 6, from_functional(l), notes)
 
 
 def _reduce_outside(L: LieAlgebra3, xi: Vector) -> PhiBasisStructure:
@@ -573,10 +572,8 @@ def resolve_source(source) -> tuple[MilnorParameters | LinearFunctional, LieAlge
     algebra and the enumeration are those kept on that object, built and
     checked once per object; a tuple or array source builds a fresh one.
     """
-    if isinstance(source, LinearFunctional) or (
-        not isinstance(source, MilnorParameters) and np.ndim(source) == 1 and len(np.asarray(source)) == 3
-    ):
-        l = source if isinstance(source, LinearFunctional) else LinearFunctional(np.asarray(source, float))
+    if isinstance(source, LinearFunctional) or np.shape(source) == (3,):
+        l = _as_functional(source)
         return l, from_functional(l), enumerate_unit_geodesics(functional=l)
     params = _as_params(source)
     return params, from_milnor(params), enumerate_unit_geodesics(params)
@@ -587,11 +584,10 @@ def classify(source, xi) -> ClassificationReport:
 
     ``source`` is either adapted-form parameters or a linear functional.
     xi must be a unit geodesic vector (rejected otherwise, since xi in
-    ker d_eta is equivalent to xi geodesic); it is matched against the
-    closed-form geodesic enumeration and routed to the branch that covers
-    it, folding xi to the canonical sign representative.  The geodesic
-    test on xi and the contact and normal flags decide at ``PREDICATE_TOL``
-    times the algebra's scale.
+    ker d_eta is equivalent to xi geodesic); it goes to the branch of the
+    nearest of the ``_features``, the one feature list, folding xi to the
+    canonical sign representative.  The geodesic test on xi and the contact
+    and normal flags decide at ``PREDICATE_TOL`` times the algebra's scale.
 
     A MilnorParameters or LinearFunctional source keeps its enumeration
     and its structures (branches 1 to 6 and the outside form, by the exact
@@ -617,69 +613,72 @@ def _not_geodesic(L: LieAlgebra3, x: Vector, functional: bool) -> NotGeodesicErr
     )
 
 
-def _pair_dist(x: Vector, v: Vector) -> float:
-    # distance from x to the nearer of +-v
-    return min(np.linalg.norm(x - v), np.linalg.norm(x + v))
+def _features(source, enum: GeodesicEnumeration) -> list[tuple[Vector, str, object]]:
+    """(representative vector, kind, payload) of each geodesic feature, in ``_route``'s priority order.
+
+    The dual of l; else the axis, the in-plane roots (payload: the angle) and
+    each full circle at (e1 + v)/sqrt(2) (payload: the family).  On B1/C1 the
+    root at the angle of the circle direction v is branch 3's (payload v).
+    """
+    if enum.case_tag == "E":
+        return [(source.dual, "dual", None)]
+    special = _line_angle(*enum.families[0].v[1:].tolist()) if enum.case_tag in ("B1", "C1") else None
+    features: list[tuple[Vector, str, object]] = [(E1, "axis", None)]
+    for t in enum.inplane_angles():
+        v = np.array([0.0, math.cos(t), math.sin(t)])
+        features.append((v, "special", enum.families[0].v) if t == special else (v, "root", t))
+    features += [((E1 + fam.v) / math.sqrt(2.0), "circle", fam) for fam in enum.families if fam.angles is None]
+    return features
 
 
 def _route(
     source, L: LieAlgebra3, enum: GeodesicEnumeration, x: Vector
 ) -> tuple[str, PhiBasisStructure, tuple[str, ...]]:
-    """(case tag, normal-form structure, notes) of the branch that covers xi."""
+    """(case tag, normal-form structure, notes) of the first of the ``_features`` within 1e-12 of xi's nearest.
+
+    The distance is to a circle, else to the nearer of +-v (+-payload on branch 3).
+    """
     if not is_geodesic_vector(L, _I3, x):
-        raise _not_geodesic(L, x, isinstance(source, LinearFunctional))
-    if isinstance(source, LinearFunctional):
-        return _branch(source, L, enum, x, "dual", None, 0.0)
-
-    # candidates in priority order: axis, distinguished in-plane direction,
-    # in-plane roots, geodesic circle; xi snaps to the nearest feature
-    candidates: list[tuple[float, str, object]] = [(_pair_dist(x, E1), "axis", None)]
-    if enum.case_tag in ("B1", "C1"):
-        special = enum.families[0].v
-        candidates.append((_pair_dist(x, special), "special", special))
-    for root in enum.inplane_angles():
-        rep = np.array([0.0, math.cos(root), math.sin(root)])
-        candidates.append((_pair_dist(x, rep), "root", root))
-    candidates.extend((fam.distance(x), "circle", fam) for fam in enum.families if fam.angles is None)
-
+        raise _not_geodesic(L, x, enum.case_tag == "E")
     best = None
-    for dist, kind, payload in candidates:
+    for feature in _features(source, enum):
+        v, kind, payload = feature
+        v = payload if kind == "special" else v
+        dist = payload.distance(x) if kind == "circle" else min(np.linalg.norm(x - v), np.linalg.norm(x + v))
         if best is None or dist < best[0] - 1e-12:
-            best = (dist, kind, payload)
-    dist, kind, payload = best
+            best = dist, feature
+    dist, feature = best
     if dist > 0.2:
         raise NotGeodesicError(
             "xi passed the geodesic tolerance but lies far from every "
             f"enumerated geodesic (distance {float(dist)!r})"
         )
-    return _branch(source, L, enum, x, kind, payload, dist)
+    return _branch(source, L, enum, x, feature, dist)
 
 
-def _branch(source, L: LieAlgebra3, enum: GeodesicEnumeration, x: Vector, kind: str, payload, dist):
-    """``_route``'s (case tag, structure, notes) for the unit xi = x, ``dist`` from its feature ``kind``."""
-    tag = enum.case_tag
+def _branch(source, L: LieAlgebra3, enum: GeodesicEnumeration, x: Vector, feature: tuple, dist):
+    """``_route``'s (case tag, structure, notes) for the unit xi = x, ``dist`` from its ``_features`` entry."""
+    tag, (v, kind, payload) = enum.case_tag, feature
     if kind == "dual":
         return tag, _kept(source, (6, x.tobytes()), construct_case6, source, x), ()
-    params = source
     snapped = dist > 1e-9
     extra = (f"xi snapped to the nearest geodesic (moved {float(dist)!r})",) if snapped else ()
 
     if kind == "axis":
         if tag == "D":
             xi_exact = x if not snapped else (E1 if x[0] > 0 else -E1)
-            return tag, _kept(params, (5, xi_exact.tobytes()), construct_case5, params, xi_exact), extra
+            return tag, _kept(source, (5, xi_exact.tobytes()), construct_case5, source, xi_exact), extra
         if x[0] < 0:
             extra = extra + ("xi folded to the +e1 representative",)
-        return tag, _kept(params, (1,), construct_case1, params), extra
+        return tag, _kept(source, (1,), construct_case1, source), extra
     if kind == "special":
         if np.linalg.norm(x - payload) > np.linalg.norm(x + payload):
             extra = extra + ("xi folded to the canonical sign representative",)
-        return tag, _kept(params, (3,), construct_case3, params), extra
+        return tag, _kept(source, (3,), construct_case3, source), extra
     if kind == "root":
-        rep = np.array([0.0, math.cos(payload), math.sin(payload)])
-        if np.linalg.norm(x - rep) > 1e-3:
+        if np.linalg.norm(x - v) > 1e-3:
             extra = extra + ("xi folded to the angle representative in [0, pi)",)
-        return tag, _kept(params, (2, float(payload).hex()), construct_case2, params, payload), extra
+        return tag, _kept(source, (2, float(payload).hex()), construct_case2, source, payload), extra
 
     # on the geodesic circle: project, then fold the angle to [0, pi)
     fam = payload
@@ -691,9 +690,9 @@ def _branch(source, L: LieAlgebra3, enum: GeodesicEnumeration, x: Vector, kind: 
         if theta < 0:
             extra = extra + ("xi folded to the angle representative in [0, pi)",)
         t = theta % math.pi
-        return tag, _kept(params, (4, t.hex()), construct_case4, params, t), extra
+        return tag, _kept(source, (4, t.hex()), construct_case4, source, t), extra
     xi = _canonical_sign(proj)
-    return tag, _kept(params, ("outside", xi.tobytes()), _reduce_outside, L, xi), extra
+    return tag, _kept(source, ("outside", xi.tobytes()), _reduce_outside, L, xi), extra
 
 
 # the most structures one source object keeps (``_kept``)
@@ -721,35 +720,26 @@ def _kept(source: MilnorParameters | LinearFunctional, key: tuple, construct, *a
 def classify_representatives(source) -> list[ClassificationReport]:
     """Reports for one representative of each geodesic orbit.
 
-    One representative per antipodal pair of isolated geodesics and per
-    admissible in-plane angle; full circles additionally contribute the
-    distinguished direction (branch 3) and one interior sample at a
-    deterministic angle.  Each goes straight to the branch of its feature
-    (``_branch``, as ``classify`` would route it), after one geodesic test
-    of all; the structures not yet checked take one ``_report_checks``
-    pass.  A failure raises what one ``classify`` per representative would.
+    The vectors of ``_features``, the one feature list ``classify`` routes
+    by: one per antipodal pair of isolated geodesics and per admissible
+    in-plane angle (on B1/C1 one is the distinguished direction, branch 3)
+    and one interior sample per full circle.  Each goes straight to the
+    branch of its feature (``_branch``, as ``classify`` would route it),
+    after one geodesic test of all; the structures not yet checked take one
+    ``_report_checks`` pass.  A failure raises what one ``classify`` per
+    representative would.
     """
     return _representatives(*resolve_source(source))
 
 
 def _representatives(source, L: LieAlgebra3, enum: GeodesicEnumeration) -> list[ClassificationReport]:
-    if isinstance(source, LinearFunctional):
-        features = [(source.dual, "dual", None)]
-    else:
-        # when q != 0 the distinguished branch-3 direction is one of the roots
-        features = [(E1, "axis", None)]
-        features += [(np.array([0.0, math.cos(t), math.sin(t)]), "root", t) for t in enum.inplane_angles()]
-        features += [((E1 + fam.v) / math.sqrt(2.0), "circle", fam) for fam in enum.families if fam.angles is None]
+    features = _features(source, enum)
     xs = np.array([v / np.linalg.norm(v) for v, _, _ in features])
-    special = enum.families[0].v if enum.case_tag in ("B1", "C1") else None
     routes = []
-    for x, (v, kind, payload), ok in zip(xs, features, _geodesic(L._defect, _I3, xs, L.scale)):
+    for x, feature, ok in zip(xs, features, _geodesic(L._defect, _I3, xs, L.scale)):
         if not ok:
-            raise _not_geodesic(L, x, kind == "dual")
-        # _route's tie rule: a B1/C1 root not nearer than the special direction by 1e-12 goes to branch 3
-        if kind == "root" and special is not None and not _pair_dist(x, v) < _pair_dist(x, special) - 1e-12:
-            kind, payload = "special", special
-        routes.append(_branch(source, L, enum, x, kind, payload, 0.0))
+            raise _not_geodesic(L, x, enum.case_tag == "E")
+        routes.append(_branch(source, L, enum, x, feature, 0.0))
     fresh = list({id(ps): ps for _, ps, _ in routes if "_checks" not in vars(ps)}.values())
     for ps, value in zip(fresh, _checked(L, fresh) if fresh else ()):
         if not isinstance(value, Exception):
@@ -830,19 +820,18 @@ def is_isomorphic(s1: PhiBasisStructure, s2: PhiBasisStructure):
     |R|^2 for each orientation, sampled and then scored for both at once:
     rho = 0 and the angles unconjugated, then the same conjugated.  The
     first of equal minima wins, so where the adapted-basis constants are
-    bit-identical the answer is rho = 0, at exactly zero residual: a self
-    pair, or a pair with such constants that passes the D check, gets it
-    without the search.  Equality of the algebra invariant D is necessary
-    and checked first (not on a self pair).
+    bit-identical the answer is rho = 0, at exactly zero residual: a pair
+    with such constants that passes the D check, a self pair among them,
+    gets it without the search.  Equality of the algebra invariant D is
+    necessary and checked first.
     Returns the map in ambient coordinates when the best residual is within
     PREDICATE_TOL times the largest structure constant, or None.
     """
-    if s1 is not s2:
-        D1, D2 = s1.invariant_D(), s2.invariant_D()
-        if abs(D1 - D2) > 1e-6 * max(1.0, abs(D1), abs(D2)):
-            return None
+    D1, D2 = s1.invariant_D(), s2.invariant_D()
+    if abs(D1 - D2) > 1e-6 * max(1.0, abs(D1), abs(D2)):
+        return None
     c1, c2 = s1.raw_basis_constants(), s2.raw_basis_constants()
-    if s1 is s2 or np.array_equal(c1, c2):
+    if np.array_equal(c1, c2):
         return s2.basis.matrix @ _frames(np.zeros(1), np.ones(1))[0] @ s1.basis.matrix.T
     # exactly rescaled so that the larger scale is in [1/2, 1) and |R|^2 stays in range
     scale, e = math.frexp(max(float(np.abs(c1).max()), float(np.abs(c2).max())))

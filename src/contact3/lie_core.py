@@ -84,8 +84,18 @@ def _adapted_coefficients(p, q, r):
     return r + p, (r + p) * q, -(r - p) * q, r - p
 
 
+# max |coefficient| stays below this: from 2^1022 on, a sum of two structure
+# constants (defect matrices, Nijenhuis tensor, trace form) can overflow
+_MAX_SCALE = 2.0**1022
+
+
+def _check_scale(scale: float) -> None:
+    if not scale < _MAX_SCALE:
+        raise ValueError(f"coefficients must be below 2**1022 in magnitude, not {scale!r}")
+
+
 def _milnor_gates(a, b, g, d):
-    """(scale, scale > 0, column orthogonality, alpha + delta != 0), elementwise; a NaN fails all.
+    """(scale, 0 < scale < ``_MAX_SCALE``, column orthogonality, alpha + delta != 0), elementwise; a NaN fails all.
 
     The last two are relative to the scale max |coefficient|, which divides
     alpha gamma + beta delta first so that it cannot overflow (1 does
@@ -94,7 +104,7 @@ def _milnor_gates(a, b, g, d):
     scale = np.abs((a, b, g, d)).max(axis=0)
     div = scale + (scale == 0.0)
     orthogonal = abs(a / div * g + b / div * d) <= IDENTITY_RTOL * scale
-    return scale, scale > 0.0, orthogonal, abs(a + d) > IDENTITY_RTOL * scale
+    return scale, (scale > 0.0) & (scale < _MAX_SCALE), orthogonal, abs(a + d) > IDENTITY_RTOL * scale
 
 
 def _non_unimodular(trace, scale):
@@ -124,13 +134,12 @@ class MilnorParameters:
         for name, v in zip(names, (a, b, g, d)):
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite")
-        _, nonzero, orthogonal, non_unimodular = _milnor_gates(a, b, g, d)
-        if not nonzero:
+        scale, _, orthogonal, non_unimodular = _milnor_gates(a, b, g, d)
+        if not scale:
             raise ValueError("all coefficients are zero (abelian, hence unimodular)")
+        _check_scale(float(scale))
         if not orthogonal:
-            raise ValueError(
-                f"column-orthogonality violated: alpha*gamma + beta*delta = {a * g + b * d!r}"
-            )
+            raise ValueError(f"column-orthogonality violated: alpha*gamma + beta*delta = {a * g + b * d!r}")
         if not non_unimodular:
             raise ValueError("alpha + delta = 0: the algebra would be unimodular")
         p, q, r = pqr_from_milnor(a, b, g, d)
@@ -179,6 +188,7 @@ class LinearFunctional:
         v = _as_vector(self.l)
         if not v.any():
             raise ValueError("l = 0 gives the abelian (unimodular) algebra")
+        _check_scale(float(np.abs(v).max()))
         v.setflags(write=False)
         object.__setattr__(self, "l", v)
 
@@ -288,11 +298,14 @@ def from_milnor(params: MilnorParameters | tuple) -> LieAlgebra3:
     return _as_milnor(params)._algebra
 
 
+def _as_functional(l: LinearFunctional | np.ndarray) -> LinearFunctional:
+    """l as a LinearFunctional, from an instance or three coefficients; ValueError otherwise."""
+    return l if isinstance(l, LinearFunctional) else LinearFunctional(np.asarray(l, dtype=float))
+
+
 def from_functional(l: LinearFunctional | np.ndarray) -> LieAlgebra3:
     """Algebra with [x, y] = l(x) y - l(y) x; trace ad(x) = 2 l(x).  Built once per l."""
-    if not isinstance(l, LinearFunctional):
-        l = LinearFunctional(np.asarray(l, dtype=float))
-    return l._algebra
+    return _as_functional(l)._algebra
 
 
 def pqr_from_milnor(alpha, beta, gamma, delta):
@@ -363,5 +376,7 @@ def _invariant_D(L: LieAlgebra3) -> float:
     x0 = T / tn  # trace ad(x0) = tn > 0
     ad = ad_matrix(L, x0)
     M = np.array([[u1 @ ad @ u1, u1 @ ad @ u2], [u2 @ ad @ u1, u2 @ ad @ u2]])
+    # rescaled exactly, by a power of two, to max |M| in [1/2, 1), so that 2 / trace M is finite
+    M = np.ldexp(M, -np.frexp(np.abs(M).max())[1])
     M *= 2.0 / np.trace(M)
     return float(np.linalg.det(M))

@@ -28,6 +28,7 @@ from .lie_core import (
     LieAlgebra3,
     LinearFunctional,
     MilnorParameters,
+    _as_functional,
     _as_milnor,
     _as_vector,
     bracket,
@@ -423,9 +424,7 @@ def enumerate_unit_geodesics(
     if (params is None) == (functional is None):
         raise ValueError("provide exactly one of params or functional")
     if functional is not None:
-        if not isinstance(functional, LinearFunctional):
-            functional = LinearFunctional(np.asarray(functional, dtype=float))
-        return functional._enumeration
+        return _as_functional(functional)._enumeration
     return _as_milnor(params)._enumeration
 
 
@@ -642,15 +641,17 @@ def _cell_dedup(points: np.ndarray, defects: np.ndarray, radius: float) -> np.nd
     return points[np.minimum.reduceat(order[hit], np.flatnonzero(_run_starts(ids[hit])))]
 
 
-# the oracle's dedup cell side, and the defect (relative to the scale of
-# the M_i) below which a refined point is kept
+# the oracle's dedup cell side; the defect (relative to the scale of the
+# M_i) below which a refined point is kept; the largest grid, whose
+# half-lattice tables (``_block_table``) take about 24 grid^2 bytes
 _MERGE_RADIUS = 1e-3
 _KEEP_RTOL = 1e-10
+_MAX_GRID = 4096
 
 
 def _check_grid(grid: int) -> None:
-    if not isinstance(grid, numbers.Integral) or isinstance(grid, bool) or grid < 100:
-        raise ValueError(f"grid must be at least 100 and an integer, not {grid!r}")
+    if not isinstance(grid, numbers.Integral) or isinstance(grid, bool) or not 100 <= grid <= _MAX_GRID:
+        raise ValueError(f"grid must be at least 100, at most {_MAX_GRID} and an integer, not {grid!r}")
 
 
 def geodesic_brute_force(L: LieAlgebra3, g: Metric3 | None = None, grid: int = 400) -> np.ndarray:

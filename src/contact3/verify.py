@@ -213,8 +213,8 @@ def check_ker_deta_equivalence(seed: int = 42) -> GroupResult:
         xi = _unit(rng)
         s = build_structure(_I3, xi)
         eye = np.eye(3)
-        via_deta = all(abs(d_eta(L, s, s.xi, eye[i])) <= 1e-9 for i in range(3))
-        via_lie = all(abs(lie_derivative_eta(L, s, eye[i])) <= 1e-9 for i in range(3))
+        via_deta = all(abs(d_eta(L, s, s.xi, eye[i])) <= PREDICATE_TOL * L.scale for i in range(3))
+        via_lie = all(abs(lie_derivative_eta(L, s, eye[i])) <= PREDICATE_TOL * L.scale for i in range(3))
         agree += via_deta == via_lie
         xi_in_ker_deta(L, s)  # raises if its internal cross-check disagrees
     return GroupResult("ker-deta-equivalence", agree == n, f"{agree}/{n} boolean agreements")
@@ -332,7 +332,7 @@ def check_normal_forms(seed: int = 42) -> GroupResult:
     for i in range(n):
         for rep in classify_representatives(_tag_source(rng, i)):
             ps = rep.structure
-            worst = max(worst, ps.normal_form_residual() / max(1.0, ps.algebra.scale))
+            worst = max(worst, ps.normal_form_residual() / ps.algebra.scale)
             if ps.source_construction is not None:
                 branches.add(ps.source_construction)
     passed = worst <= 1e-12 and branches == {1, 2, 3, 4, 5, 6}

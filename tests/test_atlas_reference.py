@@ -161,8 +161,7 @@ def test_inplane_roots_match_the_scalar_solver():
 def test_batched_gates_are_imported():
     # a gate written out in _batched could move apart from its scalar twin and
     # send rows to the scalar path unnoticed: _batched takes no tolerance from
-    # contact3.tolerances, and only the routing-tie margin, which has no
-    # scalar twin, may be a small literal
+    # contact3.tolerances and writes no small literal
     with open(_batched.__file__) as fh:
         tree = ast.parse(fh.read())
     for node in ast.walk(tree):
@@ -175,7 +174,18 @@ def test_batched_gates_are_imported():
         for node in ast.walk(tree)
         if isinstance(node, ast.Constant) and isinstance(node.value, float) and 0.0 < node.value <= 1e-8
     }
-    assert small == {1e-11}
+    assert small == set()
+
+
+@pytest.mark.parametrize("q", [1e-12 * (1 + 2**-40), 1.001e-12, 1e-11, 2e-11])
+def test_b1_c1_rows_near_q_0_are_decided_by_the_array_pass(q):
+    # the transverse root and the distinguished direction are about |q|
+    # apart; the array pass routes them as the scalar path does, with no tie
+    ps, qs, r = np.array([1.0, -1.0]), np.array([q, -q]), 1.0
+    tags, _, _, _, ok = _representative_summary(np.repeat(ps, len(qs)), np.tile(qs, len(ps)), r)
+    assert tags.tolist() == ["B1", "B1", "C1", "C1"] and ok.all()
+    ref = [_fields(row) for row in reference_rows(ps, qs, r)]
+    _assert_same_rows([_fields(row) for row in cli.atlas_rows(ps, qs, r)], ref)
 
 
 def test_a_row_failing_the_report_checks_goes_to_the_scalar_path(monkeypatch):

@@ -786,11 +786,52 @@ def test_identity_metric_structure_matches_structure_from_basis():
 # -- representatives built straight from the enumeration --------------------
 
 
+def _pair_distance(x, v):
+    return min(np.linalg.norm(x - v), np.linalg.norm(x + v))
+
+
+def _reference_route(source, L, enum, x):
+    """``_route`` with its own candidate list: (case tag, structure, notes) for the unit xi = x.
+
+    The candidates in priority order: the axis, the distinguished in-plane
+    direction of B1/C1 (right after the axis), the in-plane roots, the full
+    circles.  xi goes to the first candidate within 1e-12 of the nearest,
+    so a B1/C1 root that is not nearer than the distinguished direction by
+    1e-12 goes to branch 3.  Only the geodesic test and ``_branch`` are the
+    library's.
+    """
+    import contact3.classification as cl
+
+    if not cl.is_geodesic_vector(L, I3, x):
+        raise cl._not_geodesic(L, x, isinstance(source, LinearFunctional))
+    if isinstance(source, LinearFunctional):
+        return cl._branch(source, L, enum, x, (source.dual, "dual", None), 0.0)
+    # (distance, (representative vector, kind, payload)) as ``_branch`` reads them
+    candidates = [(_pair_distance(x, E[0]), (E[0], "axis", None))]
+    if enum.case_tag in ("B1", "C1"):
+        special = enum.families[0].v
+        candidates.append((_pair_distance(x, special), (special, "special", special)))
+    for root in enum.inplane_angles():
+        v = np.array([0.0, math.cos(root), math.sin(root)])
+        candidates.append((_pair_distance(x, v), (v, "root", root)))
+    candidates += [(fam.distance(x), (None, "circle", fam)) for fam in enum.families if fam.angles is None]
+    best = candidates[0]
+    for candidate in candidates[1:]:
+        if candidate[0] < best[0] - 1e-12:
+            best = candidate
+    dist, feature = best
+    if dist > 0.2:
+        raise NotGeodesicError(
+            f"xi passed the geodesic tolerance but lies far from every enumerated geodesic (distance {float(dist)!r})"
+        )
+    return cl._branch(source, L, enum, x, feature, dist)
+
+
 def _routed_representatives(source):
     """The representatives as one ``classify`` call each would report them.
 
-    Each representative vector goes through ``_route`` (geodesic test and
-    candidate search), and each structure through the per-structure
+    Each representative vector goes through ``_reference_route`` (geodesic
+    test and candidate search), and each structure through the per-structure
     checks: ``structure()``, ``xi_in_ker_deta``, the flags and
     ``nijenhuis_normality_residual``, then D, one report at a time.
     """
@@ -802,7 +843,7 @@ def _routed_representatives(source):
     else:
         xis = [E[0], *(np.array([0.0, math.cos(t), math.sin(t)]) for t in enum.inplane_angles())]
         xis += [(E[0] + fam.v) / SQ2 for fam in enum.families if fam.angles is None]
-    routes = [cl._route(source, L, enum, x / np.linalg.norm(x)) for x in xis]
+    routes = [_reference_route(source, L, enum, x / np.linalg.norm(x)) for x in xis]
     reports = []
     for tag, ps, notes in routes:
         s = ps.structure()
@@ -862,6 +903,53 @@ def test_representatives_match_the_routed_reference(tag):
         notes = [note for rep in classify_representatives(_fresh(src)) for note in rep.errata_notes]
         assert "xi folded to the canonical sign representative" in notes
         assert _direct_representatives(_fresh(src)) == _routed_representatives(_fresh(src))
+
+
+@pytest.mark.parametrize("q", [1e-12 * (1 + 2**-40), 1.001e-12, 1e-11, 2e-11])
+@pytest.mark.parametrize("p", [1.0, -1.0])
+def test_special_direction_is_the_root_at_its_angle_near_q_0(p, q):
+    # just above |q| = 0 the transverse root and the distinguished direction
+    # are about |q| apart: the root at the distinguished direction's angle,
+    # bit for bit, goes to branch 3, the other to branch 2
+    src = MilnorParameters.from_pqr(p, q, 1.0)
+    reps = classify_representatives(_fresh(src))
+    assert {rep.geodesic_case for rep in reps} == {"B1" if p > 0 else "C1"}
+    assert [rep.structure.source_construction for rep in reps] == [1, 2, 3, None]
+    assert _direct_representatives(_fresh(src)) == _routed_representatives(_fresh(src))
+    # at -q the roots swap on B1; the reference's 1e-12 tie sent the
+    # transverse root at q = -1e-12 (1 + 2^-40) to branch 3 as well
+    reps = classify_representatives(_fresh(MilnorParameters.from_pqr(p, -q, 1.0)))
+    assert [rep.structure.source_construction for rep in reps] == ([1, 3, 2, None] if p > 0 else [1, 2, 3, None])
+
+
+def _route_bits(route, source, xi):
+    import contact3.classification as cl
+
+    try:
+        tag, ps, notes = route(*cl.resolve_source(source), xi / np.linalg.norm(xi))
+    except NotGeodesicError as exc:
+        return str(exc)
+    return tag, ps.source_construction, ps.basis.matrix.tobytes(), repr(ps.params), ps.notes + notes
+
+
+@pytest.mark.parametrize("tag", CASE_TAGS)
+def test_route_matches_the_reference_route(tag):
+    # xi at every feature and its antipode, at circle points, and off them
+    # by 1e-13 (kept) and by 1e-9 and 3e-9 (snapped, or not geodesic); B1/C1
+    # also just above q = 0
+    import contact3.classification as cl
+
+    rng = np.random.default_rng([53, CASE_TAGS.index(tag)])
+    sources = [sample_functional(rng) if tag == "E" else sample_params(rng, tag) for _ in range(6)]
+    if tag in ("B1", "C1"):
+        sources += [MilnorParameters.from_pqr(1.0 if tag == "B1" else -1.0, q, 0.8) for q in (1.001e-12, 1.5e-12, 1e-11)]
+    for src in sources:
+        enum = cl.resolve_source(src)[2]
+        xis = [v for v, _, _ in cl._features(src, enum)] + enum.isolated_points()
+        xis += [fam.point(t) for fam in enum.families if fam.angles is None for t in rng.uniform(0, 2 * math.pi, 4)]
+        for xi in xis:
+            for x in (xi, -xi, *(xi + eps * rng.standard_normal(3) for eps in (1e-13, 1e-9, 3e-9))):
+                assert _route_bits(cl._route, src, x) == _route_bits(_reference_route, src, x)
 
 
 # sources whose ker d_eta check failed on a representative past the first

@@ -114,9 +114,10 @@ def test_geodesics_with_oracle(capsys):
     assert sorted(angles) == pytest.approx([math.pi / 3, 2 * math.pi / 3], abs=1e-12)
 
 
-@pytest.mark.parametrize("grid, code", [(0, 2), (99, 2), (100, 0)])
+@pytest.mark.parametrize("grid, code", [(0, 2), (99, 2), (100, 0), (4097, 2), (100000000, 2)])
 def test_geodesics_oracle_grid_floor(capsys, grid, code):
-    # a grid of 0 is rejected like any other grid below 100, not skipped
+    # a grid of 0 is rejected like any other grid below 100, not skipped;
+    # one above 4096 before its tables are allocated
     got, out, err = run_cli(capsys, "geodesics", "--p", "2", "--q", "0", "--r", "1", "--oracle", str(grid))
     assert got == code
     if code:

@@ -23,6 +23,7 @@ from contact3 import (
     pqr_from_milnor,
     unimodular_kernel,
 )
+from contact3.lie_core import _milnor_gates
 
 E = np.eye(3)
 
@@ -160,6 +161,14 @@ def test_invariant_D_beyond_the_float_range_of_its_squares(params, expected_D):
     assert D == pytest.approx(invariant_D(from_milnor(params)), rel=1e-12)
 
 
+@pytest.mark.parametrize("l", [(0.0, 0.0, 6.28650221021083e-310), (5e-324, 0.0, 0.0), (1e-320, -3e-321, 0.0)])
+def test_invariant_D_of_a_subnormal_functional(l):
+    # every rank-one algebra has D = 1; 2 / trace M overflowed at these scales
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert invariant_D(from_functional(np.array(l))) == 1.0
+
+
 @pytest.mark.parametrize("pqr", [(2.0, 0.5, 1.0), (0.3, -0.7, 1.1), (1e-3, 3.0, -7e-4), (5e8, 0.2, 1e9)])
 def test_invariant_D_direct_form_at_ordinary_scales(pqr):
     P = MilnorParameters.from_pqr(*pqr)
@@ -208,6 +217,21 @@ def test_from_functional_matches_milnor():
 def test_functional_rejects_zero():
     with pytest.raises(ValueError):
         LinearFunctional(np.zeros(3))
+
+
+@pytest.mark.parametrize("m", [2.0**1022, 1.2e308, -1.6e308, np.finfo(float).max])
+def test_coefficients_of_2_to_the_1022_and_more_are_rejected(m):
+    # from 2^1022 on, a sum of two structure constants can overflow
+    below = math.nextafter(2.0**1022, 0.0)
+    with pytest.raises(ValueError, match=r"below 2\*\*1022"):
+        MilnorParameters(m, 0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"below 2\*\*1022"):
+        LinearFunctional(np.array([0.0, m, 1.0]))
+    assert MilnorParameters(below, 0.0, 0.0, 1.0).scale == below
+    assert LinearFunctional(np.array([0.0, -below, 1.0])).norm == below
+    # the atlas pass reads the same gate
+    zero = np.zeros(2)
+    assert _milnor_gates(np.array([m, below]), zero, zero, zero + 1.0)[1].tolist() == [False, True]
 
 
 @pytest.mark.parametrize("l1", [1e200, 1e-200, 5e-324, -1e300])

@@ -247,6 +247,24 @@ def test_oracle_match_rejects_the_grids_the_oracle_rejects(grid):
         oracle_match(enum, pts, grid)
 
 
+@pytest.mark.parametrize("grid", [4097, 10**8])
+def test_grids_above_4096_are_rejected_before_any_table_is_built(grid, monkeypatch):
+    import contact3.metric_geometry as mg
+
+    def allocates(*args):
+        raise AssertionError("an oracle table was built")
+
+    L, enum = from_milnor((1.0, 0.0, 0.0, 1.0)), enumerate_unit_geodesics((1.0, 0.0, 0.0, 1.0))
+    pts = geodesic_brute_force(L, grid=100)
+    for name in ("_hemisphere_trig", "_block_table", "_defect_matrices", "_cell_keys"):
+        monkeypatch.setattr(mg, name, allocates)
+    with pytest.raises(ValueError, match="at most 4096"):
+        geodesic_brute_force(L, grid=grid)
+    with pytest.raises(ValueError, match="at most 4096"):
+        oracle_match(enum, pts, grid)
+    mg._check_grid(4096)
+
+
 def test_oracle_match_takes_a_single_vector_as_one_point():
     enum = enumerate_unit_geodesics(functional=[1.0, 0.0, 0.0])
     one = oracle_match(enum, np.array([-1.0, 0.0, 0.0]), 200)

@@ -1,4 +1,4 @@
-"""Scale-free classification, and the public-API contract from 1e-300 to 1e300.
+"""Scale-free classification, and the public-API contract from 1e-300 to the largest float.
 
 The paper's classification is scale-free: c -> lambda c keeps the geodesic
 set, the case, the family and the contact and normal flags.  The library
@@ -10,6 +10,7 @@ import contextlib
 import io
 import math
 import os
+import sys
 import warnings
 
 import numpy as np
@@ -37,10 +38,12 @@ from contact3.verify import CASE_TAGS, sample_functional, sample_params
 # the only errors the public API may raise on a finite input
 ALLOWED = (AdmissibilityError, NotGeodesicError, ValueError)
 
-# magnitudes 1e-300 to 1e300: decades, and exact powers of two
+# magnitudes 1e-300 to the largest float: decades, exact powers of two, and
+# the top two binades, where coefficients from 2^1022 on are rejected
 _MAGNITUDES = st.one_of(
-    st.floats(-300.0, 300.0).map(lambda t: 10.0**t),
-    st.integers(-996, 996).map(lambda k: math.ldexp(1.0, k)),
+    st.floats(-300.0, 308.25).map(lambda t: 10.0**t),
+    st.integers(-996, 1023).map(lambda k: math.ldexp(1.0, k)),
+    st.floats(2.0**1021, sys.float_info.max),
 )
 # relative offsets from a case boundary: on it, or within 1e-15 of it
 _OFFSETS = st.one_of(st.just(0.0), st.floats(-1e-15, 1e-15))
@@ -98,6 +101,11 @@ _PINNED = [
     ("functional", (-34992492.671495594, 21861677.941240538, 25923673.896360785), None),
     ("functional", (1e-200, 0.0, 0.0), None),
     ("functional", (1e200, 0.0, 0.0), None),
+    # overflows in the defect matrices while coefficients of 2^1022 and more were accepted
+    ("functional", (1.2e308, 0.0, 0.0), None),
+    ("milnor", (1.6e308, 0.0, 0.0, 1e308), None),
+    # a subnormal functional: invariant_D divided 2 by a subnormal trace
+    ("functional", (0.0, 0.0, 6.28650221021083e-310), None),
 ]
 
 
