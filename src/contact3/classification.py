@@ -309,17 +309,17 @@ def _checked(L: LieAlgebra3, structures: list[PhiBasisStructure]) -> list:
     ]
 
 
-def _as_params(params) -> MilnorParameters:
-    # ``_as_milnor``, with its rejections raised as AdmissibilityError
+def _admissible(source, coerce=_as_milnor):
+    # ``coerce(source)``, ``_as_milnor`` or ``_as_functional``, with its rejections raised as AdmissibilityError
     try:
-        return _as_milnor(params)
+        return coerce(source)
     except ValueError as exc:
         raise AdmissibilityError(str(exc)) from exc
 
 
 def construct_case1(params) -> PhiBasisStructure:
     """Branch 1: xi = +-e1 (folded to +e1); family A with the raw parameters."""
-    return _on_axis(_as_params(params), 1, ())
+    return _on_axis(_admissible(params), 1, ())
 
 
 # the frame of branches 1 and 5, read-only like every PhiBasis, so built once
@@ -340,7 +340,7 @@ def construct_case2(params, theta: float) -> PhiBasisStructure:
     sin(t) e2 - cos(t) e3}, in which the brackets take the family B form
     with the three quadratic-form coefficients below and A = alpha + delta.
     """
-    params = _as_params(params)
+    params = _admissible(params)
     ct, st = math.cos(theta), math.sin(theta)
     a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
     eq, ok, (A, B, C), xi, e, phi_e = _case2_form(a, b, g, d, params.scale, ct, st)
@@ -379,7 +379,7 @@ def construct_case3(params) -> PhiBasisStructure:
     the mirror p = -r uses {(e2 + q e3)/s, e1, (q e2 - e3)/s} and gives
     (delta, 0, -gamma).  B = 0, so these are never contact.
     """
-    params = _as_params(params)
+    params = _admissible(params)
     tag = _regime(params)
     if tag not in ("B1", "C1"):
         raise AdmissibilityError(f"branch 3 needs p = +-r and q != 0, not regime {tag}")
@@ -407,7 +407,7 @@ def construct_case4(params, theta: float) -> PhiBasisStructure:
     (Abar, Bbar) = delta (cos t, -sin t).  Angles fold to [0, pi); eta is
     never a contact form here.
     """
-    params = _as_params(params)
+    params = _admissible(params)
     tag = _regime(params)
     if tag not in ("B2", "C2"):
         raise AdmissibilityError(f"branch 4 needs p = +-r and q = 0, not regime {tag}")
@@ -442,7 +442,7 @@ def construct_case5(params, xi) -> PhiBasisStructure:
     component along xi for X in ker eta, so xi cannot lie in ker d_eta;
     the rejection message reports that obstruction.
     """
-    params = _as_params(params)
+    params = _admissible(params)
     if _regime(params) != "D":
         raise AdmissibilityError("branch 5 needs p = 0")
     x = _unit_xi(xi)
@@ -470,7 +470,7 @@ def construct_case6(l, xi) -> PhiBasisStructure:
     to the dual of l; then alpha := l(xi) and the structure is family A
     with alpha = delta, beta = gamma = 0.
     """
-    l = _as_functional(l)
+    l = _admissible(l, _as_functional)
     x = _unit_xi(xi)
     dual = l.dual
     if min(np.linalg.norm(x - dual), np.linalg.norm(x + dual)) > 1e-9:
@@ -568,14 +568,15 @@ def resolve_source(source) -> tuple[MilnorParameters | LinearFunctional, LieAlge
     """(functional or parameters, algebra, geodesic enumeration) for a classification source.
 
     A LinearFunctional or a plain 3-vector is a functional; anything else
-    must give adapted-form parameters (AdmissibilityError otherwise).  The
-    algebra and the enumeration are those kept on that object, built and
-    checked once per object; a tuple or array source builds a fresh one.
+    must give adapted-form parameters.  A source either kind rejects raises
+    AdmissibilityError.  The algebra and the enumeration are those kept on
+    that object, built and checked once per object; a tuple or array
+    source builds a fresh one.
     """
     if isinstance(source, LinearFunctional) or np.shape(source) == (3,):
-        l = _as_functional(source)
+        l = _admissible(source, _as_functional)
         return l, from_functional(l), enumerate_unit_geodesics(functional=l)
-    params = _as_params(source)
+    params = _admissible(source)
     return params, from_milnor(params), enumerate_unit_geodesics(params)
 
 
@@ -750,13 +751,6 @@ def _representatives(source, L: LieAlgebra3, enum: GeodesicEnumeration) -> list[
 # -- isomorphism ----------------------------------------------------------
 
 
-# samples at rho_k = 2 pi k / 5 and the DFT recovering the coefficients of
-# e^{i n rho}, n = -2..2, of a trigonometric polynomial of degree <= 2
-_SAMPLE_ANGLES = 2.0 * math.pi * np.arange(5) / 5
-_DFT = np.exp(-1j * np.outer(np.arange(-2, 3), _SAMPLE_ANGLES)) / 5
-_FREQS = np.arange(-4, 5)
-
-
 def _frames(rhos: np.ndarray, sig: np.ndarray) -> np.ndarray:
     """Candidate maps in adapted coordinates: xi fixed, ker eta rotated by rho, conjugated where sig = -1."""
     cr, sr = np.cos(rhos), np.sin(rhos)
@@ -774,56 +768,49 @@ def _residuals(c1: np.ndarray, c2: np.ndarray, F: np.ndarray) -> np.ndarray:
     return lhs - rhs
 
 
-def _stationary_angles(R: np.ndarray) -> np.ndarray:
-    """Every stationary point of |R(rho)|^2 for one orientation, from R at ``_SAMPLE_ANGLES``.
+def _angles(c1: np.ndarray, c2: np.ndarray, sig: float) -> list[float]:
+    """Every angle at which the map of ``_frames`` with orientation sig can carry c1 to c2.
 
-    Each entry of R is a trigonometric polynomial of degree <= 2 in rho,
-    so the five samples give its Fourier coefficients and |R|^2 is one of
-    degree 4.  Its derivative times z^4 is a degree-8 polynomial in
-    z = e^{i rho}; the arguments of its roots, polished by Newton's method
-    on the derivative, are the candidate angles.
+    Write ker-eta components as z = x + iy, conjugated in c1 where sig = -1.
+    The map turns a = c[0, 1:, 0] (eta of [xi, .]) by rho, w = c[1, 2, 1:]
+    (the ker-eta part of [e, phi_e]) by rho and the sign sig, and
+    s = (c011 - c022) + i (c012 + c021) (the anti-linear part of ad xi on
+    ker eta) by 2 rho; the rest of c it keeps or negates.  So an
+    intertwining rho is arg(a2 conj a1), arg(sig w2 conj w1),
+    arg(s2 conj s1) / 2 or that + pi, or, where all three parts vanish, any
+    angle, which rho = 0 covers.  Returned in the order [0, a, w, s, s + pi].
     """
-    r = _DFT @ R.reshape(5, -1)
-    M = r @ r.T
-    p = np.zeros(9, dtype=complex)  # coefficients of e^{i k rho}, k = -4..4
-    for n in range(5):
-        p[n : n + 5] += M[n]
-    d1 = 1j * _FREQS * p  # derivative
-    d2 = -(_FREQS**2) * p  # second derivative
-    # trim coefficient pairs at the noise level, which np.roots would
-    # otherwise turn into spurious huge roots at the cost of the real ones
-    big = np.flatnonzero(np.abs(d1) > IDENTITY_RTOL * np.abs(d1).max(initial=0.0))
-    if not big.size:
-        return np.zeros(0)
-    K = max(abs(int(_FREQS[big[0]])), int(_FREQS[big[-1]]))
-    rhos = np.angle(np.roots(d1[4 - K : 5 + K][::-1]))
-    for _ in range(30):
-        E = np.exp(1j * np.outer(rhos, _FREQS))
-        f1, f2 = (E @ d1).real, (E @ d2).real
-        # a start whose Newton step exceeds one radian is outside every
-        # root's basin (a complex root's argument): it stays where it is
-        step = np.divide(f1, f2, out=np.zeros_like(f1), where=np.abs(f1) < np.abs(f2))
-        rhos = rhos - step
-        if np.abs(step).max(initial=0.0) <= 1e-15:
-            break
-    return rhos
+    z1, z2 = (
+        np.array(
+            [
+                complex(c[0, 1, 0], c[0, 2, 0]),  # a
+                complex(c[1, 2, 1], c[1, 2, 2]),  # w
+                complex(c[0, 1, 1] - c[0, 2, 2], c[0, 1, 2] + c[0, 2, 1]),  # s
+            ]
+        )
+        for c in (c1, c2)
+    )
+    if sig < 0:
+        z1 = z1.conj()
+    ra, rw, rs = np.angle(z2 * z1.conj() * np.array([1.0, sig, 1.0]))
+    return [0.0, ra, rw, rs / 2, rs / 2 + math.pi]
 
 
 def is_isomorphic(s1: PhiBasisStructure, s2: PhiBasisStructure):
-    """Search for a structure-preserving isometry intertwining the brackets.
+    """A structure-preserving isometry intertwining the brackets, or None.
 
     Candidate maps send xi to xi and rotate the ker-eta plane by an angle
     rho, optionally composed with the conjugation (xi, phi) -> (xi, -phi).
-    The intertwining residual R(rho) = f([x, y]_1) - [f x, f y]_2 has
-    entries that are trigonometric polynomials of degree <= 2 in rho, so
-    the candidate angles are solved exactly: the stationary points of
-    |R|^2 for each orientation, sampled and then scored for both at once:
-    rho = 0 and the angles unconjugated, then the same conjugated.  The
-    first of equal minima wins, so where the adapted-basis constants are
-    bit-identical the answer is rho = 0, at exactly zero residual: a pair
-    with such constants that passes the D check, a self pair among them,
-    gets it without the search.  Equality of the algebra invariant D is
-    necessary and checked first.
+    Each part of the adapted-basis constants that depends on rho turns by
+    rho or 2 rho, so the few angles where an intertwining map can lie come
+    in closed form (``_angles``), with no search: rho = 0 and the angles of
+    the unconjugated orientation, then the same conjugated.  Each candidate
+    is scored by its largest intertwining residual
+    |f([x, y]_1) - [f x, f y]_2| and the first of equal minima wins.  So
+    where the adapted-basis constants are bit-identical the answer is
+    rho = 0, at exactly zero residual: a pair with such constants that
+    passes the D check, a self pair among them, gets it without scoring.
+    Equality of the algebra invariant D is necessary and checked first.
     Returns the map in ambient coordinates when the best residual is within
     PREDICATE_TOL times the largest structure constant, or None.
     """
@@ -833,12 +820,10 @@ def is_isomorphic(s1: PhiBasisStructure, s2: PhiBasisStructure):
     c1, c2 = s1.raw_basis_constants(), s2.raw_basis_constants()
     if np.array_equal(c1, c2):
         return s2.basis.matrix @ _frames(np.zeros(1), np.ones(1))[0] @ s1.basis.matrix.T
-    # exactly rescaled so that the larger scale is in [1/2, 1) and |R|^2 stays in range
+    # exactly rescaled so that the larger scale is in [1/2, 1) and the products in ``_angles`` stay in range
     scale, e = math.frexp(max(float(np.abs(c1).max()), float(np.abs(c2).max())))
     c1, c2 = np.ldexp(c1, -e), np.ldexp(c2, -e)
-    R = _residuals(c1, c2, _frames(np.tile(_SAMPLE_ANGLES, 2), np.repeat([1.0, -1.0], 5)))
-    rhos = [np.concatenate(([0.0], _stationary_angles(R[k : k + 5]))) for k in (0, 5)]
-    F = _frames(np.concatenate(rhos), np.repeat([1.0, -1.0], [len(r) for r in rhos]))
+    F = _frames(np.array(_angles(c1, c2, 1.0) + _angles(c1, c2, -1.0)), np.repeat([1.0, -1.0], 5))
     res = np.abs(_residuals(c1, c2, F)).reshape(len(F), -1).max(axis=1)
     i = int(np.argmin(res))  # first of equal minima
     if res[i] > PREDICATE_TOL * scale:

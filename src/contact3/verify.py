@@ -460,7 +460,7 @@ def check_reductions(seed: int = 42) -> GroupResult:
 
 @_group("isomorphism")
 def check_isomorphism(seed: int = 42) -> GroupResult:
-    """D equality is necessary; self-maps and the branch 1/6 pair are found."""
+    """D equality is necessary; self-maps, the branch 1/6 pair and mirror and flip partners are found."""
     n = 100
     rng = np.random.default_rng(seed)
     bad_cross, bad_self = 0, 0
@@ -482,11 +482,25 @@ def check_isomorphism(seed: int = 42) -> GroupResult:
         )
         is not None
     )
+    # the e2 <-> e3 mirror and the e3 flip are isometric isomorphisms of the
+    # algebra, so every representative has a partner in each image; a
+    # lambda-rescaled image, of equal D, has none
+    reps, missing, false_pos = 0, 0, 0
+    for _ in range(n):
+        m = sample_params(rng)
+        p = np.array([m.alpha, m.beta, m.gamma, m.delta])
+        found, mirror, flip, *scaled = (
+            [r.structure for r in classify_representatives(src)] for src in (m, p[::-1], p * [1, -1, -1, 1], 1.5 * p, 2 * p)
+        )
+        reps += len(found)
+        missing += sum(not any(is_isomorphic(s, t) is not None for t in im) for im in (mirror, flip) for s in found)
+        false_pos += sum(is_isomorphic(s, t) is not None for im in scaled for s in found for t in im)
     return GroupResult(
         "isomorphism",
-        bad_cross == 0 and bad_self == 0 and pair_ok,
+        bad_cross == 0 and bad_self == 0 and pair_ok and missing == 0 and false_pos == 0,
         f"{n} pairs: {bad_cross} unequal-D false positives, {bad_self} self failures, "
-        f"branch-1/6 pair {'found' if pair_ok else 'MISSING'}",
+        f"branch-1/6 pair {'found' if pair_ok else 'MISSING'}; {n} sources, {reps} representatives: "
+        f"{missing} without a mirror or flip partner, {false_pos} lambda-rescaled false positives",
     )
 
 

@@ -307,6 +307,26 @@ def test_classify_rejects_bad_params():
         classify((1, 1, 1, 1), E[0])
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        (np.zeros(3), "abelian"),
+        (np.array([1.2e308, 0.0, 0.0]), "below 2\\*\\*1022"),
+        ((0, 0, 0, 0), "abelian"),
+        ((1.6e308, 0, 0, 1e308), "below 2\\*\\*1022"),
+    ],
+    ids=["zero-functional", "huge-functional", "zero-params", "huge-params"],
+)
+def test_rejected_sources_raise_admissibility_error_for_either_kind(source, message):
+    # a functional source is rejected with the same error type as a Milnor one
+    for call in (classify_representatives, lambda s: classify(s, E[0])):
+        with pytest.raises(AdmissibilityError, match=message):
+            call(source)
+    if np.shape(source) == (3,):
+        with pytest.raises(AdmissibilityError, match=message):
+            construct_case6(source, E[0])
+
+
 def test_classify_pm_xi_reports_match():
     for src, xi in [
         ((3, 0, 0, -1), E[0]),
@@ -429,7 +449,7 @@ def test_isomorphic_rejects_unequal_D():
 
 
 def test_isomorphic_rejects_equal_D_across_families():
-    # equal D passes the pre-check, so the angle search itself must reject
+    # equal D passes the pre-check, so the scored candidates themselves must reject
     params = MilnorParameters(3, 0, 0, -1)
     s1 = construct_case1(params)
     for t in enumerate_unit_geodesics(params).inplane_angles():
