@@ -5,12 +5,13 @@ many algebras ``MilnorParameters.from_pqr(p, q, r)`` at once, reduced to
 what ``cli.atlas_rows`` writes: the case tag, the isolated count, the
 contact flag and the smallest normality residual.  Every closed form and
 every check it applies is the scalar path's own function: the
-admissibility gates, the branch forms, ``_outside_form``, the frame
-and normal-form checks and ``_report_checks`` (the scalar path's stacked
-report checks) called over a leading axis, the in-plane root finder row
-by row.  This module only assembles each branch's rows and reduces the
-representatives to one summary per algebra; a row that fails a check is
-left to the scalar path.
+admissibility gates, the enumeration's probes, the branch forms and
+their gates, ``_outside_form``, the frame and normal-form checks of
+construction and ``_report_checks`` (the report's flags and N residual)
+called over a leading axis, the in-plane root finder row by row.  This
+module only assembles each branch's rows and reduces the representatives
+to one summary per algebra; a row that fails a check is left to the
+scalar path.
 """
 
 from __future__ import annotations
@@ -41,9 +42,7 @@ from .metric_geometry import (
     _atan2,
     _defect_matrices,
     _dot,
-    _geodesic,
     _inplane_roots,
-    _line_angle,
     _norm,
     _probe_faults,
     _regimes,
@@ -52,10 +51,9 @@ from .metric_geometry import (
 
 
 class _Branch(NamedTuple):
-    """For the algebras ``rows``: the routed unit vector x, the frame, the normal form and the branch's own checks."""
+    """For the algebras ``rows``: the frame, the normal form and the branch's own checks."""
 
     rows: np.ndarray
-    x: np.ndarray
     xi: np.ndarray
     e: np.ndarray
     phi_e: np.ndarray
@@ -87,8 +85,8 @@ def _representative_summary(p: np.ndarray, q: np.ndarray, r: float):
     ok).  The representatives are the features of ``_representatives``:
     the axis, the in-plane roots, one of which is the special direction on
     B1/C1, and the circle sample.  ok is False for a row that fails any
-    check of that scalar path; its other values are meaningless, and the
-    scalar path is the one to decide it.
+    check the scalar path makes while it builds them; its other values are
+    meaningless, and the scalar path is the one to decide it.
     """
     with np.errstate(all="ignore"):
         n = len(p)
@@ -131,17 +129,16 @@ def _representative_summary(p: np.ndarray, q: np.ndarray, r: float):
         not_unit, not_geodesic = _probe_faults(_defect_matrices(c, _I3), probes, scale)
         ok &= ~not_unit & ~not_geodesic
 
-        branches = [_Branch(np.arange(n), E1, E1, E2, E3, "A", (a, b, g, d))]
+        branches = [_Branch(np.arange(n), E1, E2, E3, "A", (a, b, g, d))]
         # branch 2 at the in-plane roots: the A2 roots, e3 on B1/B2 and e2 on C1/C2
         rows = np.concatenate([np.flatnonzero(a2), np.flatnonzero(two), np.flatnonzero(circle)])
         t = np.concatenate([t0[a2], t1[two], np.where(b_line, 0.5 * math.pi, 0.0)[circle]])
         _, eq_ok, params, xi, e, fe = _case2_form(a[rows], b[rows], g[rows], d[rows], scale[rows], np.cos(t), np.sin(t))
-        branches.append(_Branch(rows, _unit_rows(xi), xi, e, fe, "B", params, eq_ok))
-        # branch 3 at the special direction of B1/C1, routed from its in-plane line
+        branches.append(_Branch(rows, xi, e, fe, "B", params, eq_ok))
+        # branch 3 at the special direction of B1/C1
         rows = np.flatnonzero(shear)
-        x = _unit_rows(_plane_points(_line_angle(v[rows, 1], v[rows, 2])))
         params, xi, e, fe = _case3_form(a[rows], b[rows], g[rows], d[rows], q_[rows], b1[rows])
-        branches.append(_Branch(rows, x, xi, e, fe, "B", params))
+        branches.append(_Branch(rows, xi, e, fe, "B", params))
         # the circle sample (e1 + v)/sqrt(2), projected onto the circle
         rows = np.flatnonzero(circle)
         x = _unit_rows((E1 + v[rows]) / math.sqrt(2.0))
@@ -152,28 +149,26 @@ def _representative_summary(p: np.ndarray, q: np.ndarray, r: float):
         sub = rows[~out]
         theta = _atan2(_dot(proj[~out], v[sub]), proj[~out, 0]) % math.pi
         params, xi, e, fe = _case4_form(a[sub], d[sub], np.cos(theta), np.sin(theta), b_line[sub])
-        branches.append(_Branch(sub, x[~out], xi, e, fe, "C", params))
+        branches.append(_Branch(sub, xi, e, fe, "C", params))
         # _reduce_outside on B1/C1
         sub = rows[out]
         params, xi, e, fe = _outside_form(c[sub], scale[sub], _canonical_sign(proj[out]))
-        branches.append(_Branch(sub, x[out], xi, e, fe, None, params))
+        branches.append(_Branch(sub, xi, e, fe, None, params))
 
-        # every representative at once: _route's geodesic test, the PhiBasis
-        # and PhiBasisStructure validation, then the report checks
+        # every representative at once: the PhiBasis and PhiBasisStructure
+        # validation, then the report's flags and N residual
         rows = np.concatenate([br.rows for br in branches])
-        x, xi, e, fe = (
+        xi, e, fe = (
             np.concatenate([np.broadcast_to(getattr(br, name), (len(br.rows), 3)) for br in branches])
-            for name in ("x", "xi", "e", "phi_e")
+            for name in ("xi", "e", "phi_e")
         )
         nf = np.concatenate([_normal_form_constants(br.family, br.params) for br in branches])
         good = np.concatenate(
             [np.broadcast_to(br.ok & _passes(_family_gates(br.family, br.params)), len(br.rows)) for br in branches]
         )
         cr, sr, F = c[rows], scale[rows], np.stack([xi, e, fe], axis=-1)
-        good &= _geodesic(_defect_matrices(cr, _I3), _I3, x, sr) & _orthonormal(F, _I3.g)
-        good &= _normal_form_check(_basis_constants(cr, F), nf, sr)[1]
-        checks, (_, contact, _), residual = _report_checks(cr, sr, xi, e, fe, nf)
-        good &= _passes(checks)
+        good &= _orthonormal(F, _I3.g) & _normal_form_check(_basis_constants(cr, F), nf, sr)[1]
+        (_, contact, _), residual = _report_checks(cr, sr, xi, e, fe, nf)
         ok &= np.bincount(rows, weights=~good, minlength=n) == 0
         min_residual = np.full(n, np.inf)
         np.minimum.at(min_residual, rows, residual)

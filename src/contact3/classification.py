@@ -51,14 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contact_structures import (
-    AlmostContactStructure,
-    PhiBasis,
-    _adapted_frame,
-    _ker_deta,
-    _normality,
-    _structure_axioms,
-)
+from .contact_structures import AlmostContactStructure, PhiBasis, _adapted_frame, _normality
 from .lie_core import (
     E1,
     E2,
@@ -79,7 +72,6 @@ from .metric_geometry import (
     _I3,
     GeodesicEnumeration,
     _atan2,
-    _geodesic,
     _line_angle,
     _regime,
     _shear_directions,
@@ -205,8 +197,11 @@ class PhiBasisStructure:
 
     ``basis`` holds the adapted frame in ambient coordinates on the stored
     algebra; ``params`` are the normal-form coefficients of ``family``.
-    The raw and normal-form constants that validation compares are kept,
-    read-only, for the accessors below.
+    Construction is the one validation: the family's gates, then the raw
+    constants in the frame against the normal form.  Both are kept,
+    read-only, for the accessors below.  A report's flags and N residual
+    are computed once, on first use or in a stacked pass, and kept
+    (``_checks``).
     """
 
     family: str | None
@@ -268,45 +263,28 @@ class PhiBasisStructure:
     @functools.cached_property
     def _checks(self) -> tuple[bool, bool, bool, float]:
         """(normal, contact_form, contact_metric, N residual) of ``_report``: ``_checked`` on a stack of one."""
-        value = _checked(self.algebra, [self])[0]
-        if isinstance(value, Exception):
-            raise value
-        return value
+        return _checked(self.algebra, [self])[0]
 
 
 def _report_checks(c, scale, xi: np.ndarray, e: np.ndarray, fe: np.ndarray, nf: np.ndarray):
-    """(checks, ``_flags``, N residual) of stacked structures, at the identity metric (so eta = xi).
+    """(``_flags``, N residual) of stacked structures, at the identity metric (so eta = xi).
 
     Row k has the frame (xi[k], e[k], fe[k]), the normal-form constants
-    nf[k] and the algebra c[k] of scale scale[k].  ``checks`` lists (per-row
-    pass, error type, message) in the order one structure raises them: its
-    ``AlmostContactStructure``, ``xi_in_ker_deta``, ``nijenhuis_normality_residual``.
+    nf[k] and the algebra c[k] of scale scale[k].  Nothing is re-checked:
+    ``PhiBasis`` holds the frame finite and orthonormal, and
+    ``PhiBasisStructure`` the raw constants within NORMAL_FORM_TOL of the
+    normal form, whose c[0, 1, 0] = c[0, 2, 0] = 0 then puts xi in ker d_eta.
     """
     phi = fe[:, :, None] * e[:, None, :] - e[:, :, None] * fe[:, None, :]
-    agree, in_kernel = _ker_deta(c, scale, xi, xi)
-    antisymmetric, residual = _normality(c, scale, phi, xi, xi)
-    checks = [
-        (np.isfinite(xi).all(axis=-1), ValueError, "vector components must be finite"),
-        (np.isfinite(phi).all(axis=(-2, -1)), ValueError, "phi must be finite"),
-        *((ok, ValueError, message) for ok, message in _structure_axioms(phi, xi, xi)),
-        (agree, AssertionError, "d_eta and Lie-derivative predicates disagree"),
-        (in_kernel, AssertionError, "constructed structure lost the ker d_eta condition"),
-        (antisymmetric, AssertionError, "normality tensor is not antisymmetric"),
-    ]
-    return checks, _flags(nf, scale), residual
+    return _flags(nf, scale), _normality(c, scale, phi, xi, xi)[1]
 
 
-def _checked(L: LieAlgebra3, structures: list[PhiBasisStructure]) -> list:
-    """``_report_checks`` over structures on L in one pass: each one's ``_checks``, or the error it raises."""
+def _checked(L: LieAlgebra3, structures: list[PhiBasisStructure]) -> list[tuple[bool, bool, bool, float]]:
+    """``_report_checks`` over structures on L in one pass: each one's ``_checks``."""
     n, nf = len(structures), np.array([ps._nf for ps in structures])
     xi, e, fe = (np.array([getattr(ps.basis, name) for ps in structures]) for name in ("xi", "e", "phi_e"))
-    checks, flags, residual = _report_checks(L.c[None][[0] * n], np.full(n, L.scale), xi, e, fe, nf)
-    passed = np.logical_and.reduce([ok for ok, _, _ in checks])
-    values = zip(*(v.tolist() for v in flags), residual.tolist())
-    return [
-        value if passed[i] else next(kind(message) for ok, kind, message in checks if not ok[i])
-        for i, value in enumerate(values)
-    ]
+    flags, residual = _report_checks(L.c[None][[0] * n], np.full(n, L.scale), xi, e, fe, nf)
+    return list(zip(*(v.tolist() for v in flags), residual.tolist()))
 
 
 def _admissible(source, coerce=_as_milnor):
@@ -594,8 +572,8 @@ def classify(source, xi) -> ClassificationReport:
     and its structures (branches 1 to 6 and the outside form, by the exact
     bits of what each reads, ``_kept``), each built and checked once, so
     repeated calls on one object share them: xi and -xi on a circle share
-    one.  A structure keeps its report checks (``_report_checks``).  The
-    reports' notes are made per call.
+    one.  A structure keeps its flags and N residual (``_report_checks``),
+    computed once.  The reports' notes are made per call.
     """
     x = _unit_xi(xi)
     source, L, enum = resolve_source(source)
@@ -726,25 +704,18 @@ def classify_representatives(source) -> list[ClassificationReport]:
     in-plane angle (on B1/C1 one is the distinguished direction, branch 3)
     and one interior sample per full circle.  Each goes straight to the
     branch of its feature (``_branch``, as ``classify`` would route it),
-    after one geodesic test of all; the structures not yet checked take one
-    ``_report_checks`` pass.  A failure raises what one ``classify`` per
-    representative would.
+    with no geodesic test of its own: the enumeration's self-check proved
+    the features geodesic.  The structures without their flags and N
+    residual yet take them in one ``_report_checks`` pass.
     """
     return _representatives(*resolve_source(source))
 
 
 def _representatives(source, L: LieAlgebra3, enum: GeodesicEnumeration) -> list[ClassificationReport]:
-    features = _features(source, enum)
-    xs = np.array([v / np.linalg.norm(v) for v, _, _ in features])
-    routes = []
-    for x, feature, ok in zip(xs, features, _geodesic(L._defect, _I3, xs, L.scale)):
-        if not ok:
-            raise _not_geodesic(L, x, enum.case_tag == "E")
-        routes.append(_branch(source, L, enum, x, feature, 0.0))
+    routes = [_branch(source, L, enum, f[0] / np.linalg.norm(f[0]), f, 0.0) for f in _features(source, enum)]
     fresh = list({id(ps): ps for _, ps, _ in routes if "_checks" not in vars(ps)}.values())
     for ps, value in zip(fresh, _checked(L, fresh) if fresh else ()):
-        if not isinstance(value, Exception):
-            vars(ps)["_checks"] = value  # a failing structure raises from its own ``_checks``, in report order
+        vars(ps)["_checks"] = value
     return [_report(*route) for route in routes]
 
 

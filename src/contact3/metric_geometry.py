@@ -149,11 +149,14 @@ def is_geodesic_vector(L: LieAlgebra3, g: Metric3, x) -> bool:
 
     Equivalent to nabla_x x = 0; the connection-based restatement is kept
     as a separate code path (``levi_civita``) so the two can be checked
-    against each other.
+    against each other.  Both sides are of degree 2 in x, so x is first
+    scaled exactly by a power of two to max |x_i| in [1/2, 1): neither side
+    over- or underflows, whatever |x|.
     """
     x = _as_vector(x)
-    if g.inner(x, x) == 0.0:
+    if not x.any():
         raise ValueError("the zero vector cannot be a geodesic vector")
+    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
     return bool(_geodesic(_defects(L, g), g, x, L.scale))
 
 

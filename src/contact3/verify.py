@@ -61,7 +61,6 @@ from .metric_geometry import (
     enumerate_unit_geodesics,
     geodesic_brute_force,
     inplane_geodesic_angles,
-    levi_civita,
     oracle_match,
     sectional_curvature,
 )

@@ -189,18 +189,18 @@ def test_b1_c1_rows_near_q_0_are_decided_by_the_array_pass(q):
 
 
 def test_a_row_failing_the_report_checks_goes_to_the_scalar_path(monkeypatch):
-    # one representative's frame is made non-finite inside the shared
-    # stacked checks: only its algebra fails there, and the scalar path,
+    # one representative's frame is made non-finite inside the array pass's
+    # own frame check: only its algebra fails there, and the scalar path,
     # which the array pass leaves it to, writes the reference row
     ps, qs, r = np.array([-1.5, 0.0, 1.0, 2.0]), np.array([0.5]), 1.0
-    report_checks = _batched._report_checks
+    orthonormal = _batched._orthonormal
 
-    def corrupted(c, scale, xi, e, fe, nf):
-        xi = xi.copy()
-        xi[2] = np.nan  # the axis representative of the third algebra (p = r)
-        return report_checks(c, scale, xi, e, fe, nf)
+    def corrupted(F, G):
+        F = F.copy()
+        F[2, 0, 0] = np.nan  # the axis representative of the third algebra (p = r)
+        return orthonormal(F, G)
 
-    monkeypatch.setattr(_batched, "_report_checks", corrupted)
+    monkeypatch.setattr(_batched, "_orthonormal", corrupted)
     ok = _representative_summary(np.repeat(ps, len(qs)), np.tile(qs, len(ps)), r)[-1]
     assert ok.tolist() == [True, True, False, True]
     ref = [_fields(row) for row in reference_rows(ps, qs, r)]

@@ -1,4 +1,3 @@
-import copy
 import itertools
 import math
 import re
@@ -652,8 +651,8 @@ def _counting(monkeypatch, counts):
     report_checks = cl._report_checks
 
     def counted_rows(c, scale, xi, *frame):
-        # one row per structure whose ker d_eta check (and the other report checks) runs
-        counts["ker"] = counts.get("ker", 0) + len(xi)
+        # one row per structure whose flags and N residual are computed
+        counts["rows"] = counts.get("rows", 0) + len(xi)
         return report_checks(c, scale, xi, *frame)
 
     monkeypatch.setattr(cl, "_report_checks", counted_rows)
@@ -691,7 +690,7 @@ def test_one_algebra_and_one_D_per_call(tag, monkeypatch):
         assert is_isomorphic(plus.structure, minus.structure) is not None
         assert (counts["algebra"], counts["D"], counts["check"]) == (2, 2, 2)
     # a parameters or functional object keeps its algebra, D and enumeration
-    # across calls, and each discrete structure with its report checks
+    # across calls, and each discrete structure with its flags and N residual
     obj = LinearFunctional(raw) if tag == "E" else MilnorParameters(*raw)
     enumerate_obj = lambda: enumerate_unit_geodesics(functional=obj) if tag == "E" else enumerate_unit_geodesics(obj)
     for warm in (False, True):
@@ -704,11 +703,11 @@ def test_one_algebra_and_one_D_per_call(tag, monkeypatch):
             assert (counts["algebra"], counts["D"], counts["check"]) == (1, 1, 1)
             discrete = {id(r.structure) for r in reports if r.structure.source_construction in (1, 2, 3, 5, 6)}
             assert _discrete_constructs(counts) == len(discrete) <= len(reps) + (tag in ("D", "E"))
-            assert counts["ker"] == len({id(r.structure) for r in reports})
+            assert counts["rows"] == len({id(r.structure) for r in reports})
         else:
             # warm: no structure is built or checked again, the circle samples included
             assert counts.get("algebra", 0) == counts.get("D", 0) == counts.get("check", 0) == 0
-            assert _constructs(counts) == counts.get("ker", 0) == 0
+            assert _constructs(counts) == counts.get("rows", 0) == 0
 
 
 def _report_bits(rep):
@@ -992,75 +991,81 @@ def test_representatives_match_the_routed_reference_near_boundaries():
 
 
 def test_representative_off_the_geodesic_gate_keeps_its_error(monkeypatch):
+    import contact3.classification as cl
     import contact3.metric_geometry as mg
 
     # the enumeration is checked and kept at the library's tolerance; then
-    # the geodesic gate, read at run time, is lowered below the rounding of
-    # the A2 root representative (the second), and the axis still passes
+    # the gates, read at run time, are lowered below the rounding of the A2
+    # root representative (the second), and the axis still passes.
+    # ``_representatives`` runs no geodesic test of its own: the root's
+    # error comes from construct_case2's in-plane equation, at the same
+    # rounding, and one classify of it stops at _route's geodesic test
     src = MilnorParameters(3.0, 0.0, 0.0, -1.0)
     enumerate_unit_geodesics(src)
-    monkeypatch.setattr(mg, "PREDICATE_TOL", 1e-16)
+    for module in (mg, cl):
+        monkeypatch.setattr(module, "PREDICATE_TOL", 1e-16)
     with pytest.raises(NotGeodesicError) as err:
         classify_representatives(src)
     assert str(err.value) == (
-        "xi is not a geodesic vector (defect 5.551115123125783e-16): g([xi, y], xi) must vanish for every y; "
-        "equivalently xi fails the ker d_eta condition (eta([xi, X]) != 0 for some X in ker eta)"
+        "angle 1.0471975511965976 violates the in-plane geodesic equation (residual 5.551115123125783e-16)"
     )
-    assert _either(_routed_representatives, src) == ("NotGeodesicError", str(err.value))
+    assert _either(_routed_representatives, src) == (
+        "NotGeodesicError",
+        "xi is not a geodesic vector (defect 5.551115123125783e-16): g([xi, y], xi) must vanish for every y; "
+        "equivalently xi fails the ker d_eta condition (eta([xi, X]) != 0 for some X in ker eta)",
+    )
 
 
-def _with_frame(ps, **vectors):
-    # ps with some frame vectors replaced, past PhiBasis's checks, and no kept report checks
-    basis = copy.copy(ps.basis)
-    for name, v in vectors.items():
-        object.__setattr__(basis, name, np.asarray(v, dtype=float))
-    bad = copy.copy(ps)
-    object.__setattr__(bad, "basis", basis)
-    vars(bad).pop("_checks", None)
-    return bad
-
-
-def _own_error(ps):
-    # the error one structure raises on its own: its structure, then the ker d_eta and N checks
-    b = ps.basis
+def _own_error(L, xi, e, phi_e):
+    # the error the public per-structure checks raise on a frame: its structure, then the ker d_eta and N checks
     try:
-        s = AlmostContactStructure(np.outer(b.phi_e, b.e) - np.outer(b.e, b.phi_e), b.xi, b.xi)
-        if not xi_in_ker_deta(ps.algebra, s):
+        s = AlmostContactStructure(np.outer(phi_e, e) - np.outer(e, phi_e), xi, xi)
+        if not xi_in_ker_deta(L, s):
             raise AssertionError("constructed structure lost the ker d_eta condition")
-        nijenhuis_normality_residual(ps.algebra, s)
+        nijenhuis_normality_residual(L, s)
     except (AssertionError, ValueError) as exc:
         return type(exc), str(exc)
     return None
 
 
 @pytest.mark.parametrize(
-    "corrupt, message",
+    "corrupt, checked, built",
     [
-        (lambda b: {"xi": np.array([np.nan, 0.0, 0.0])}, "vector components must be finite"),
-        (lambda b: {"e": np.array([0.0, np.nan, 1.0])}, "phi must be finite"),
-        (lambda b: {"e": 2.0 * b.e}, "phi^2 must equal -Id + xi (x) eta"),  # not orthonormal
+        (
+            lambda b: {"xi": np.array([np.nan, 0.0, 0.0])},
+            "vector components must be finite",
+            (ValueError, "vector components must be finite"),
+        ),
+        (
+            lambda b: {"e": np.array([0.0, np.nan, 1.0])},
+            "phi must be finite",
+            (ValueError, "vector components must be finite"),
+        ),
+        (lambda b: {"e": 2.0 * b.e}, "phi^2 must equal -Id + xi (x) eta", (ValueError, "phi-basis must be orthonormal")),
         # the frame turned by pi/4 in the xi-e plane: orthonormal, with xi off the geodesic set
         (
             lambda b: {"xi": (b.xi + b.e) / SQ2, "e": (b.e - b.xi) / SQ2},
             "constructed structure lost the ker d_eta condition",
+            (AssertionError, "normal form does not match raw brackets"),
         ),
     ],
     ids=["nan-xi", "nan-e", "not-orthonormal", "xi-off-the-kernel"],
 )
-def test_stacked_checks_give_each_row_its_own_error(corrupt, message):
+def test_stacked_checks_give_each_row_its_own_error(corrupt, checked, built):
     import contact3.classification as cl
 
-    # B1: four structures; the one at the transverse root (branch 2) is corrupted
+    # B1: four structures; the frame of the one at the transverse root
+    # (branch 2) is corrupted.  The per-structure checks reject that frame;
+    # reports do not re-run them, because construction rejects it first
     good = [r.structure for r in classify_representatives(MilnorParameters.from_pqr(1.0, 0.7, 1.0))]
-    k = [ps.source_construction for ps in good].index(2)
-    bad = _with_frame(good[k], **corrupt(good[k].basis))
-    assert _own_error(bad)[1] == message
-    values = cl._checked(good[0].algebra, good[:k] + [bad] + good[k + 1 :])
-    assert (type(values[k]), str(values[k])) == _own_error(bad)
-    # the rows around it pass, with the values they have on their own
-    assert values[:k] + values[k + 1 :] == [ps._checks for ps in good[:k] + good[k + 1 :]]
-    with pytest.raises(_own_error(bad)[0], match=re.escape(message)):
-        bad._checks
+    ps = good[[g.source_construction for g in good].index(2)]
+    frame = {name: getattr(ps.basis, name) for name in ("xi", "e", "phi_e")}
+    frame.update(corrupt(ps.basis))
+    assert _own_error(ps.algebra, **frame)[1] == checked
+    with pytest.raises(built[0], match=re.escape(built[1])):
+        PhiBasisStructure(ps.family, ps.params, PhiBasis(**frame), ps.source_construction, ps.algebra)
+    # the stacked pass gives each row the values it has on its own
+    assert cl._checked(ps.algebra, good) == [cl._checked(ps.algebra, [g])[0] for g in good]
 
 
 def test_separately_built_objects_compare_without_raising():

@@ -75,6 +75,17 @@ def test_geodesic_predicate_examples():
         is_geodesic_vector(L, I3, np.zeros(3))
 
 
+@pytest.mark.parametrize("s", [1e-300, 1e-170, 1e155, 1e300, 5e-324])
+@pytest.mark.parametrize("g", [I3, Metric3(np.diag([1.0, 2.0, 5.0]))], ids=["identity", "diagonal"])
+def test_geodesic_predicate_at_extreme_lengths(s, g):
+    # both sides of the test are of degree 2 in x: at any length x decides
+    # as the unit vector does, where |x|^2 over- or underflows too
+    L = from_milnor((3, 0, 0, -1))
+    assert is_geodesic_vector(L, g, s * E[0])
+    assert not is_geodesic_vector(L, g, s * np.array([1.0, 1.0, 0.0]))
+    assert not is_geodesic_vector(L, g, s * E[1])
+
+
 def test_geodesic_predicate_matches_connection():
     rng = np.random.default_rng(7)
     for _ in range(300):
