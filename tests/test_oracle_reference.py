@@ -12,12 +12,17 @@ the whole cloud must match its cell search bit for bit.  The row-wise
 einsum refinement is the reference of the column-wise one on the
 monomials, and the whole-sphere scan with the per-point quadratic-form
 kernel, that refinement and the dense dedup is the reference of the
-hemisphere scan; their arithmetic differs in rounding, so they must
-agree on the isolated count and stay inside the verify gates.  The column-wise refinement as it was before it kept |V|
-and compacted by index is the reference of the current one, and the
-monomial gathers that of ``monomial_table``: both bit for bit.  The
-one-contraction scan of the whole half-lattice is the reference of the
-block-pruned coarse scan, which must match it bit for bit.
+hemisphere scan, its upper-half survivors thinned by the dense dedup to
+one per cell of side h as the oracle's are; their arithmetic differs in
+rounding, so they must agree on the isolated count and stay inside the
+verify gates.  The oracle refines exactly that dense dedup of the coarse
+scan's survivors, and its thinned cloud must cover the circles at half
+the gate with its points chained at half the isolated cut.  The
+column-wise refinement as it was before it kept |V| and compacted by
+index is the reference of the current one, and the monomial gathers
+that of ``monomial_table``: both bit for bit.  The one-contraction scan
+of the whole half-lattice is the reference of the block-pruned coarse
+scan, which must match it bit for bit.
 """
 
 import dataclasses
@@ -170,8 +175,10 @@ def _reference_coarse_scan(M, grid, tau):
 
 
 def _reference_brute_force(L, grid):
-    # every lattice row, defects by the per-point quadratic form, and
-    # every survivor refined by the row-wise reference
+    # every lattice row, defects by the per-point quadratic form; the
+    # upper-half survivors thinned to one per cell of side h by the dense
+    # dedup, and those seeds and their negations refined by the row-wise
+    # reference
     M = _defect_matrices(L.c, Metric3.identity())
     scale = float(np.abs(M).max())
     th = math.pi * (np.arange(grid) + 0.5) / grid
@@ -180,7 +187,10 @@ def _reference_brute_force(L, grid):
     X = np.stack([np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH), np.cos(TH)], axis=-1).reshape(-1, 3)
     F = np.abs(np.einsum("ni,kij,nj->nk", X, M, X)).max(axis=1)
     h = 2.0 * math.pi / grid
-    seeds = np.ascontiguousarray(X[F <= 3.0 * scale * h])
+    upper = np.arange(len(X)) < (grid + 1) // 2 * grid
+    hit = upper & (F <= 3.0 * scale * h)
+    thinned = _reference_dedup(X[hit], F[hit], h)
+    seeds = np.ascontiguousarray(np.concatenate([thinned, -thinned]))
     refined, fr = _reference_refine_batch(M, seeds, 3.0 * h, 1e-13 * scale)
     ok = fr <= 1e-10 * scale
     return _reference_dedup(refined[ok], fr[ok], 1e-3)
@@ -309,12 +319,14 @@ def _oracle_sources():
 
 
 def _oracle_cloud(monkeypatch, L):
-    # the [pts, -pts] cloud and defects that geodesic_brute_force dedups at grid 200
+    # the [pts, -pts] cloud and defects that geodesic_brute_force dedups at
+    # grid 200: its call at _MERGE_RADIUS, not the seed thinning at side h
     seen = []
     dedup = mg._cell_dedup
-    monkeypatch.setattr(mg, "_cell_dedup", lambda p, d, r: seen.append((p, d)) or dedup(p, d, r))
+    monkeypatch.setattr(mg, "_cell_dedup", lambda p, d, r: seen.append((p, d, r)) or dedup(p, d, r))
     geodesic_brute_force(L, grid=200)
-    return seen[0]
+    (cloud,) = [(p, d) for p, d, r in seen if r == mg._MERGE_RADIUS]
+    return cloud
 
 
 @pytest.mark.parametrize(
@@ -559,7 +571,7 @@ def _gap_probes(enum, pts, rng):
 
 @pytest.mark.parametrize("grid", [200, 400])
 def test_nearest_distance_is_independent_of_the_cell_radius(grid):
-    # the family gap is searched in cells of side h / 2 rather than 3.5 h
+    # the family gap is searched in cells of side h rather than 3.5 h
     rng = np.random.default_rng(31)
     sources = list(_sources()) if grid == 200 else [("B1", *_circle_source_400())]
     h = 2.0 * math.pi / grid
@@ -716,7 +728,8 @@ def _grid_seeds(M, grid):
 
 
 def _oracle_seeds(M, grid=400):
-    # the seeds geodesic_brute_force refines
+    # the coarse survivors of geodesic_brute_force: a superset of the seeds
+    # it refines, one survivor per cell of side h
     scale = float(np.abs(M).max())
     return _hemisphere_points(grid, _coarse_scan(M, scale, grid, 3.0 * scale * 2.0 * math.pi / grid)[0])
 
@@ -743,6 +756,41 @@ def test_refine_is_the_parents_on_the_b2_circle_through_the_pole():
     seeds = _oracle_seeds(M)
     assert len(seeds) > 18_000
     _assert_refine_is_the_parents(M, seeds, 400)
+
+
+def _circle_sources():
+    return [(tag, L, enum) for tag, L, enum in _sources() if tag in ("B1", "B2", "C1", "C2")]
+
+
+@pytest.mark.parametrize("grid", [200, 400])
+@pytest.mark.parametrize("tag, L, enum", _circle_sources())
+def test_oracle_refines_one_coarse_survivor_per_cell_of_side_h(monkeypatch, grid, tag, L, enum):
+    seen = []
+    refine = _kernels.refine_batch
+    monkeypatch.setattr(_kernels, "refine_batch", lambda M, X, *args: seen.append(X) or refine(M, X, *args))
+    pts = geodesic_brute_force(L, grid=grid)
+    (seeds,) = seen
+    # the seeds are the dense dedup, at side h, of the survivors of the
+    # whole half-lattice scan, with their coarse defects
+    M = _identity_defects(L)
+    h = 2.0 * math.pi / grid
+    idx, F = _reference_coarse_scan(M, grid, 3.0 * float(np.abs(M).max()) * h)
+    assert _canonical(seeds).tobytes() == _canonical(_reference_dedup(_hemisphere_points(grid, idx), F, h)).tobytes()
+    assert len(np.unique(np.floor(seeds / h), axis=0)) == len(seeds)
+    if tag == "B2":
+        # its circle crowds the lattice rows at the pole
+        assert 2 * len(seeds) <= len(idx)
+    # the thinned cloud still covers the circles at half the verify gate,
+    # and its circle points stay chained at half the isolated cut 3.5 h
+    assert oracle_match(enum, pts, grid).family_coverage_gap <= 1.5 * h
+    circle = np.min([f.distance(pts) for f in enum.families if f.angles is None], axis=0) <= 1e-5
+    on = pts[circle]
+    spacing = []
+    for s in range(0, len(on), 256):
+        d2 = ((on[s : s + 256, None, :] - on[None, :, :]) ** 2).sum(axis=-1)
+        d2[np.arange(len(d2)), np.arange(s, s + len(d2))] = math.inf
+        spacing.append(np.sqrt(d2.min(axis=1)))
+    assert 0 < len(on) and np.concatenate(spacing).max() < 0.5 * 3.5 * h
 
 
 def test_refine_is_the_parents_up_to_the_step_cap(monkeypatch):
