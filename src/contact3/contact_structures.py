@@ -197,38 +197,23 @@ def _deta_matrix(c: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return -(c @ eta[..., None, :, None])[..., 0]
 
 
-def _ker_deta_routes(c: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """d_eta(xi, e_j) twice: xi contracted into the d_eta matrix, and -eta o ad(xi).
-
-    Both have shape (..., 3) for stacked c (..., 3, 3, 3), xi and eta (..., 3).
-    """
-    via_deta = (xi[..., None, :] @ _deta_matrix(c, eta))[..., 0, :]
-    ad_xi = np.einsum("...i,...ijk->...kj", xi, c)  # ad(xi), columns [xi, e_j]
-    via_lie = -(eta[..., None, :] @ ad_xi)[..., 0, :]
-    return via_deta, via_lie
-
-
 def xi_in_ker_deta(L: LieAlgebra3, s: AlmostContactStructure) -> bool:
     """True iff |d_eta(xi, e_i)| <= PREDICATE_TOL * L.scale for all i.
 
     Computed both as xi contracted into the d_eta matrix and as the Lie
-    derivative L_xi eta = -eta o ad(xi) (``_ker_deta``).  The two routes
-    contract in different orders, so they are held to agree to rounding
-    rather than on the boolean, which can differ when a value sits within
-    rounding of the bound; the decision is the d_eta route's.
+    derivative L_xi eta = -eta o ad(xi).  The two routes contract in
+    different orders, so they are held to agree to IDENTITY_RTOL relative
+    to the data rather than on the boolean, which can differ when a value
+    sits within rounding of the bound; the decision is the d_eta route's.
     """
-    agree, in_kernel = _ker_deta(L.c, L.scale, s.xi, s.eta)
-    if not agree:
+    xi, eta, scale = s.xi, s.eta, L.scale
+    via_deta = (xi[None, :] @ _deta_matrix(L.c, eta))[0]
+    ad_xi = np.einsum("i,ijk->kj", xi, L.c)  # ad(xi), columns [xi, e_j]
+    via_lie = -(eta[None, :] @ ad_xi)[0]
+    size = scale * np.abs(xi).max(initial=1.0) * np.abs(eta).max(initial=1.0)
+    if not np.abs(via_deta - via_lie).max() <= IDENTITY_RTOL * size:
         raise AssertionError("d_eta and Lie-derivative predicates disagree")
-    return bool(in_kernel)
-
-
-def _ker_deta(c: np.ndarray, scale, xi: np.ndarray, eta: np.ndarray):
-    """(the two routes agree to IDENTITY_RTOL relative to the data, xi in ker d_eta), over a leading axis."""
-    via_deta, via_lie = _ker_deta_routes(c, xi, eta)
-    size = scale * np.abs(xi).max(axis=-1, initial=1.0) * np.abs(eta).max(axis=-1, initial=1.0)
-    agree = np.abs(via_deta - via_lie).max(axis=-1) <= IDENTITY_RTOL * size
-    return agree, np.abs(via_deta).max(axis=-1) <= PREDICATE_TOL * scale
+    return bool(np.abs(via_deta).max() <= PREDICATE_TOL * scale)
 
 
 def check_ker_condition(L: LieAlgebra3, s: AlmostContactStructure) -> bool:

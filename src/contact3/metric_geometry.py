@@ -157,16 +157,8 @@ def is_geodesic_vector(L: LieAlgebra3, g: Metric3, x) -> bool:
     if not x.any():
         raise ValueError("the zero vector cannot be a geodesic vector")
     x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
-    return bool(_geodesic(_defects(L, g), g, x, L.scale))
-
-
-def _geodesic(M: np.ndarray, g: Metric3, x: np.ndarray, scale) -> np.ndarray:
-    """``is_geodesic_vector``'s test over a leading axis of defect matrices M (..., 3, 3, 3), x (..., 3) and scales.
-
-    M holds ``_defect_matrices`` of structure constants of max |c| = scale at the metric g.
-    """
-    defect = np.abs(_kernels.residual_batch(M, x[..., None, :])[..., 0, :]).max(axis=-1)
-    return defect <= PREDICATE_TOL * scale * _dot(x @ g.g, x)
+    defect = np.abs(_kernels.residual_batch(_defects(L, g), x[None, :])[0]).max()
+    return bool(defect <= PREDICATE_TOL * L.scale * _dot(x @ g.g, x))
 
 
 def _fold(t):
@@ -347,7 +339,7 @@ def _probe_faults(M: np.ndarray, probes: np.ndarray, scale) -> tuple[np.ndarray,
 
     ``probes`` has shape (..., k, 3) and ``M`` the matching defect matrices
     at the identity metric (``_defect_matrices``) of constants of max |c| =
-    scale, shapes (..., 3, 3, 3) and (...); the gate is ``_geodesic``'s.
+    scale, shapes (..., 3, 3, 3) and (...); the gate is ``is_geodesic_vector``'s.
     """
     unit = np.all(np.abs(_norm(probes) - 1.0) <= IDENTITY_RTOL, axis=-1)
     defect = np.abs(_kernels.residual_batch(M, probes)).max(axis=-1)
@@ -786,13 +778,13 @@ def oracle_match(enum: GeodesicEnumeration, points: np.ndarray, grid: int) -> Or
     populations separate cleanly.  A counted point's cell of side 1.75 h
     holds only points within 3.5 h of it, hence within 2
     ``_MERGE_RADIUS``, so only the points of cells that span at most
-    4 ``_MERGE_RADIUS`` in each coordinate are searched, with the
-    enumerated isolated points, in one ``_nearest_distance`` call.  The
-    family coverage gap is the worst distance from 720 samples of each
-    full circle to the nearest oracle point, searched in cells of side h,
-    about the spacing of the points along a circle.  Memory is linear.
-    Raises ValueError for a grid that ``geodesic_brute_force`` rejects
-    and for malformed or empty ``points``.
+    4 ``_MERGE_RADIUS`` in each coordinate are candidates.  The family
+    coverage gap is the worst distance from 720 samples of each full
+    circle to the nearest oracle point.  One ``_nearest_distance`` search,
+    in cells of side 1.75 h, serves the enumerated isolated points, the
+    circle samples and the candidates; only the candidates ignore points.
+    Memory is linear.  Raises ValueError for a grid that
+    ``geodesic_brute_force`` rejects and for malformed or empty ``points``.
     """
     _check_grid(grid)
     pts = _points(points).reshape(-1, 3)
@@ -801,6 +793,8 @@ def oracle_match(enum: GeodesicEnumeration, points: np.ndarray, grid: int) -> Or
     h = 2.0 * math.pi / grid
     d_o2s = float(enum.distance_to_set(pts).max())
     iso = np.array(enum.isolated_points()).reshape(-1, 3)
+    ts = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)[:, None]
+    circles = [np.cos(ts) * f.u + np.sin(ts) * f.v for f in enum.families if f.angles is None]
     (keys,), w = _cell_keys(1.75 * h, pts)
     ids = _cell_ids(keys, w)
     order = np.argsort(ids)
@@ -810,14 +804,14 @@ def oracle_match(enum: GeodesicEnumeration, points: np.ndarray, grid: int) -> Or
     # 1e-9 of slack for the rounding of the spans and of the distances
     tight = (span <= 4.0 * _MERGE_RADIUS * (1.0 + 1e-9)).all(axis=1)
     rows = order[np.repeat(tight, np.diff(start, append=len(pts)))]
-    # the enumerated points ignore no oracle point (after = len(pts))
-    after = np.append(np.full(len(iso), len(pts)), rows)
-    d = _nearest_distance(np.concatenate([iso, pts[rows]]), pts, 3.5 * h, after, 2.0 * _MERGE_RADIUS)
+    # the enumerated points and the circle samples ignore no oracle point (after = len(pts))
+    n_free = len(iso) + 720 * len(circles)
+    after = np.append(np.full(n_free, len(pts)), rows)
+    queries = np.concatenate([iso, *circles, pts[rows]])
+    d = _nearest_distance(queries, pts, 1.75 * h, after, 2.0 * _MERGE_RADIUS)
     d_i2o = float(d[: len(iso)].max(initial=0.0))
-    n_iso = int((d[len(iso) :] > 3.5 * h).sum())
-    ts = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)[:, None]
-    circles = [np.cos(ts) * f.u + np.sin(ts) * f.v for f in enum.families if f.angles is None]
-    gap = max((float(_nearest_distance(x, pts, h).max()) for x in circles), default=0.0)
+    gap = float(d[len(iso) : n_free].max(initial=0.0))
+    n_iso = int((d[n_free:] > 3.5 * h).sum())
     return OracleAgreement(d_o2s, d_i2o, gap, n_iso, len(iso))
 
 

@@ -41,9 +41,9 @@ from contact3.classification import (
     _normal_form_constants,
     _structure_flags,
 )
-from contact3.contact_structures import PhiBasis, _ker_deta, _normality, _orthonormal, _structure_axioms
+from contact3.contact_structures import PhiBasis, _normality, _orthonormal, _structure_axioms
 from contact3.lie_core import LieAlgebra3, _milnor_gates, _non_unimodular
-from contact3.metric_geometry import _defect_matrices, _geodesic, _inplane_roots, _probe_faults
+from contact3.metric_geometry import _defect_matrices, _inplane_roots, _probe_faults, is_geodesic_vector
 from contact3.verify import CASE_TAGS, sample_functional, sample_params
 
 E = np.eye(3)
@@ -72,15 +72,21 @@ def test_shared_gates_fail_closed_on_nan():
         _normal_form_check(c, c, 1.0)[1],
         *(ok for ok, _ in _structure_axioms(nan33, nan3, nan3)),
         _orthonormal(nan33, E),
-        *_ker_deta(c, 1.0, nan3, nan3),
         _normality(c, 1.0, nan33, nan3, nan3)[0],
         _case2_form(math.nan, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0)[1],
         _inplane_roots(math.nan, 0.0, 1.0, 1.0)[1],
-        _geodesic(_defect_matrices(c, I3), I3, nan3, 1.0),
         *(~fault for fault in _probe_faults(_defect_matrices(c, I3), nan3[None], 1.0)),
         *_flags(c, 1.0),
     ]
     assert not any(bool(ok) for ok in gates)
+    # the scalar predicates xi_in_ker_deta and is_geodesic_vector never see
+    # NaN: their vector, algebra and structure inputs reject it first
+    with pytest.raises(ValueError, match="vector components must be finite"):
+        is_geodesic_vector(from_milnor((3.0, 0.0, 0.0, -1.0)), I3, nan3)
+    with pytest.raises(ValueError, match="structure constants must be finite"):
+        LieAlgebra3(c)
+    with pytest.raises(ValueError, match="vector components must be finite"):
+        AlmostContactStructure(nan33, nan3, nan3)
     # the gates that read a scale, on data that passes them at its own scale
     L, normal = from_milnor((3.0, 0.0, 0.0, -1.0)), from_milnor((1.0, 0.0, 0.0, 1.0))
     phi, t = np.outer(E[2], E[1]) - np.outer(E[1], E[2]), math.pi / 3
@@ -89,11 +95,9 @@ def test_shared_gates_fail_closed_on_nan():
         return [
             _non_unimodular(2.0, scale),
             _normal_form_check(L.c, L.c, scale)[1],
-            *_ker_deta(L.c, scale, E[0], E[0]),
             _normality(L.c, scale, phi, E[0], E[0])[0],
             _case2_form(3.0, 0.0, 0.0, -1.0, scale, math.cos(t), math.sin(t))[1],
             _inplane_roots(3.0, 0.0, -1.0, scale)[1],
-            _geodesic(L._defect, I3, E[0], scale),
             ~_probe_faults(L._defect, E[:1], scale)[1],
             _flags(normal.c, scale)[0],
             _flags(_normal_form_constants("B", (1.0, 1.0, 0.0)), scale)[1],

@@ -2,7 +2,7 @@
 
 Each gate reads its constant when it runs (from ``contact3.tolerances``,
 or ``_kernels._MAX_STEPS`` for refinement), so changing a gate is one
-edit and no caller can move it.  These are the eleven settable values
+edit and no caller can move it.  These are the nine settable values
 retired together; none may come back on its function.
 """
 
@@ -22,8 +22,6 @@ RETIRED = [
     (classification.is_isomorphic, "tol"),
     (lie_core.is_unimodular, "tol"),
     (classification.PhiBasisStructure.structure, "g"),
-    (metric_geometry._geodesic, "tol"),
-    (contact_structures._ker_deta, "tol"),
     (_kernels.refine_batch, "max_iter"),
 ]
 

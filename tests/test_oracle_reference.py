@@ -571,15 +571,16 @@ def _gap_probes(enum, pts, rng):
 
 @pytest.mark.parametrize("grid", [200, 400])
 def test_nearest_distance_is_independent_of_the_cell_radius(grid):
-    # the family gap is searched in cells of side h rather than 3.5 h
+    # oracle_match searches its one query set, family gap probes included,
+    # in cells of side 1.75 h rather than 3.5 h
     rng = np.random.default_rng(31)
     sources = list(_sources()) if grid == 200 else [("B1", *_circle_source_400())]
     h = 2.0 * math.pi / grid
     for _, L, enum in sources:
         pts = np.array(geodesic_brute_force(L, grid=grid))
         x = _gap_probes(enum, pts, rng)
-        got = [_nearest_distance(x, pts, f * h) for f in (0.5, 1.0, 3.5)]
-        assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
+        got = [_nearest_distance(x, pts, f * h) for f in (0.5, 1.0, 1.75, 3.5)]
+        assert all(np.array_equal(got[0], d) for d in got[1:])
         dense = [np.linalg.norm(x[s : s + 256, None] - pts[None], axis=-1).min(axis=1) for s in range(0, len(x), 256)]
         assert np.array_equal(got[0], np.concatenate(dense))
 
